@@ -40,6 +40,3 @@ print("pooled column means ~0:", float(np.abs(pooled.mean(axis=0)).max()))
 print("pooled column stds  ~1:", float(np.abs(pooled.std(axis=0) - 1).max()))
 held_out = F.apply_stats(F.extract(tone), stats)
 print("held-out clip normalized with the same stats:", held_out.shape)
-
-padded, valid = F.pad_to_length(normed[0], normed[0].shape[0] + 12)
-print(f"\npadded to {padded.shape[0]} rows, valid length preserved: {valid}")

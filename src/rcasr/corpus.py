@@ -27,7 +27,6 @@ class Utterance:
     id: str
     labels: tuple
     features: np.ndarray = None
-    audio: object = None
 
     @property
     def n_frames(self):

@@ -4,7 +4,7 @@ Pipeline: pre-emphasis (0.97) -> 25 ms Hamming frames every 10 ms -> power
 spectrum (FFT 512) -> 26-triangle mel filterbank over 0-8 kHz -> log (floored
 at 1e-10) -> DCT-II -> 13 cepstra with c0 replaced by log frame energy ->
 delta and delta-delta appended (regression window 2, edges replicated) ->
-per-dimension corpus normalization -> optional zero padding to a max length.
+per-dimension corpus normalization.
 
 The c0 := log-energy substitution is one reading of "log energy
 coefficients"; it is applied uniformly and recorded here on purpose.
@@ -122,19 +122,17 @@ _FBANK = mel_filterbank()
 _DCT = dct_matrix(N_CEPS, N_MELS)
 
 
-def mfcc(frame):
-    """13 cepstral coefficients of one windowed frame; c0 is log frame energy."""
-    power = power_spectrum(frame)
-    energies = _FBANK @ power
-    log_energies = np.log(np.maximum(energies, LOG_FLOOR))
-    ceps = _DCT @ log_energies
-    ceps[0] = np.log(max(float(np.sum(frame ** 2)), LOG_FLOOR))
+def mfcc(frames):
+    """13 cepstral coefficients of each windowed frame along the last axis (one
+    frame or a T x 400 matrix); c0 is log frame energy."""
+    log_e = np.log(np.maximum(power_spectrum(frames) @ _FBANK.T, LOG_FLOOR))
+    ceps = log_e @ _DCT.T
+    ceps[..., 0] = np.log(np.maximum(np.sum(frames ** 2, axis=-1), LOG_FLOOR))
     return ceps
 
 
 def mfcc_matrix(clip, preemphasis=PREEMPHASIS):
-    frames = frame_and_window(clip, preemphasis=preemphasis)
-    return np.stack([mfcc(f) for f in frames])
+    return mfcc(frame_and_window(clip, preemphasis=preemphasis))
 
 
 def deltas(coeffs, window=DELTA_WINDOW):
@@ -203,22 +201,6 @@ def normalize_corpus(mats):
 
 def apply_stats(mat, stats):
     return (np.asarray(mat, dtype=np.float64) - stats.mean) / stats.std
-
-
-def pad_to_length(mat, t_max):
-    """Zero-pad rows up to t_max; returns (padded, valid_length)."""
-    mat = np.asarray(mat)
-    t = mat.shape[0]
-    if t > t_max:
-        raise ValueError(f"matrix of {t} frames exceeds t_max={t_max}")
-    if t == t_max:
-        return mat, t
-    pad = np.zeros((t_max - t, mat.shape[1]), dtype=mat.dtype)
-    return np.concatenate([mat, pad]), t
-
-
-def unpad(mat, valid_length):
-    return np.asarray(mat)[:valid_length]
 
 
 # -- file formats -------------------------------------------------------------

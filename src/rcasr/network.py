@@ -15,6 +15,7 @@ recurrent or dense stage is flattened per time step to T x (C*F).
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import DEFAULT_DTYPE, ParameterStore, glorot_init, make_rng
 
@@ -160,31 +161,40 @@ class _Recurrent:
         self.b = store.add(f"{name}/b", np.zeros(hidden, dtype=dtype))
 
     def forward(self, x, training, rng):
-        t_len = x.shape[0]
-        pre = np.empty((t_len, self.hidden), dtype=x.dtype)
-        h = np.empty((t_len, self.hidden), dtype=x.dtype)
-        xw = x @ self.w_xh.value
-        prev = np.zeros(self.hidden, dtype=x.dtype)
-        for t in range(t_len):
-            pre[t] = xw[t] + prev @ self.w_hh.value + self.b.value
-            h[t] = _elu_fwd(pre[t], self.alpha)
-            prev = h[t]
+        pre = x @ self.w_xh.value + self.b.value
+        h = np.empty_like(pre)
+        prev = np.zeros(self.hidden, dtype=pre.dtype)
+        for t in range(len(pre)):
+            pre[t] += prev @ self.w_hh.value
+            prev = h[t] = _elu_fwd(pre[t], self.alpha)
         return h, (x, pre, h)
 
     def backward(self, ctx, g):
+        # only the carry is sequential; every gradient is one GEMM over all steps
         x, pre, h = ctx
-        t_len = x.shape[0]
-        dx = np.zeros_like(x)
-        carry = np.zeros(self.hidden, dtype=x.dtype)
-        for t in range(t_len - 1, -1, -1):
-            da = (g[t] + carry) * _elu_grad(pre[t], self.alpha)
-            h_prev = h[t - 1] if t > 0 else np.zeros(self.hidden, dtype=x.dtype)
-            self.w_xh.grad += np.outer(x[t], da)
-            self.w_hh.grad += np.outer(h_prev, da)
-            self.b.grad += da
-            dx[t] = da @ self.w_xh.value.T
-            carry = da @ self.w_hh.value.T
-        return dx
+        slope = _elu_grad(pre, self.alpha)
+        da = np.empty_like(pre)
+        carry = np.zeros(self.hidden, dtype=pre.dtype)
+        for t in range(len(pre) - 1, -1, -1):
+            da[t] = (g[t] + carry) * slope[t]
+            carry = da[t] @ self.w_hh.value.T
+        self.w_xh.grad += x.T @ da
+        self.w_hh.grad += h[:-1].T @ da[1:]
+        self.b.grad += da.sum(axis=0)
+        return da @ self.w_xh.value.T
+
+
+def _pad(x):
+    return np.pad(x, ((0, 0), (PAD, PAD), (PAD, PAD)))
+
+
+def _cols(xp):
+    """im2col: the 3x3 windows of a padded C x (T+2) x (F+2) stack as a
+    contiguous (C*9) x (T*F) matrix, rows ordered (c, di, dj) like
+    K.reshape(C_out, -1)."""
+    win = sliding_window_view(xp, (KERNEL, KERNEL), axis=(1, 2))   # C, T, F, 3, 3
+    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2))
+    return cols.reshape(xp.shape[0] * KERNEL * KERNEL, -1)
 
 
 class _Conv2d:
@@ -200,31 +210,18 @@ class _Conv2d:
         c, t, f = x.shape
         if c != self.in_maps:
             raise ValueError(f"conv2d expected {self.in_maps} input maps, got {c}")
-        xp = np.pad(x, ((0, 0), (PAD, PAD), (PAD, PAD)))
-        patches = np.empty((c * KERNEL * KERNEL, t * f), dtype=x.dtype)
-        row = 0
-        for di in range(KERNEL):
-            for dj in range(KERNEL):
-                patches[row:row + c] = xp[:, di:di + t, dj:dj + f].reshape(c, t * f)
-                row += c
-        # patch rows are ordered (di, dj, c): match with K transposed accordingly
-        kmat = self.k.value.transpose(2, 3, 1, 0).reshape(c * KERNEL * KERNEL, self.out_maps)
-        y = (kmat.T @ patches) + self.b.value[:, None]
-        return y.reshape(self.out_maps, t, f), (patches, (c, t, f))
+        xp = _pad(x)
+        y = self.k.value.reshape(self.out_maps, -1) @ _cols(xp) + self.b.value[:, None]
+        return y.reshape(self.out_maps, t, f), (xp, (c, t, f))
 
     def backward(self, ctx, g):
-        patches, (c, t, f) = ctx
+        xp, (c, t, f) = ctx
         gm = g.reshape(self.out_maps, t * f)
-        dk = (gm @ patches.T).T                     # (c*9, out)
-        dk = dk.reshape(KERNEL, KERNEL, c, self.out_maps).transpose(3, 2, 0, 1)
-        self.k.grad += dk
+        self.k.grad += (gm @ _cols(xp).T).reshape(self.k.value.shape)
         self.b.grad += gm.sum(axis=1)
-        dxp = np.zeros((c, t + 2 * PAD, f + 2 * PAD), dtype=g.dtype)
-        for di in range(KERNEL):
-            for dj in range(KERNEL):
-                w = self.k.value[:, :, di, dj]      # (out, in)
-                dxp[:, di:di + t, dj:dj + f] += np.tensordot(w, gm, axes=(0, 0)).reshape(c, t, f)
-        return dxp[:, PAD:PAD + t, PAD:PAD + f]
+        # dX is the correlation of the padded g with the flipped, in/out-swapped kernel
+        flipped = self.k.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        return (flipped @ _cols(_pad(g))).reshape(c, t, f)
 
 
 class _SeqToMaps:

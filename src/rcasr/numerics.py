@@ -17,10 +17,6 @@ _DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1}
 _CODE_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 
 
-class ShapeMismatch(ValueError):
-    pass
-
-
 class NonFiniteValue(ArithmeticError):
     pass
 
@@ -34,46 +30,6 @@ def make_rng(seed, *stream):
     """
     entropy = (int(seed),) + tuple(int(s) for s in stream)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
-
-
-def check_finite(name, arr):
-    """Raise NonFiniteValue naming `name` if arr contains NaN or Inf."""
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteValue(f"non-finite values in '{name}'")
-    return arr
-
-
-# -- elementary tensor operations -------------------------------------------
-#
-# These are thin wrappers over numpy; the test suite holds them to naive
-# loop oracles on small random inputs.
-
-def matmul(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch(f"matmul: incompatible shapes {a.shape} x {b.shape}")
-    return a @ b
-
-
-def add(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"add: incompatible shapes {a.shape} vs {b.shape}")
-    return a + b
-
-
-def elementwise_mul(a, b):
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        raise ShapeMismatch(f"elementwise_mul: incompatible shapes {a.shape} vs {b.shape}")
-    return a * b
-
-
-def transpose(a):
-    return np.asarray(a).T.copy()
 
 
 def glorot_init(shape, rng, dtype=DEFAULT_DTYPE):

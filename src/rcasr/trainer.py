@@ -1,10 +1,9 @@
 """End-to-end mini-batch training with cost-curve logging and checkpoints.
 
 Each epoch shuffles the training ids (seed-deterministic), cuts mini-batches,
-pads every batch to its own longest utterance, and accumulates per-utterance
-CTC gradients (batch loss = mean utterance loss) before one Adam step.
-Padding is storage-level only: the network always consumes the valid-length
-slice, so a padded utterance contributes exactly the loss it would unpadded.
+and accumulates per-utterance CTC gradients (batch loss = mean utterance
+loss) before one Adam step.  Every utterance runs through the network at its
+own length; nothing is padded.
 
 The same (seed, config, corpus) always reproduces the same batch stream,
 cost values and checkpoint bytes; wall-clock stamps are the one
@@ -20,7 +19,6 @@ import numpy as np
 
 from . import ctc as ctc_mod
 from . import evaluate
-from .features import pad_to_length
 from .network import NetworkConfig, build_network, get_config, save_config
 from .numerics import adam_step, make_rng, save_checkpoint
 
@@ -42,7 +40,6 @@ class TrainConfig:
     log_path: str = None
     checkpoint_dir: str = None
     checkpoint_every: int = 0          # also checkpoints the final epoch when a dir is set
-    clip_grad: float = None            # opt-in global-norm clipping
     input_dim: int = 39
 
     def __post_init__(self):
@@ -93,14 +90,6 @@ def _resolve_config(network):
     return get_config(network)
 
 
-def _clip_gradients(store, max_norm):
-    total = np.sqrt(sum(float(np.sum(p.grad ** 2)) for p in store.entries.values()))
-    if total > max_norm and total > 0:
-        scale = max_norm / total
-        for p in store.entries.values():
-            p.grad *= scale
-
-
 def train(config, corpus, partition=None):
     """Run the training loop; returns (ParameterStore, CostCurve).
 
@@ -142,14 +131,11 @@ def train(config, corpus, partition=None):
             batch_ids = order[b0:b0 + config.batch_size]
             batch_no = b0 // config.batch_size + 1
             log_lines.append(f"epoch {epoch} batch {batch_no} ids {','.join(batch_ids)}")
-            t_max = max(corpus[i].n_frames for i in batch_ids)
             scale = 1.0 / len(batch_ids)
             for utt_id in batch_ids:
                 utt = corpus[utt_id]
-                padded, valid = pad_to_length(utt.features, t_max)
-                x = padded[:valid]
                 try:
-                    logits, ctxs = net.forward(x, training=True, rng=dropout_rng)
+                    logits, ctxs = net.forward(utt.features, training=True, rng=dropout_rng)
                     loss, dlogits = ctc_mod.ctc_loss_and_grad(logits, alphabet.encode(utt.labels))
                 except ctc_mod.InfeasibleLabel:
                     log.warning("train: skipping '%s' (infeasible) in epoch %d", utt_id, epoch)
@@ -165,8 +151,6 @@ def train(config, corpus, partition=None):
                     )
                 net.backward(ctxs, dlogits * scale)
                 epoch_losses.append(loss)
-            if config.clip_grad is not None:
-                _clip_gradients(net.store, config.clip_grad)
             adam_step(net.store, config.lr)
 
         train_cost = float(np.mean(epoch_losses)) if epoch_losses else float("nan")

@@ -66,6 +66,48 @@ def sliding_conv2d(x, kernels, bias):
     return out
 
 
+def conv2d_grads_by_loops(x, kernels, g):
+    """Brute-force (dK, db, dX) of the 3x3 stride-1 pad-1 convolution above
+    for the upstream gradient g (C_out x T x F)."""
+    c_out, c_in, kh, kw = kernels.shape
+    _, t, f = x.shape
+    xp = np.zeros((c_in, t + 2, f + 2))
+    xp[:, 1:-1, 1:-1] = x
+    dk = np.zeros(kernels.shape)
+    dxp = np.zeros(xp.shape)
+    for co in range(c_out):
+        for i in range(t):
+            for j in range(f):
+                for ci in range(c_in):
+                    for di in range(kh):
+                        for dj in range(kw):
+                            dk[co, ci, di, dj] += g[co, i, j] * xp[ci, i + di, j + dj]
+                            dxp[ci, i + di, j + dj] += g[co, i, j] * kernels[co, ci, di, dj]
+    db = np.array([g[co].sum() for co in range(c_out)])
+    return dk, db, dxp[:, 1:-1, 1:-1]
+
+
+def recurrent_backward_by_steps(x, pre, h, g, w_xh, w_hh, alpha=1.0):
+    """BPTT for h_t = elu(x_t W_xh + h_{t-1} W_hh + b), one time step at a
+    time; returns (dW_xh, dW_hh, db, dX)."""
+    t_len, hidden = pre.shape
+    dw_xh = np.zeros(w_xh.shape)
+    dw_hh = np.zeros(w_hh.shape)
+    db = np.zeros(hidden)
+    dx = np.zeros(x.shape)
+    carry = np.zeros(hidden)
+    for t in range(t_len - 1, -1, -1):
+        slope = np.where(pre[t] > 0, 1.0, alpha * np.exp(np.minimum(pre[t], 0.0)))
+        da = (g[t] + carry) * slope
+        h_prev = h[t - 1] if t > 0 else np.zeros(hidden)
+        dw_xh += np.outer(x[t], da)
+        dw_hh += np.outer(h_prev, da)
+        db += da
+        dx[t] = da @ w_xh.T
+        carry = da @ w_hh.T
+    return dw_xh, dw_hh, db, dx
+
+
 def collapse_path(path, blank):
     out = []
     prev = None

@@ -86,6 +86,17 @@ class TestMfcc:
         fast = F.dct_matrix(26, 26) @ x
         assert np.allclose(fast, naive_dct2_ortho(x), atol=1e-12)
 
+    def test_matrix_rows_equal_single_frame_mfcc(self):
+        rng = make_rng(36)
+        x = rng.normal(size=4000)
+        x[1200:1800] = 0.0                   # silent frames exercise the floors
+        clip = F.AudioClip(x)
+        mat = F.mfcc_matrix(clip)
+        frames = F.frame_and_window(clip)
+        assert mat.shape == (frames.shape[0], 13)
+        for row, frame in zip(mat, frames):
+            assert np.max(np.abs(row - F.mfcc(frame))) <= 1e-12
+
 
 class TestDeltas:
     def test_constant_track(self):
@@ -130,30 +141,6 @@ class TestNormalize:
         normed, stats = F.normalize_corpus([mat])
         assert stats.clamped_dims == (7,)
         assert np.all(normed[0][:, 7] == 0.0)
-
-
-class TestPadding:
-    def test_noop_at_exact_length(self):
-        m = make_rng(29).normal(size=(5, 39))
-        padded, valid = F.pad_to_length(m, 5)
-        assert valid == 5
-        assert np.array_equal(padded, m)
-
-    def test_pad_three_to_five(self):
-        m = make_rng(30).normal(size=(3, 39))
-        padded, valid = F.pad_to_length(m, 5)
-        assert valid == 3
-        assert np.all(padded[3:] == 0.0)
-        assert np.array_equal(padded[:3], m)
-
-    def test_round_trip(self):
-        m = make_rng(31).normal(size=(4, 39))
-        padded, valid = F.pad_to_length(m, 9)
-        assert np.array_equal(F.unpad(padded, valid), m)
-
-    def test_too_long_rejected(self):
-        with pytest.raises(ValueError):
-            F.pad_to_length(np.zeros((6, 39)), 5)
 
 
 class TestFileFormats:

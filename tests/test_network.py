@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from oracles import fd_gradient, max_relative_error, sliding_conv2d
+from oracles import (conv2d_grads_by_loops, fd_gradient, max_relative_error, naive_matmul,
+                     recurrent_backward_by_steps, sliding_conv2d)
 from rcasr import ctc as ctc_mod
 from rcasr import network as N
 from rcasr.numerics import ParameterStore, make_rng
@@ -84,6 +85,24 @@ class TestRecurrent:
             assert max_relative_error(store[name].grad, num) <= 1e-6
         assert max_relative_error(dx, fd_gradient(loss, x)) <= 1e-6
 
+    def test_backward_matches_per_step_oracle(self):
+        rng = make_rng(60)
+        for seed in range(12):
+            d, hid, t = (int(v) for v in rng.integers(1, 7, size=3))
+            t = 1 if seed == 0 else t
+            layer, store = self.make(d, hid, seed=seed)
+            layer.b.value[...] = rng.normal(size=hid)
+            x = rng.normal(size=(t, d))
+            g = rng.normal(size=(t, hid))
+            _, ctx = layer.forward(x, True, None)
+            dx = layer.backward(ctx, g)
+            _, pre, h = ctx
+            want = recurrent_backward_by_steps(x, pre, h, g, layer.w_xh.value, layer.w_hh.value)
+            for got, ref in zip((store["r/W_xh"].grad, store["r/W_hh"].grad, store["r/b"].grad, dx),
+                                want):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-12
+
 
 class TestConv2d:
     def make(self, c_in, c_out, seed=5):
@@ -159,6 +178,36 @@ class TestConv2d:
         assert max_relative_error(store["c/K"].grad, fd_gradient(loss, store["c/K"].value)) <= 1e-6
         assert max_relative_error(store["c/b"].grad, fd_gradient(loss, store["c/b"].value)) <= 1e-6
         assert max_relative_error(dx, fd_gradient(loss, x)) <= 1e-6
+
+    def test_backward_matches_loop_oracle(self):
+        rng = make_rng(61)
+        for seed in range(12):
+            c_in, c_out, t, f = (int(v) for v in rng.integers(1, 5, size=4))
+            if seed < 2:
+                t, f = (1, 1) if seed == 0 else (1, 5)
+            layer, store = self.make(c_in, c_out, seed=seed)
+            x = rng.normal(size=(c_in, t, f))
+            g = rng.normal(size=(c_out, t, f))
+            _, ctx = layer.forward(x, True, None)
+            dx = layer.backward(ctx, g)
+            want = conv2d_grads_by_loops(x, layer.k.value, g)
+            for got, ref in zip((store["c/K"].grad, store["c/b"].grad, dx), want):
+                assert got.shape == ref.shape
+                assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_context_holds_only_padded_input(self):
+        def arrays(obj):
+            if isinstance(obj, np.ndarray):
+                return [obj]
+            if isinstance(obj, tuple):
+                return [a for o in obj for a in arrays(o)]
+            return []
+
+        layer, _ = self.make(3, 4)
+        x = RNG.normal(size=(3, 7, 5))
+        _, ctx = layer.forward(x, True, None)
+        assert ctx[1] == (3, 7, 5)
+        assert max(a.size for a in arrays(ctx)) <= 3 * (7 + 2) * (5 + 2)
 
 
 class TestDropout:
@@ -263,6 +312,17 @@ class TestDense:
         assert max_relative_error(store["d/W"].grad, fd_gradient(loss, store["d/W"].value)) <= 1e-6
         assert max_relative_error(store["d/b"].grad, fd_gradient(loss, store["d/b"].value)) <= 1e-6
         assert max_relative_error(dx, fd_gradient(loss, x)) <= 1e-6
+
+    def test_forward_matches_naive_matmul_oracle(self):
+        rng = make_rng(58)
+        for seed in range(10):
+            t, d, units = (int(v) for v in rng.integers(1, 9, size=3))
+            layer = N._Affine(ParameterStore(), "d", d, units, make_rng(seed), np.float64)
+            layer.b.value[...] = rng.normal(size=units)
+            x = rng.normal(size=(t, d))
+            y, _ = layer.forward(x, False, None)
+            ref = naive_matmul(x, layer.w.value) + layer.b.value
+            assert np.max(np.abs(y - ref)) <= 1e-12
 
 
 # frozen totals hand-summed from the layer formulas (input 39, output 62)

@@ -4,7 +4,6 @@ import pytest
 from rcasr import corpus as corpus_mod
 from rcasr import ctc as ctc_mod
 from rcasr import trainer as T
-from rcasr.features import pad_to_length
 from rcasr.network import build_network, catalog
 from rcasr.numerics import adam_step, load_checkpoint, make_rng
 
@@ -69,23 +68,6 @@ class TestTrainBasics:
                             seed=6, dropout=0.0)
         with pytest.raises((T.TrainingAborted, ValueError), match="epoch|non-finite"):
             T.train(cfg, corp, part)
-
-
-class TestPaddingEquivalence:
-    def test_loss_identical_padded_or_not(self):
-        corp, _ = small_setup()
-        utt = corp[corp.ids()[0]]
-        net = build_network(catalog()["RC2-toy"], output_units=corp.alphabet.size,
-                            rng=make_rng(7), dropout_override=0.0)
-        labels = corp.alphabet.encode(utt.labels)
-
-        logits, _ = net.forward(utt.features)
-        base, _ = ctc_mod.ctc_loss_and_grad(logits, labels)
-
-        padded, valid = pad_to_length(utt.features, utt.n_frames + 10)
-        logits2, _ = net.forward(padded[:valid])
-        again, _ = ctc_mod.ctc_loss_and_grad(logits2, labels)
-        assert abs(base - again) <= 1e-12
 
 
 class TestDeterminism:
