@@ -282,19 +282,21 @@ def greedy_decode(y):
     return collapse(np.argmax(y, axis=1), blank)
 
 
-def _lm_increment(lm, lam, alphabet, prefix_ids, new_id):
-    context = alphabet.decode(prefix_ids)
-    return lam * lm.forward_logprob(alphabet.non_blank[new_id], context)
-
-
 def beam_decode(y, width=16, lm=None, lam=0.3, alphabet=None):
     """Prefix beam search; returns hypotheses as (label_ids, ctc_log_prob).
 
-    Each candidate prefix keeps separate blank/non-blank log masses.  With
-    an n-gram model attached, every label extension also adds
+    Each live prefix keeps separate blank/non-blank log masses.  With an
+    n-gram model attached, every label extension also adds
     lam * forward LM log probability to the pruning score (the reported
     score stays the pure CTC log probability).  width=None disables pruning,
     which makes the top hypothesis the exact most probable labelling.
+
+    Each frame is one (W, L) candidate matrix over the W live prefixes:
+    column 0 is the prefix itself, column c + 1 the prefix extended by label
+    c.  When more than `width` candidates are live, the best survive, ranked
+    by score with ties to the earlier cell in row-major order; a live prefix
+    that extends an earlier live prefix takes that extension's cell.  Memory
+    is O(W * (L + T)).
     """
     if width is not None and width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
@@ -306,40 +308,82 @@ def beam_decode(y, width=16, lm=None, lam=0.3, alphabet=None):
     with np.errstate(divide="ignore"):
         ly = np.log(y)
 
-    beams = {(): [0.0, NEG_INF]}   # prefix -> [log p_blank, log p_nonblank]
-    lm_bonus = {(): 0.0}
-
-    def fused(prefix, masses):
-        return np.logaddexp(masses[0], masses[1]) + lm_bonus[prefix]
+    prefixes = [()]
+    pb = np.array([0.0])      # log mass of paths ending in blank
+    pnb = np.array([NEG_INF])  # log mass of paths ending in the last label
+    # live prefix -> its LM bonus followed by the bonuses of its L-1 extensions
+    lm_rows = {(): _lm_row(lm, lam, alphabet, (), 0.0, blank)} if lm is not None else None
 
     for t in range(T):
-        nxt = {}
-        for prefix, (lpb, lpnb) in beams.items():
-            lp_tot = np.logaddexp(lpb, lpnb)
-            cur = nxt.setdefault(prefix, [NEG_INF, NEG_INF])
-            cur[0] = np.logaddexp(cur[0], lp_tot + ly[t, blank])
-            if prefix:
-                cur[1] = np.logaddexp(cur[1], lpnb + ly[t, prefix[-1]])
-            for c in range(blank):
-                if ly[t, c] == NEG_INF:
-                    continue
-                src = lpb if (prefix and c == prefix[-1]) else lp_tot
-                if src == NEG_INF:
-                    continue
-                new = prefix + (c,)
-                if new not in lm_bonus:
-                    lm_bonus[new] = lm_bonus[prefix] + (
-                        _lm_increment(lm, lam, alphabet, prefix, c) if lm is not None else 0.0
-                    )
-                ext = nxt.setdefault(new, [NEG_INF, NEG_INF])
-                ext[1] = np.logaddexp(ext[1], src + ly[t, c])
-        if width is not None and len(nxt) > width:
-            ranked = sorted(nxt.items(), key=lambda kv: fused(kv[0], kv[1]), reverse=True)
-            nxt = dict(ranked[:width])
-        beams = nxt
+        n = len(prefixes)
+        lt = ly[t]
+        total = np.logaddexp(pb, pnb)
+        ends = np.flatnonzero([len(p) > 0 for p in prefixes])
+        last = np.array([prefixes[i][-1] for i in ends], dtype=np.intp)
 
-    order = sorted(beams.items(), key=lambda kv: fused(kv[0], kv[1]), reverse=True)
-    return [(prefix, float(np.logaddexp(m[0], m[1]))) for prefix, m in order]
+        b = np.full((n, L), NEG_INF)
+        nb = np.empty((n, L))
+        b[:, 0] = total + lt[blank]
+        nb[:, 0] = NEG_INF
+        nb[ends, 0] = pnb[ends] + lt[last]
+        # a label repeated right after itself extends only the blank-ending paths
+        src = np.repeat(total[:, None], blank, axis=1)
+        src[ends, last] = pb[ends]
+        nb[:, 1:] = src + lt[:blank]
+        live = np.empty((n, L), dtype=bool)
+        live[:, 0] = True
+        live[:, 1:] = (src != NEG_INF) & (lt[:blank] != NEG_INF)
+
+        # an extension equal to a live prefix merges into it, in the cell of
+        # whichever of the two comes first
+        index = {p: i for i, p in enumerate(prefixes)}
+        for j in ends:
+            i = index.get(prefixes[j][:-1])
+            cell = prefixes[j][-1] + 1
+            if i is None or not live[i, cell]:
+                continue
+            merged = np.logaddexp(nb[j, 0], nb[i, cell])
+            if i < j:
+                b[i, cell], nb[i, cell] = b[j, 0], merged
+                live[j, 0] = False
+            else:
+                nb[j, 0] = merged
+                live[i, cell] = False
+
+        cand = np.flatnonzero(live)
+        score = np.logaddexp(b, nb)
+        if lm is not None:
+            score += np.array([lm_rows[p] for p in prefixes])
+        score = score.ravel()[cand]
+        if width is not None and cand.size > width:
+            # the width best; of those tied with the worst kept, the earliest cells
+            cut = np.partition(score, cand.size - width)[cand.size - width]
+            above = np.flatnonzero(score > cut)
+            keep = np.concatenate([above, np.flatnonzero(score == cut)[:width - above.size]])
+            cand = cand[keep[np.argsort(-score[keep], kind="stable")]]
+
+        rows, cols = np.divmod(cand, L)
+        prefixes = [prefixes[i] + (c - 1,) if c else prefixes[i]
+                    for i, c in zip(rows.tolist(), cols.tolist())]
+        pb = b.ravel()[cand]
+        pnb = nb.ravel()[cand]
+        if lm is not None:
+            lm_rows = {
+                p: lm_rows[p] if p in lm_rows
+                else _lm_row(lm, lam, alphabet, p, lm_rows[p[:-1]][p[-1] + 1], blank)
+                for p in prefixes
+            }
+
+    final = np.logaddexp(pb, pnb)
+    fused = final + np.array([lm_rows[p][0] for p in prefixes]) if lm is not None else final
+    order = np.argsort(-fused, kind="stable")
+    return [(prefixes[k], float(final[k])) for k in order]
+
+
+def _lm_row(lm, lam, alphabet, prefix, bonus, blank):
+    """[bonus, bonus + lam * log P(c | prefix) for each label c < blank]."""
+    logp = np.array(lm.forward_logprobs(alphabet.non_blank[:blank], alphabet.decode(prefix)))
+    return np.concatenate([[bonus], bonus + lam * logp])
 
 
 def format_hypotheses(utt_id, hyps, alphabet):

@@ -19,6 +19,7 @@ EOS = "</s>"
 UNK = "<unk>"
 
 ORDERS = (2, 3, 4)
+HISTORY = max(ORDERS) - 1   # the most preceding symbols any order reads
 DEFAULT_WEIGHTS = {2: 0.4, 3: 0.35, 4: 0.25}
 DEFAULT_K = 1.0
 DEFAULT_MU = 0.5
@@ -59,22 +60,34 @@ class NgramModel:
         padded = (BOS,) * (order - 1) + tuple(context)
         return self._lookup(order, direction, padded[len(padded) - (order - 1):], symbol)
 
-    def conditional(self, symbol, context, direction="F"):
-        """Interpolated smoothed P(symbol | context) for one direction.
+    def conditionals(self, symbols, context, direction="F"):
+        """Interpolated smoothed P(s | context) for each s of `symbols`, one
+        direction.
 
-        `context` is the full preceding history (most recent last); each
-        order slices its own window after start-marker padding.
+        `context` is the preceding history (most recent last).  Only its last
+        HISTORY symbols are read: each order slices its own last n-1 symbols
+        after start-marker padding, and no order is longer than HISTORY + 1.
         """
-        symbol = symbol if symbol in self._vocab_set or symbol == EOS else UNK
-        context = tuple(s if s in self._vocab_set or s == BOS else UNK for s in context)
-        p = 0.0
+        vocab = self._vocab_set
+        symbols = [s if s in vocab or s == EOS else UNK for s in symbols]
+        context = tuple(s if s in vocab or s == BOS else UNK for s in tuple(context)[-HISTORY:])
+        probs = [0.0] * len(symbols)
         for n in ORDERS:
             padded = (BOS,) * (n - 1) + context
-            p += self.interp_weights[n] * self._lookup(n, direction, padded[len(padded) - (n - 1):], symbol)
-        return p
+            ctx = padded[len(padded) - (n - 1):]
+            row = self.counts[(n, direction)].get(ctx, {})
+            denom = self.totals[(n, direction)].get(ctx, 0) + self.smoothing_k * self.event_count
+            w = self.interp_weights[n]
+            probs = [p + w * ((row.get(s, 0) + self.smoothing_k) / denom) for p, s in zip(probs, symbols)]
+        return probs
 
-    def forward_logprob(self, symbol, context):
-        return math.log(self.conditional(symbol, context, "F"))
+    def conditional(self, symbol, context, direction="F"):
+        """Interpolated smoothed P(symbol | context) for one direction."""
+        return self.conditionals((symbol,), context, direction)[0]
+
+    def forward_logprobs(self, symbols, context):
+        """Forward log P(s | context) for each s of `symbols`."""
+        return [math.log(p) for p in self.conditionals(symbols, context, "F")]
 
     @property
     def _vocab_set(self):
@@ -124,7 +137,7 @@ def _directional_score(model, seq, direction):
     history = ()
     for sym in tuple(seq) + (EOS,):
         total += math.log(model.conditional(sym, history, direction))
-        history = history + (sym if sym in model._vocab_set else UNK,)
+        history = (history + (sym if sym in model._vocab_set else UNK,))[-HISTORY:]
     return total
 
 

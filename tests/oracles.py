@@ -5,6 +5,7 @@ shares no code with the library paths it verifies.
 """
 
 import itertools
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -145,6 +146,89 @@ def best_labelling_by_enumeration(y):
             p *= y[t, k]
         probs[lab] = probs.get(lab, 0.0) + p
     return max(probs.items(), key=lambda kv: kv[1])
+
+
+def _lm_increment(lm, lam, alphabet, prefix_ids, new_id):
+    context = alphabet.decode(prefix_ids)
+    return lam * math.log(lm.conditional(alphabet.non_blank[new_id], context, "F"))
+
+
+def beam_decode_by_dicts(y, width=16, lm=None, lam=0.3, alphabet=None):
+    """The dict-of-prefixes prefix beam search `rcasr.ctc.beam_decode`
+    replaced, frozen: per-extension tuple and dict work, and an LM bonus kept
+    for every prefix ever generated.  Only the LM query changed, from the
+    removed `forward_logprob(s, c)` to the `log(conditional(s, c, "F"))` it
+    returned."""
+    NEG_INF = float("-inf")
+    y = np.asarray(y, dtype=np.float64)
+    T, L = y.shape
+    blank = L - 1
+    with np.errstate(divide="ignore"):
+        ly = np.log(y)
+
+    beams = {(): [0.0, NEG_INF]}   # prefix -> [log p_blank, log p_nonblank]
+    lm_bonus = {(): 0.0}
+
+    def fused(prefix, masses):
+        return np.logaddexp(masses[0], masses[1]) + lm_bonus[prefix]
+
+    for t in range(T):
+        nxt = {}
+        for prefix, (lpb, lpnb) in beams.items():
+            lp_tot = np.logaddexp(lpb, lpnb)
+            cur = nxt.setdefault(prefix, [NEG_INF, NEG_INF])
+            cur[0] = np.logaddexp(cur[0], lp_tot + ly[t, blank])
+            if prefix:
+                cur[1] = np.logaddexp(cur[1], lpnb + ly[t, prefix[-1]])
+            for c in range(blank):
+                if ly[t, c] == NEG_INF:
+                    continue
+                src = lpb if (prefix and c == prefix[-1]) else lp_tot
+                if src == NEG_INF:
+                    continue
+                new = prefix + (c,)
+                if new not in lm_bonus:
+                    lm_bonus[new] = lm_bonus[prefix] + (
+                        _lm_increment(lm, lam, alphabet, prefix, c) if lm is not None else 0.0
+                    )
+                ext = nxt.setdefault(new, [NEG_INF, NEG_INF])
+                ext[1] = np.logaddexp(ext[1], src + ly[t, c])
+        if width is not None and len(nxt) > width:
+            ranked = sorted(nxt.items(), key=lambda kv: fused(kv[0], kv[1]), reverse=True)
+            nxt = dict(ranked[:width])
+        beams = nxt
+
+    order = sorted(beams.items(), key=lambda kv: fused(kv[0], kv[1]), reverse=True)
+    return [(prefix, float(np.logaddexp(m[0], m[1]))) for prefix, m in order]
+
+
+def lm_conditional_full_history(model, symbol, context, direction="F"):
+    """Interpolated P(symbol | context) that maps and pads the whole history,
+    as the n-gram model did before it read only the last few symbols."""
+    vocab = frozenset(model.vocab)
+    symbol = symbol if symbol in vocab or symbol == "</s>" else "<unk>"
+    context = tuple(s if s in vocab or s == "<s>" else "<unk>" for s in context)
+    p = 0.0
+    for n in (2, 3, 4):
+        padded = ("<s>",) * (n - 1) + context
+        window = padded[len(padded) - (n - 1):]
+        c = model.counts[(n, direction)].get(window, {}).get(symbol, 0)
+        total = model.totals[(n, direction)].get(window, 0)
+        p += model.interp_weights[n] * (
+            (c + model.smoothing_k) / (total + model.smoothing_k * model.event_count))
+    return p
+
+
+def lm_directional_score_full_history(model, seq, direction):
+    """One direction's log score, growing and copying the whole history at
+    every symbol (quadratic in the sequence length)."""
+    vocab = frozenset(model.vocab)
+    total = 0.0
+    history = ()
+    for sym in tuple(seq) + ("</s>",):
+        total += math.log(lm_conditional_full_history(model, sym, history, direction))
+        history = history + (sym if sym in vocab else "<unk>",)
+    return total
 
 
 def osa_distance_by_search(a, b):

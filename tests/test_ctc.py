@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from oracles import (best_labelling_by_enumeration, ctc_prob_by_enumeration,
-                     fd_gradient, max_relative_error)
+from oracles import (beam_decode_by_dicts, best_labelling_by_enumeration,
+                     ctc_prob_by_enumeration, fd_gradient, max_relative_error)
 from rcasr import ctc as C
 from rcasr.numerics import make_rng
 
@@ -325,6 +326,92 @@ class TestBeam:
         y = random_stochastic(make_rng(88), 2, 2)
         with pytest.raises(ValueError, match="alphabet"):
             C.beam_decode(y, lm=model)
+
+
+def posteriors(rng, kind, t, n_labels):
+    """T x L rows of one kind: dirichlet `random`, `zeros` (about a third of
+    the entries exactly 0, some rows a single label), or `uniform` (every
+    candidate ties, so only the tie order decides)."""
+    if kind == "uniform":
+        return np.full((t, n_labels), 1.0 / n_labels)
+    y = random_stochastic(rng, t, n_labels)
+    if kind == "zeros":
+        y[rng.random(y.shape) < 0.35] = 0.0
+        single = rng.random(t) < 0.2
+        y[single] = 0.0
+        y[single, rng.integers(0, n_labels, int(single.sum()))] = 1.0
+        y[y.sum(axis=1) == 0.0, -1] = 1.0
+        y /= y.sum(axis=1, keepdims=True)
+    return y
+
+
+def oracle_cases(rng):
+    """Seeded (y, width) pairs over L in {2, 3, 12, 62}, T from 1 to 300."""
+    for n_labels in (2, 3, 12, 62):
+        for t in (1, 2, 3, 4, 9, 40):
+            widths = [1, 4, 16]
+            if t <= (4 if n_labels <= 12 else 2):
+                widths.append(None)
+            for kind in ("random", "zeros", "uniform"):
+                y = posteriors(rng, kind, t, n_labels)
+                for width in widths:
+                    yield y, width
+    for kind, t in (("random", 300), ("zeros", 120), ("uniform", 120)):
+        yield posteriors(rng, kind, t, 62), 16
+
+
+def random_lm(rng, alphabet):
+    from rcasr.lm import train_lm
+
+    symbols = alphabet.non_blank
+    return train_lm([tuple(symbols[i] for i in rng.integers(0, len(symbols), int(rng.integers(1, 15))))
+                     for _ in range(40)])
+
+
+class TestBeamMatchesDictOracle:
+    """The array-form search against the dict-of-prefixes search it replaced:
+    the same prefixes in the same order, ties included."""
+
+    def test_without_lm_exact(self):
+        for y, width in oracle_cases(make_rng(89)):
+            got = C.beam_decode(y, width=width)
+            want = beam_decode_by_dicts(y, width=width)
+            assert [h[0] for h in got] == [h[0] for h in want], (y.shape, width)
+            assert [h[1] for h in got] == [h[1] for h in want], (y.shape, width)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 5.0])
+    def test_with_lm_fusion(self, lam):
+        rng = make_rng(90)
+        for n_labels, t, width in ((2, 4, None), (3, 4, None), (3, 30, 4), (12, 4, None),
+                                   (12, 40, 1), (12, 40, 16), (62, 2, None), (62, 40, 16)):
+            alphabet = C.synthetic_alphabet(n_labels - 1)
+            model = random_lm(rng, alphabet)
+            for kind in ("random", "zeros", "uniform"):
+                y = posteriors(rng, kind, t, n_labels)
+                kw = dict(lm=model, lam=lam, alphabet=alphabet)
+                got = C.beam_decode(y, width=width, **kw)
+                want = beam_decode_by_dicts(y, width=width, **kw)
+                assert [h[0] for h in got] == [h[0] for h in want], (y.shape, width, kind)
+                np.testing.assert_allclose([h[1] for h in got], [h[1] for h in want],
+                                           rtol=0.0, atol=1e-12)
+
+
+class TestBeamMemory:
+    @pytest.mark.parametrize("with_lm", [False, True])
+    def test_peak_independent_of_prefixes_generated(self, with_lm):
+        # the dict search kept an LM bonus for every prefix ever generated,
+        # O(T * W * L): over 100 MB already at T=300
+        rng = make_rng(91)
+        alphabet = C.timit_alphabet()
+        y = random_stochastic(rng, 600, alphabet.size)
+        kw = dict(lm=random_lm(rng, alphabet), alphabet=alphabet) if with_lm else {}
+        tracemalloc.start()
+        try:
+            C.beam_decode(y, width=16, **kw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_format_hypotheses():

@@ -2,7 +2,9 @@ import math
 
 import pytest
 
+from oracles import lm_conditional_full_history, lm_directional_score_full_history
 from rcasr import lm as L
+from rcasr.numerics import make_rng
 
 
 def small_corpus():
@@ -72,6 +74,37 @@ class TestDistributions:
         parts = [model.interp_weights[n] * model.order_conditional("b", ("a",), n)
                  for n in L.ORDERS]
         assert mix == pytest.approx(sum(parts), abs=1e-15)
+
+
+class TestHistoryBound:
+    """Reading only the last HISTORY symbols changes no probability."""
+
+    def model_and_context(self):
+        rng = make_rng(92)
+        vocab = ("a", "b", "c", "d")
+        model = L.train_lm([tuple(vocab[i] for i in rng.integers(0, 4, int(rng.integers(1, 9))))
+                            for _ in range(30)])
+        # an out-of-vocabulary symbol, a literal start marker and the unknown
+        # marker each take one of the mapping branches
+        pool = vocab + ("zz", L.BOS, L.UNK)
+        return model, tuple(pool[i] for i in rng.integers(0, len(pool), 50)), pool + (L.EOS,)
+
+    def test_conditional_on_long_context_exact(self):
+        model, context, events = self.model_and_context()
+        for cut in (0, 1, 2, 3, 4, 17, 50):
+            for d in "FB":
+                got = model.conditionals(events, context[:cut], d)
+                for sym, p in zip(events, got):
+                    assert p == lm_conditional_full_history(model, sym, context[:cut], d)
+                    assert model.conditional(sym, context[:cut], d) == p
+
+    def test_score_on_long_sequence_exact(self):
+        model, seq, _ = self.model_and_context()
+        for d in "FB":
+            assert L._directional_score(model, seq, d) == lm_directional_score_full_history(model, seq, d)
+        assert L.score(model, seq) == (
+            model.mu * lm_directional_score_full_history(model, seq, "F")
+            + (1.0 - model.mu) * lm_directional_score_full_history(model, tuple(reversed(seq)), "B"))
 
 
 class TestScore:
