@@ -8,8 +8,7 @@ import itertools
 
 import numpy as np
 
-from rcasr.ctc import (beam_decode, collapse, ctc_forward, ctc_loss_and_grad,
-                       ctc_posterior_check, greedy_decode)
+from rcasr.ctc import beam_decode, collapse, ctc_forward, ctc_loss_and_grad, greedy_decode
 
 # three frames, alphabet {A, B, blank}; rows are per-frame distributions
 y = np.array([
@@ -31,9 +30,6 @@ print("enumerated p =", round(float(total), 6))
 
 trellis = ctc_forward(y, target)
 print("dynamic program p =", round(float(np.exp(trellis.log_prob)), 6))
-
-print("\n== the same probability is recoverable at every time step ==")
-print(np.round(ctc_posterior_check(trellis), 6))
 
 print("\n== loss and gradient through the built-in softmax ==")
 logits = np.log(y)          # softmax(log y) = y

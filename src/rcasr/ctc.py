@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .lm import HISTORY
+
 NEG_INF = float("-inf")
 
 
@@ -112,6 +114,10 @@ def ctc_forward(y, labels):
     y is a T x L row-stochastic matrix whose last column is the blank.
     Infeasible (or zero-probability) labellings come back with
     log_prob = -inf rather than raising.
+
+    beta is the alpha recursion run on the time- and label-reversed
+    problem: reversing l' keeps its skip rule and its two start states, and
+    maps every frame's window onto the mirrored frame's window.
     """
     y = np.asarray(y, dtype=np.float64)
     T, L = y.shape
@@ -131,70 +137,16 @@ def ctc_forward(y, labels):
     if T < min_frames(labels):
         return empty
 
-    # skip transition s-2 -> s is legal when l'_s is a non-blank differing
+    emit = y[:, lp]
+    # skip[s - 2] = 1 where s-2 -> s is legal: l'_s is a non-blank differing
     # from l'_{s-2}
-    can_skip = np.zeros(S, dtype=bool)
-    for s in range(2, S):
-        can_skip[s] = lp[s] != blank and lp[s] != lp[s - 2]
-
-    # states outside [lo_t, hi_t) either cannot be reached from the start or
-    # cannot reach an accepting end state; excluding them makes the row sums
-    # (and hence sum_t ln C_t) equal the exact path probability
-    def window(t):
-        lo = max(0, S - 2 * (T - t))
-        hi = min(S, 2 * (t + 1))
-        return lo, hi
-
-    alpha = np.zeros((T, S))
-    log_c = np.zeros(T)
-    lo, hi = window(0)
-    if lo <= 0:
-        alpha[0, 0] = y[0, blank]
-    if S > 1 and lo <= 1:
-        alpha[0, 1] = y[0, lp[1]]
-    total = alpha[0].sum()
-    if total == 0.0:
+    skip = ((lp[2:] != blank) & (lp[2:] != lp[:-2])).astype(np.float64)
+    forward = _scaled_pass(emit, skip)
+    backward = _scaled_pass(emit[::-1, ::-1], skip[::-1])
+    if forward is None or backward is None:
         return empty
-    alpha[0] /= total
-    log_c[0] = math.log(total)
-    for t in range(1, T):
-        lo, hi = window(t)
-        prev = alpha[t - 1]
-        acc = prev.copy()
-        acc[1:] += prev[:-1]
-        acc[2:][can_skip[2:]] += prev[:-2][can_skip[2:]]
-        row = np.zeros(S)
-        row[lo:hi] = acc[lo:hi] * y[t, lp[lo:hi]]
-        total = row.sum()
-        if total == 0.0:
-            return empty
-        alpha[t] = row / total
-        log_c[t] = math.log(total)
-
-    beta = np.zeros((T, S))
-    log_d = np.zeros(T)
-    lo, hi = window(T - 1)
-    beta[T - 1, S - 1] = y[T - 1, blank]
-    if S > 1:
-        beta[T - 1, S - 2] = y[T - 1, lp[S - 2]]
-    beta[T - 1, :lo] = 0.0
-    total = beta[T - 1].sum()
-    beta[T - 1] /= total
-    log_d[T - 1] = math.log(total)
-    for t in range(T - 2, -1, -1):
-        lo, hi = window(t)
-        nxt = beta[t + 1]
-        acc = nxt.copy()
-        acc[:-1] += nxt[1:]
-        acc[:-2][can_skip[2:]] += nxt[2:][can_skip[2:]]
-        row = np.zeros(S)
-        row[lo:hi] = acc[lo:hi] * y[t, lp[lo:hi]]
-        total = row.sum()
-        if total == 0.0:
-            return empty
-        beta[t] = row / total
-        log_d[t] = math.log(total)
-
+    alpha, log_c = forward
+    beta, log_d = backward[0][::-1, ::-1], backward[1][::-1]
     return CtcTrellis(
         alpha=alpha, beta=beta,
         log_alpha_scale=log_c, log_beta_scale=log_d,
@@ -202,25 +154,35 @@ def ctc_forward(y, labels):
     )
 
 
-def ctc_posterior_check(trellis):
-    """Reconstruct p(l|x) independently at every t from alpha_t and beta_t.
+def _scaled_pass(emit, skip):
+    """The scaled alpha recursion over T x S emissions.
 
-    In unscaled terms sum_s alpha_t(s) beta_t(s) / y_{l'_s}^t is p(l|x) for
-    every t; returns that value per t so callers can verify it is constant.
+    Returns the rows, each normalised to sum to 1, and ln C_t of every row;
+    None when a row sums to zero.
     """
-    if trellis.log_prob == NEG_INF:
-        raise ValueError("posterior check undefined for infeasible trellis")
-    T, S = trellis.alpha.shape
-    cum_c = np.cumsum(trellis.log_alpha_scale)
-    cum_d = np.cumsum(trellis.log_beta_scale[::-1])[::-1]
-    out = np.zeros(T)
+    T, S = emit.shape
+    rows = np.zeros((T, S))
+    log_scale = np.zeros(T)
+    # a virtual row before t = 0 whose successors are the two start states
+    prev = np.zeros(S)
+    prev[0] = 1.0
     for t in range(T):
-        yt = trellis.y[t, trellis.l_prime]
-        prod = trellis.alpha[t] * trellis.beta[t]
-        mask = prod != 0.0
-        s = float(np.sum(prod[mask] / yt[mask]))
-        out[t] = s * math.exp(cum_c[t] + cum_d[t])
-    return out
+        acc = prev.copy()
+        acc[1:] += prev[:-1]
+        acc[2:] += prev[:-2] * skip
+        # states outside [lo, hi) either cannot be reached from the start or
+        # cannot reach an accepting end state; excluding them makes the row
+        # sums (and hence sum_t ln C_t) equal the exact path probability
+        lo, hi = max(0, S - 2 * (T - t)), min(S, 2 * (t + 1))
+        row = rows[t]
+        row[lo:hi] = acc[lo:hi] * emit[t, lo:hi]
+        total = row.sum()
+        if total == 0.0:
+            return None
+        row /= total
+        log_scale[t] = math.log(total)
+        prev = row
+    return rows, log_scale
 
 
 def softmax(u):
@@ -246,17 +208,17 @@ def ctc_loss_and_grad(u, labels):
                 f"infeasible label length {len(tuple(labels))} for {u.shape[0]} frames"
             )
         raise ArithmeticError("CTC path probability underflowed to zero (saturated softmax?)")
-    T, L = y.shape
     lp = trellis.l_prime
     cum_c = np.cumsum(trellis.log_alpha_scale)
     cum_d = np.cumsum(trellis.log_beta_scale[::-1])[::-1]
-    gamma = np.zeros((T, L))
-    for t in range(T):
-        k_t = math.exp(cum_c[t] + cum_d[t] - trellis.log_prob)
-        w = trellis.alpha[t] * trellis.beta[t] * k_t
-        mask = w != 0.0
-        if np.any(mask):
-            np.add.at(gamma[t], lp[mask], w[mask] / y[t, lp[mask]])
+    # an overflowing factor raises FloatingPointError, an ArithmeticError,
+    # rather than filling gamma with inf * 0 = nan
+    with np.errstate(over="raise"):
+        k = np.exp(cum_c + cum_d - trellis.log_prob)
+    w = trellis.alpha * trellis.beta * k[:, None]
+    t, s = np.nonzero(w)
+    gamma = np.zeros_like(y)
+    np.add.at(gamma, (t, lp[s]), w[t, s] / y[t, lp[s]])
     return -trellis.log_prob, y - gamma
 
 
@@ -382,7 +344,8 @@ def beam_decode(y, width=16, lm=None, lam=0.3, alphabet=None):
 
 def _lm_row(lm, lam, alphabet, prefix, bonus, blank):
     """[bonus, bonus + lam * log P(c | prefix) for each label c < blank]."""
-    logp = np.array(lm.forward_logprobs(alphabet.non_blank[:blank], alphabet.decode(prefix)))
+    context = alphabet.decode(prefix[-HISTORY:])    # all the model reads
+    logp = np.array(lm.forward_logprobs(alphabet.non_blank[:blank], context))
     return np.concatenate([[bonus], bonus + lam * logp])
 
 

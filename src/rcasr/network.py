@@ -315,26 +315,12 @@ def build_network(config, input_dim=39, output_units=None, rng=None,
     spans = {a: (a, b) for a, b in sorted(config.residual_groups)}
 
     steps = []
-    rep = ("seq", input_dim)
-
-    def enter_maps():
-        nonlocal rep
-        if rep[0] == "seq":
-            steps.append(_SeqToMaps())
-            rep = ("maps", 1)
-
-    def enter_seq(width):
-        nonlocal rep
-        if rep[0] == "maps":
-            steps.append(_MapsToSeq())
-            rep = ("seq", rep[1] * width)
-
-    # conv stages keep T x F intact, so the per-step width only changes when
-    # a seq stage sets it
-    seq_width = input_dim
+    # the current stage: `maps` feature maps of T x `width`, or (maps None) a
+    # T x `width` sequence; conv stages keep T x width intact
+    maps, width = None, input_dim
 
     def make_step(i, spec):
-        nonlocal rep, seq_width
+        nonlocal maps, width
         name = f"L{i:02d}_{spec.kind}"
         if spec.kind == "elu":
             return _Elu(spec.alpha if spec.alpha is not None else 1.0)
@@ -342,42 +328,44 @@ def build_network(config, input_dim=39, output_units=None, rng=None,
             rate = dropout_override if dropout_override is not None else spec.rate
             return _Dropout(rate if rate is not None else 0.1)
         if spec.kind == "recurrent":
-            enter_seq(seq_width)
             hidden = spec.hidden_units if spec.hidden_units is not None else 128
-            layer = _Recurrent(store, name, rep[1], hidden, rng, dtype)
-            rep = ("seq", hidden)
-            seq_width = hidden
+            layer = _Recurrent(store, name, width, hidden, rng, dtype)
+            width = hidden
             return layer
         if spec.kind in ("dense", "linear_output"):
-            enter_seq(seq_width)
             units = spec.units
             if spec.kind == "linear_output" and output_units is not None:
                 units = output_units
-            layer = _Affine(store, name, rep[1], units, rng, dtype)
-            rep = ("seq", units)
-            seq_width = units
+            layer = _Affine(store, name, width, units, rng, dtype)
+            width = units
             return layer
         if spec.kind == "conv2d":
-            enter_maps()
-            layer = _Conv2d(store, name, rep[1], spec.feature_maps, rng, dtype)
-            rep = ("maps", spec.feature_maps)
+            layer = _Conv2d(store, name, maps, spec.feature_maps, rng, dtype)
+            maps = spec.feature_maps
             return layer
         raise ValueError(f"unknown layer kind '{spec.kind}'")
 
     i = 0
     while i < len(config.layers):
+        # a stage change puts its reshape before the layer that needs it (a
+        # residual span starts with a conv layer)
+        kind = config.layers[i].kind
+        if kind == "conv2d" and maps is None:
+            steps.append(_SeqToMaps())
+            maps = 1
+        elif kind in ("recurrent", "dense", "linear_output") and maps is not None:
+            steps.append(_MapsToSeq())
+            maps, width = None, maps * width
         if i in spans:
             a, b = spans[i]
-            enter_maps()
-            entry_maps = rep[1]
             inner = []
             post_alpha = None
             for j in range(a, b):
                 spec = config.layers[j]
-                if spec.kind == "conv2d" and spec.feature_maps != entry_maps:
+                if spec.kind == "conv2d" and spec.feature_maps != maps:
                     raise ValueError(
                         f"residual span {(a, b)} in '{config.name}': conv layer {j} has "
-                        f"{spec.feature_maps} maps but the span carries {entry_maps}"
+                        f"{spec.feature_maps} maps but the span carries {maps}"
                     )
                 if j == b - 1:
                     post_alpha = spec.alpha if spec.alpha is not None else 1.0

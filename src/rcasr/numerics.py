@@ -5,6 +5,8 @@ is an opt-in for speed.  Randomness always flows through :func:`make_rng`
 (PCG64), so any pipeline rerun with the same seed is bit-identical.
 """
 
+import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -140,23 +142,46 @@ def save_checkpoint(store, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a fresh ParameterStore (moments zeroed)."""
+    """Read a checkpoint back into a fresh ParameterStore (moments zeroed).
+
+    A malformed file raises ValueError naming `path`.
+    """
+    try:
+        return _read_checkpoint(path)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_checkpoint(path):
     store = ParameterStore()
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
-            raise ValueError(f"bad checkpoint magic in {path!r}")
-        (count,) = struct.unpack("<I", fh.read(4))
+        size = os.fstat(fh.fileno()).st_size
+
+        def read(n):
+            # never ask for more than the file holds: a corrupt length would
+            # otherwise allocate it
+            at = fh.tell()
+            raw = fh.read(n) if n <= size - at else b""
+            if len(raw) != n:
+                raise ValueError(
+                    f"truncated checkpoint: {n} bytes wanted at offset {at} of {size}")
+            return raw
+
+        def unpack(fmt):
+            return struct.unpack(fmt, read(struct.calcsize(fmt)))
+
+        if read(len(CHECKPOINT_MAGIC)) != CHECKPOINT_MAGIC:
+            raise ValueError("bad checkpoint magic")
+        (count,) = unpack("<I")
         for _ in range(count):
-            (name_len,) = struct.unpack("<I", fh.read(4))
-            name = fh.read(name_len).decode("utf-8")
-            (code,) = struct.unpack("<B", fh.read(1))
+            (name_len,) = unpack("<I")
+            name = read(name_len).decode("utf-8")
+            (code,) = unpack("<B")
             if code not in _CODE_DTYPES:
-                raise ValueError(f"unknown dtype code {code} in {path!r}")
-            (rank,) = struct.unpack("<I", fh.read(4))
-            dims = struct.unpack("<" + "I" * rank, fh.read(4 * rank))
-            n = int(np.prod(dims)) if rank else 1
-            raw = fh.read(n * _CODE_DTYPES[code].itemsize)
+                raise ValueError(f"unknown dtype code {code}")
+            (rank,) = unpack("<I")
+            dims = unpack(f"<{rank}I")
+            raw = read(math.prod(dims) * _CODE_DTYPES[code].itemsize)
             value = np.frombuffer(raw, dtype=_CODE_DTYPES[code]).reshape(dims)
             store.add(name, value.astype(_CODE_DTYPES[code].newbyteorder("=")))
     return store

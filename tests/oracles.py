@@ -7,6 +7,7 @@ shares no code with the library paths it verifies.
 import itertools
 import math
 from functools import lru_cache
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -146,6 +147,161 @@ def best_labelling_by_enumeration(y):
             p *= y[t, k]
         probs[lab] = probs.get(lab, 0.0) + p
     return max(probs.items(), key=lambda kv: kv[1])
+
+
+def _ctc_min_frames(labels):
+    labels = tuple(labels)
+    return len(labels) + sum(1 for a, b in zip(labels, labels[1:]) if a == b)
+
+
+def ctc_forward_two_loops(y, labels):
+    """The scaled trellis `rcasr.ctc.ctc_forward` replaced, frozen: an alpha
+    loop and a mirror-image beta loop, each with its own start, window and
+    skip mask.  Returns the same fields as `rcasr.ctc.CtcTrellis`."""
+    NEG_INF = float("-inf")
+    y = np.asarray(y, dtype=np.float64)
+    T, L = y.shape
+    sums = y.sum(axis=1)
+    if not np.allclose(sums, 1.0, rtol=0.0, atol=1e-9):
+        worst = int(np.argmax(np.abs(sums - 1.0)))
+        raise ValueError(f"row {worst} of y sums to {sums[worst]!r}, expected 1")
+    blank = L - 1
+    labels = tuple(int(s) for s in labels)
+    if any(s < 0 or s >= blank for s in labels):
+        raise ValueError(f"label out of range for {L}-label alphabet: {labels}")
+    lp = [blank]
+    for s in labels:
+        lp += [s, blank]
+    lp = np.asarray(lp, dtype=np.intp)
+    S = lp.size
+
+    empty = SimpleNamespace(
+        alpha=np.zeros((T, S)), beta=np.zeros((T, S)),
+        log_alpha_scale=np.full(T, NEG_INF), log_beta_scale=np.full(T, NEG_INF),
+        log_prob=NEG_INF, l_prime=lp, y=y,
+    )
+    if T < _ctc_min_frames(labels):
+        return empty
+
+    # skip transition s-2 -> s is legal when l'_s is a non-blank differing
+    # from l'_{s-2}
+    can_skip = np.zeros(S, dtype=bool)
+    for s in range(2, S):
+        can_skip[s] = lp[s] != blank and lp[s] != lp[s - 2]
+
+    # states outside [lo_t, hi_t) either cannot be reached from the start or
+    # cannot reach an accepting end state; excluding them makes the row sums
+    # (and hence sum_t ln C_t) equal the exact path probability
+    def window(t):
+        lo = max(0, S - 2 * (T - t))
+        hi = min(S, 2 * (t + 1))
+        return lo, hi
+
+    alpha = np.zeros((T, S))
+    log_c = np.zeros(T)
+    lo, hi = window(0)
+    if lo <= 0:
+        alpha[0, 0] = y[0, blank]
+    if S > 1 and lo <= 1:
+        alpha[0, 1] = y[0, lp[1]]
+    total = alpha[0].sum()
+    if total == 0.0:
+        return empty
+    alpha[0] /= total
+    log_c[0] = math.log(total)
+    for t in range(1, T):
+        lo, hi = window(t)
+        prev = alpha[t - 1]
+        acc = prev.copy()
+        acc[1:] += prev[:-1]
+        acc[2:][can_skip[2:]] += prev[:-2][can_skip[2:]]
+        row = np.zeros(S)
+        row[lo:hi] = acc[lo:hi] * y[t, lp[lo:hi]]
+        total = row.sum()
+        if total == 0.0:
+            return empty
+        alpha[t] = row / total
+        log_c[t] = math.log(total)
+
+    beta = np.zeros((T, S))
+    log_d = np.zeros(T)
+    lo, hi = window(T - 1)
+    beta[T - 1, S - 1] = y[T - 1, blank]
+    if S > 1:
+        beta[T - 1, S - 2] = y[T - 1, lp[S - 2]]
+    beta[T - 1, :lo] = 0.0
+    total = beta[T - 1].sum()
+    beta[T - 1] /= total
+    log_d[T - 1] = math.log(total)
+    for t in range(T - 2, -1, -1):
+        lo, hi = window(t)
+        nxt = beta[t + 1]
+        acc = nxt.copy()
+        acc[:-1] += nxt[1:]
+        acc[:-2][can_skip[2:]] += nxt[2:][can_skip[2:]]
+        row = np.zeros(S)
+        row[lo:hi] = acc[lo:hi] * y[t, lp[lo:hi]]
+        total = row.sum()
+        if total == 0.0:
+            return empty
+        beta[t] = row / total
+        log_d[t] = math.log(total)
+
+    return SimpleNamespace(
+        alpha=alpha, beta=beta,
+        log_alpha_scale=log_c, log_beta_scale=log_d,
+        log_prob=float(log_c.sum()), l_prime=lp, y=y,
+    )
+
+
+def ctc_loss_and_grad_by_frames(u, labels):
+    """The CTC loss and gradient `rcasr.ctc.ctc_loss_and_grad` replaced,
+    frozen: `ctc_forward_two_loops`, then one scatter per frame."""
+    u = np.asarray(u, dtype=np.float64)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("non-finite pre-activations passed to CTC")
+    e = np.exp(u - u.max(axis=1, keepdims=True))
+    y = e / e.sum(axis=1, keepdims=True)
+    trellis = ctc_forward_two_loops(y, labels)
+    if trellis.log_prob == float("-inf"):
+        if u.shape[0] < _ctc_min_frames(labels):
+            raise ValueError(
+                f"infeasible label length {len(tuple(labels))} for {u.shape[0]} frames"
+            )
+        raise ArithmeticError("CTC path probability underflowed to zero (saturated softmax?)")
+    T, L = y.shape
+    lp = trellis.l_prime
+    cum_c = np.cumsum(trellis.log_alpha_scale)
+    cum_d = np.cumsum(trellis.log_beta_scale[::-1])[::-1]
+    gamma = np.zeros((T, L))
+    for t in range(T):
+        k_t = math.exp(cum_c[t] + cum_d[t] - trellis.log_prob)
+        w = trellis.alpha[t] * trellis.beta[t] * k_t
+        mask = w != 0.0
+        if np.any(mask):
+            np.add.at(gamma[t], lp[mask], w[mask] / y[t, lp[mask]])
+    return -trellis.log_prob, y - gamma
+
+
+def ctc_posterior_check(trellis):
+    """Reconstruct p(l|x) independently at every t from alpha_t and beta_t.
+
+    In unscaled terms sum_s alpha_t(s) beta_t(s) / y_{l'_s}^t is p(l|x) for
+    every t; returns that value per t so callers can verify it is constant.
+    """
+    if trellis.log_prob == float("-inf"):
+        raise ValueError("posterior check undefined for infeasible trellis")
+    T, S = trellis.alpha.shape
+    cum_c = np.cumsum(trellis.log_alpha_scale)
+    cum_d = np.cumsum(trellis.log_beta_scale[::-1])[::-1]
+    out = np.zeros(T)
+    for t in range(T):
+        yt = trellis.y[t, trellis.l_prime]
+        prod = trellis.alpha[t] * trellis.beta[t]
+        mask = prod != 0.0
+        s = float(np.sum(prod[mask] / yt[mask]))
+        out[t] = s * math.exp(cum_c[t] + cum_d[t])
+    return out
 
 
 def _lm_increment(lm, lam, alphabet, prefix_ids, new_id):

@@ -11,8 +11,9 @@ import os
 import numpy as np
 import pytest
 
-from oracles import (best_labelling_by_enumeration, ctc_prob_by_enumeration,
-                     fd_gradient, max_relative_error, osa_distance_by_search)
+from oracles import (best_labelling_by_enumeration, ctc_posterior_check,
+                     ctc_prob_by_enumeration, fd_gradient, max_relative_error,
+                     osa_distance_by_search)
 from rcasr import corpus as corpus_mod
 from rcasr import ctc as C
 from rcasr import evaluate
@@ -199,7 +200,7 @@ def test_criterion_04_posterior_reconstruction_constant():
         tr = C.ctc_forward(y, labels)
         if tr.log_prob == C.NEG_INF:
             continue
-        rec = C.ctc_posterior_check(tr)
+        rec = ctc_posterior_check(tr)
         worst = max(worst, float(np.max(np.abs(rec / np.exp(tr.log_prob) - 1.0))))
     assert worst <= 1e-9
     _pass(4, f"per-t reconstruction constant across t (worst rel spread {worst:.2e})")

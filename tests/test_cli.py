@@ -171,6 +171,18 @@ class TestDecode:
         assert rc == 2
         assert not (tmp_path / "x.txt").exists()
 
+    def test_truncated_checkpoint_data_error(self, tmp_path, trained_tiny, tiny_corpus_dir,
+                                             capsys):
+        blob = trained_tiny["ckpt"].read_bytes()
+        bad = trained_tiny["dir"] / "RC2-toy_98.ckpt"
+        for cut in (7, 10, len(blob) // 2, len(blob) - 1):
+            bad.write_bytes(blob[:cut])
+            rc = cli.main(["decode", "--ckpt", str(bad), "--data", str(tiny_corpus_dir),
+                           "--beam", "1", "--out", str(tmp_path / "x.txt")])
+            assert rc == 2, cut
+            assert f"{bad}: truncated checkpoint" in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
     def test_invalid_beam_usage_error(self, tmp_path, trained_tiny, tiny_corpus_dir):
         rc = cli.main(["decode", "--ckpt", str(trained_tiny["ckpt"]),
                        "--data", str(tiny_corpus_dir), "--beam", "0",

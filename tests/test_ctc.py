@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from oracles import (beam_decode_by_dicts, best_labelling_by_enumeration,
-                     ctc_prob_by_enumeration, fd_gradient, max_relative_error)
+                     ctc_forward_two_loops, ctc_loss_and_grad_by_frames,
+                     ctc_posterior_check, ctc_prob_by_enumeration, fd_gradient,
+                     max_relative_error)
 from rcasr import ctc as C
 from rcasr.numerics import make_rng
 
@@ -197,14 +199,14 @@ class TestPosteriorCheck:
             y = random_stochastic(rng, t, 4)
             labels = (0, 1) if t >= 2 else (0,)
             tr = C.ctc_forward(y, labels)
-            rec = C.ctc_posterior_check(tr)
+            rec = ctc_posterior_check(tr)
             p = np.exp(tr.log_prob)
             assert np.max(np.abs(rec / p - 1.0)) <= 1e-9
 
     def test_single_frame(self):
         y = np.array([[0.25, 0.75]])
         tr = C.ctc_forward(y, (0,))
-        rec = C.ctc_posterior_check(tr)
+        rec = ctc_posterior_check(tr)
         assert rec[0] == pytest.approx(0.25, abs=1e-14)
 
     def test_matches_enumeration_on_small_instances(self):
@@ -215,9 +217,104 @@ class TestPosteriorCheck:
                 tr = C.ctc_forward(y, lab)
                 if tr.log_prob == NEG_INF:
                     continue
-                rec = C.ctc_posterior_check(tr)
+                rec = ctc_posterior_check(tr)
                 ref = ctc_prob_by_enumeration(y, lab)
                 assert np.allclose(rec, ref, atol=1e-12)
+
+
+def labels_filling(rng, n_symbols, frames, repeats):
+    """A random label of `frames - repeats` symbols, exactly `repeats` of
+    them equal to their predecessor, so that its min_frames is `frames`;
+    None where no such label exists."""
+    length = frames - repeats
+    if not 0 <= repeats < length or (n_symbols == 1 and repeats != length - 1):
+        return None
+    same = np.zeros(length - 1, dtype=bool)
+    same[rng.choice(length - 1, size=repeats, replace=False)] = True
+    labels = [int(rng.integers(n_symbols))]
+    for repeat in same:
+        step = 0 if repeat else 1 + int(rng.integers(n_symbols - 1))
+        labels.append((labels[-1] + step) % n_symbols)
+    return tuple(labels)
+
+
+def trellis_cases(rng):
+    """(y, labels) over T from 1 to 300: the empty label, random labels with
+    repeats, labels with min_frames = T with and without repeats, labels with
+    repeats and slack, and rows with exact zeros."""
+    for n_labels in (2, 3, 11, 62):
+        n_sym = n_labels - 1
+
+        def with_repeats(frames):
+            return labels_filling(rng, n_sym, frames,
+                                  (frames - 1) // 2 if n_sym == 1 else frames // 3)
+
+        for t in (1, 2, 3, 4, 5, 6, 7, 9, 12, 16, 23, 31, 47, 64, 100, 151, 222, 300):
+            labelings = [(), tuple(rng.integers(n_sym, size=int(rng.integers(1, t + 1)))),
+                         labels_filling(rng, n_sym, t, 0), with_repeats(t),
+                         with_repeats(t // 2 + 1)]
+            for zeros in (False, True):
+                y = random_stochastic(rng, t, n_labels)
+                if zeros:
+                    y[rng.random(y.shape) < 0.2] = 0.0
+                    y[y.sum(axis=1) == 0.0, -1] = 1.0
+                    y /= y.sum(axis=1, keepdims=True)
+                for labels in labelings:
+                    if labels is not None:
+                        yield y, labels
+
+
+class TestTrellisMatchesTwoLoopOracle:
+    """One scaled pass, run forward and on the reversed problem, against the
+    mirrored alpha and beta loops it replaced."""
+
+    def test_forward_backward(self):
+        checked = feasible = 0
+        for y, labels in trellis_cases(make_rng(92)):
+            got, want = C.ctc_forward(y, labels), ctc_forward_two_loops(y, labels)
+            case = (y.shape, labels)
+            assert np.array_equal(got.alpha, want.alpha), case
+            assert np.array_equal(got.log_alpha_scale, want.log_alpha_scale), case
+            assert got.log_prob == want.log_prob, case
+            checked += 1
+            if got.log_prob == NEG_INF:
+                assert not got.beta.any(), case
+                continue
+            feasible += 1
+            T, S = got.beta.shape
+            np.testing.assert_allclose(got.beta[:-1], want.beta[:-1], rtol=0.0, atol=1e-12,
+                                       err_msg=str(case))
+            # at T = |l| the oracle's last row also holds the blank end state,
+            # outside the window; compare the in-window mass, renormalised
+            lo, hi = max(0, S - 2), min(S, 2 * T)
+            last = want.beta[-1, lo:hi]
+            np.testing.assert_allclose(got.beta[-1, lo:hi], last / last.sum(),
+                                       rtol=0.0, atol=1e-12, err_msg=str(case))
+            assert not got.beta[-1, :lo].any() and not got.beta[-1, hi:].any(), case
+        assert checked == 650 and feasible > 400, (checked, feasible)
+
+    def test_loss_and_grad(self):
+        rng = make_rng(93)
+        raised = compared = 0
+        for y, labels in trellis_cases(rng):
+            # softmax(-1000) underflows to an exact zero
+            u = np.where(y == 0.0, -1000.0, rng.normal(scale=3.0, size=y.shape))
+            try:
+                want = ctc_loss_and_grad_by_frames(u, labels)
+            except (ValueError, ArithmeticError) as exc:
+                # the oracle's per-frame math.exp overflows with OverflowError,
+                # the vector exp with FloatingPointError: both ArithmeticError
+                kind = ValueError if isinstance(exc, ValueError) else ArithmeticError
+                with pytest.raises(kind):
+                    C.ctc_loss_and_grad(u, labels)
+                raised += 1
+                continue
+            compared += 1
+            loss, grad = C.ctc_loss_and_grad(u, labels)
+            assert loss == want[0], (y.shape, labels)
+            np.testing.assert_allclose(grad, want[1], rtol=0.0, atol=1e-12,
+                                       err_msg=str((y.shape, labels)))
+        assert compared > 400 and raised > 0, (compared, raised)
 
 
 class TestGreedy:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rcasr.numerics import (NonFiniteValue, ParameterStore, adam_step, glorot_init,
                             load_checkpoint, make_rng, save_checkpoint)
@@ -111,6 +113,45 @@ class TestCheckpoint:
         path.write_bytes(b"NOTCKPT" + b"\x00" * 16)
         with pytest.raises(ValueError, match="magic"):
             load_checkpoint(path)
+
+    def test_every_truncation_is_a_data_error_naming_the_file(self, tmp_path):
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(small_store(), good)
+        blob = good.read_bytes()
+        path = tmp_path / "cut.ckpt"
+        for cut in range(len(blob)):
+            path.write_bytes(blob[:cut])
+            with pytest.raises(ValueError, match="truncated checkpoint") as info:
+                load_checkpoint(path)
+            assert str(path) in str(info.value), cut
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_cut_or_flipped_bytes_raise_only_value_or_os_errors(self, tmp_path, data):
+        good = tmp_path / "good.ckpt"
+        save_checkpoint(small_store(), good)
+        blob = bytearray(good.read_bytes())
+        if data.draw(st.booleans(), label="flip"):
+            at = data.draw(st.integers(0, len(blob) - 1), label="offset")
+            blob[at] ^= data.draw(st.integers(1, 255), label="mask")
+        else:
+            blob = blob[:data.draw(st.integers(0, len(blob) - 1), label="cut")]
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(bytes(blob))
+        try:
+            load_checkpoint(path)
+        except (ValueError, OSError):
+            pass
+
+
+def small_store():
+    store = ParameterStore()
+    rng = make_rng(15)
+    store.add("a/W", rng.normal(size=(3, 2)))
+    store.add("a/b", rng.normal(size=2).astype(np.float32))
+    store.add("s", np.float64(1.5))
+    return store
 
 
 def test_rng_streams_independent_and_stable():
