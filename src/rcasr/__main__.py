@@ -1,0 +1,8 @@
+"""`python -m rcasr ...` runs the rcasr command line."""
+
+import sys
+
+from .cli import main
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -162,7 +162,13 @@ def deltas(coeffs, window=DELTA_WINDOW):
 
 
 def extract(clip, preemphasis=PREEMPHASIS):
-    """Full front end for one clip: T x 39 unnormalized features."""
+    """Full front end for one clip: T x 39 unnormalized features.
+
+    The frame, hop and filterbank constants are fixed for SAMPLE_RATE, so a
+    clip at any other rate is refused rather than framed wrongly.
+    """
+    if clip.sample_rate != SAMPLE_RATE:
+        raise ValueError(f"expected {SAMPLE_RATE} Hz audio, got {clip.sample_rate} Hz")
     return deltas(mfcc_matrix(clip, preemphasis=preemphasis))
 
 
@@ -206,7 +212,7 @@ def apply_stats(mat, stats):
 # -- file formats -------------------------------------------------------------
 
 def read_wav(path):
-    """Read 16-bit PCM mono WAV into samples scaled to [-1, 1)."""
+    """Read 16 kHz 16-bit PCM mono WAV into samples scaled to [-1, 1)."""
     import wave
 
     with wave.open(str(path), "rb") as wf:
@@ -215,6 +221,8 @@ def read_wav(path):
         if wf.getsampwidth() != 2:
             raise ValueError(f"{path}: expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
         rate = wf.getframerate()
+        if rate != SAMPLE_RATE:
+            raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz audio, got {rate} Hz")
         raw = wf.readframes(wf.getnframes())
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
     return AudioClip(samples=samples, sample_rate=rate)

@@ -197,6 +197,38 @@ def _cols(xp):
     return cols.reshape(xp.shape[0] * KERNEL * KERNEL, -1)
 
 
+# Byte budget of one tile's window matrix.  A whole-utterance window matrix
+# is 9x its input (133 MB at RC1's 48-map layers for 3 s of audio); tiles keep
+# conv memory bounded in T and each GEMM operand near cache size.  On a Xeon
+# with 4 MiB of L2, RC1's convs ran as fast at 1 and 2.5 MiB and slower from
+# 4 MiB up.  2.5 MiB exceeds the largest toy window matrix (RC-small, 72 x
+# 57*64 doubles, 2.1 MB), so toy training runs every conv as one tile.
+_TILE_BYTES = 5 << 19
+
+
+def _tiles(xp):
+    """Split a padded C x (T+2) x (F+2) stack into time tiles of at most
+    _TILE_BYTES of window matrix (and at least one time row): yields
+    (a, b, cols), the im2col matrix of output columns a:b of T*F."""
+    c, tp, fp = xp.shape
+    t, f = tp - 2 * PAD, fp - 2 * PAD
+    rows = max(1, _TILE_BYTES // (c * KERNEL * KERNEL * f * xp.itemsize))
+    for t0 in range(0, t, rows):
+        t1 = min(t, t0 + rows)
+        yield t0 * f, t1 * f, _cols(xp[:, t0:t1 + 2 * PAD])
+
+
+def _correlate(kmat, xp):
+    """kmat (O x C*9) against every 3x3 window of a padded C x (T+2) x (F+2)
+    stack: an O x (T*F) matrix, one GEMM per time tile written in place."""
+    _, tp, fp = xp.shape
+    out = np.empty((kmat.shape[0], (tp - 2 * PAD) * (fp - 2 * PAD)),
+                   dtype=np.result_type(kmat, xp))
+    for a, b, cols in _tiles(xp):
+        np.matmul(kmat, cols, out=out[:, a:b])
+    return out
+
+
 class _Conv2d:
     """3x3, stride 1, zero-pad 1 convolution over C x T x F maps."""
 
@@ -211,17 +243,22 @@ class _Conv2d:
         if c != self.in_maps:
             raise ValueError(f"conv2d expected {self.in_maps} input maps, got {c}")
         xp = _pad(x)
-        y = self.k.value.reshape(self.out_maps, -1) @ _cols(xp) + self.b.value[:, None]
+        y = _correlate(self.k.value.reshape(self.out_maps, -1), xp)
+        y += self.b.value[:, None]
         return y.reshape(self.out_maps, t, f), (xp, (c, t, f))
 
     def backward(self, ctx, g):
         xp, (c, t, f) = ctx
-        gm = g.reshape(self.out_maps, t * f)
-        self.k.grad += (gm @ _cols(xp).T).reshape(self.k.value.shape)
-        self.b.grad += gm.sum(axis=1)
-        # dX is the correlation of the padded g with the flipped, in/out-swapped kernel
+        # dX is the correlation of the padded g with the flipped, in/out-swapped
+        # kernel.  It goes first: the loop below keeps its last window matrix
+        # until return, which must not overlap dX's window matrices.
         flipped = self.k.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        return (flipped @ _cols(_pad(g))).reshape(c, t, f)
+        dx = _correlate(flipped, _pad(g)).reshape(c, t, f)
+        gm = g.reshape(self.out_maps, t * f)
+        for a, b, cols in _tiles(xp):
+            self.k.grad += (gm[:, a:b] @ cols.T).reshape(self.k.value.shape)
+        self.b.grad += gm.sum(axis=1)
+        return dx
 
 
 class _SeqToMaps:
@@ -282,17 +319,25 @@ class Network:
         self.output_units = output_units
 
     def forward(self, x, training=False, rng=None):
+        """(logits, contexts).  Only a training-mode forward keeps the step
+        contexts backward needs; an inference forward returns None for them
+        and frees each context as soon as its step returns."""
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected T x {self.input_dim} input, got {x.shape}")
-        ctxs = []
+        ctxs = [] if training else None
         h = x
         for step in self.steps:
             h, ctx = step.forward(h, training, rng)
-            ctxs.append(ctx)
+            if training:
+                ctxs.append(ctx)
+            del ctx
         return h, ctxs
 
     def backward(self, ctxs, g):
+        if ctxs is None:
+            raise ValueError("backward needs the contexts of a training-mode forward "
+                             "(forward(..., training=True))")
         for step, ctx in zip(reversed(self.steps), reversed(ctxs)):
             g = step.backward(ctx, g)
         return g

@@ -93,8 +93,10 @@ def _resolve_config(network):
 def train(config, corpus, partition=None):
     """Run the training loop; returns (ParameterStore, CostCurve).
 
-    Infeasible utterances (too few frames for their label) are skipped with
-    a warning.  A non-finite loss aborts with epoch/batch context.
+    A train or val utterance whose feature width is not config.input_dim is
+    a ValueError before the first epoch.  Infeasible utterances (too few
+    frames for their label) are skipped with a warning.  A non-finite loss
+    aborts with epoch/batch context.
     """
     net_config = _resolve_config(config.network)
     alphabet = corpus.alphabet
@@ -110,6 +112,13 @@ def train(config, corpus, partition=None):
 
     train_ids = list(partition.train) if partition is not None else corpus.ids()
     val_ids = list(partition.val) if partition is not None else []
+    for utt_id in train_ids + val_ids:
+        utt = corpus[utt_id]
+        if utt.n_frames and utt.features.shape[1] != config.input_dim:
+            raise ValueError(
+                f"utterance '{utt_id}' has {utt.features.shape[1]}-wide features, "
+                f"but the network takes {config.input_dim}"
+            )
     feasible = [i for i in train_ids if corpus[i].ctc_feasible]
     skipped = sorted(set(train_ids) - set(feasible))
     if skipped:

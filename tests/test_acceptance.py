@@ -172,7 +172,7 @@ def test_criterion_03_gradient_suite():
             val, _ = C.ctc_loss_and_grad(logits, labels)
             return val
 
-        logits, ctxs = net.forward(x)
+        logits, ctxs = net.forward(x, training=True)
         _, dlogits = C.ctc_loss_and_grad(logits, labels)
         net.store.zero_grads()
         net.backward(ctxs, dlogits)

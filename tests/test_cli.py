@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 
@@ -78,6 +80,19 @@ class TestTrain:
         assert (out / "baseline_3.ckpt").exists()
         assert (out / "baseline.netcfg").exists()
 
+    def test_feature_width_mismatch_data_error(self, tmp_path, tiny_corpus, capsys):
+        narrow = corpus_mod.Corpus(
+            utterances={i: corpus_mod.Utterance(id=i, labels=u.labels, features=u.features[:, :13])
+                        for i, u in tiny_corpus.utterances.items()},
+            alphabet=tiny_corpus.alphabet)
+        data = tmp_path / "narrow"
+        corpus_mod.save_corpus(narrow, data)
+        rc = cli.main(["train", "--config", "baseline", "--data", str(data),
+                       "--out", str(tmp_path / "run"), "--epochs", "1"])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"'{narrow.ids()[0]}'" in err and "13" in err and "39" in err
+
 
 class TestPartitionCmd:
     def test_writes_cover(self, tmp_path, tiny_corpus_dir, tiny_corpus):
@@ -110,6 +125,17 @@ class TestFeaturesCmd:
         assert np.max(np.abs(pooled.mean(axis=0))) < 1e-9
         stats = F.load_stats(stats_path)
         assert stats.mean.shape == (39,)
+
+    def test_other_sample_rate_data_error(self, tmp_path, capsys):
+        data = tmp_path / "raw"
+        (data / "wav").mkdir(parents=True)
+        (data / "phn").mkdir()
+        F.write_wav(data / "wav" / "u0.wav",
+                    F.AudioClip(make_rng(441).normal(scale=0.1, size=8000), sample_rate=8000))
+        (data / "phn" / "u0.txt").write_text("aa b\n")
+        rc = cli.main(["features", "--data", str(data), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "u0.wav" in capsys.readouterr().err
 
 
 class TestLmTrainCmd:
@@ -261,3 +287,11 @@ class TestTopLevel:
 
     def test_unknown_flag_rejected(self, capsys):
         assert cli.main(["synth", "--frobnicate", "--out", "x", "--n", "1"]) == 1
+
+    def test_python_dash_m(self):
+        src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run([sys.executable, "-m", "rcasr", "--dump-catalog", "RC-small"],
+                              capture_output=True, text=True, env=env, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.startswith("network RC-small\n")

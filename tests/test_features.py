@@ -154,6 +154,16 @@ class TestFileFormats:
         assert back.sample_rate == 16000
         assert np.allclose(back.samples, samples, atol=1.0 / 32768)
 
+    def test_other_sample_rate_rejected(self, tmp_path):
+        # frame, hop and filterbank constants hold only at 16 kHz
+        clip = F.AudioClip(make_rng(36).normal(scale=0.1, size=4000), sample_rate=8000)
+        path = tmp_path / "narrow.wav"
+        F.write_wav(path, clip)
+        with pytest.raises(ValueError, match="narrow.wav.*8000 Hz"):
+            F.read_wav(path)
+        with pytest.raises(ValueError, match="8000 Hz"):
+            F.extract(clip)
+
     def test_feature_dump_round_trip(self, tmp_path):
         mat = make_rng(33).normal(size=(7, 39))
         path = tmp_path / "f.txt"

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -194,6 +196,27 @@ class TestConv2d:
             for got, ref in zip((store["c/K"].grad, store["c/b"].grad, dx), want):
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    def test_time_tiles_match_oracles(self, monkeypatch, rows):
+        # a budget of `rows` time rows of window matrix (c_in*9 x f doubles
+        # each): T=7 then runs every product over one-row or ragged tiles (dX
+        # tiles the 2-map gradient, so its tiles are taller than the forward's)
+        c_in, c_out, t, f = 3, 2, 7, 5
+        monkeypatch.setattr(N, "_TILE_BYTES", rows * c_in * 9 * f * 8)
+        rng = make_rng(70 + rows)
+        layer, store = self.make(c_in, c_out, seed=rows)
+        layer.b.value[...] = rng.normal(size=c_out)
+        x = rng.normal(size=(c_in, t, f))
+        g = rng.normal(size=(c_out, t, f))
+        assert len(list(N._tiles(N._pad(x)))) == -(-t // rows)
+        y, ctx = layer.forward(x, True, None)
+        assert np.max(np.abs(y - sliding_conv2d(x, layer.k.value, layer.b.value))) <= 1e-12
+        dx = layer.backward(ctx, g)
+        want = conv2d_grads_by_loops(x, layer.k.value, g)
+        for got, ref in zip((store["c/K"].grad, store["c/b"].grad, dx), want):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12
 
     def test_context_holds_only_padded_input(self):
         def arrays(obj):
@@ -432,6 +455,27 @@ class TestNetworkForward:
         with pytest.raises(ValueError, match="rng"):
             net.forward(np.zeros((4, 39)), training=True)
 
+    def test_inference_keeps_no_contexts(self):
+        net = N.build_network(N.catalog()["RC-small"], output_units=4, rng=make_rng(71))
+        y, ctxs = net.forward(make_rng(72).normal(size=(6, 39)))
+        assert ctxs is None
+        with pytest.raises(ValueError, match="training-mode forward"):
+            net.backward(ctxs, np.ones_like(y))
+
+    def test_inference_memory_bounded(self):
+        # RC1 on 3 s of audio: whole-utterance window matrices plus every
+        # step's kept context traced 236 MiB; time tiles and no inference
+        # contexts leave about 47 MiB
+        net = N.build_network(N.catalog()["RC1"], output_units=62, rng=make_rng(73))
+        x = make_rng(74).normal(size=(300, 39))
+        tracemalloc.start()
+        try:
+            net.forward(x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 96 * 2**20
+
     def test_residual_vs_plain_same_params(self):
         plain = N.build_network(N.catalog()["RC2-toy"], rng=make_rng(66))
         res = N.build_network(N.catalog()["Res-RC2-toy"], rng=make_rng(66))
@@ -455,7 +499,7 @@ def test_full_tiny_network_gradient():
         val, _ = ctc_mod.ctc_loss_and_grad(logits, labels)
         return val
 
-    logits, ctxs = net.forward(x)
+    logits, ctxs = net.forward(x, training=True)
     _, dlogits = ctc_mod.ctc_loss_and_grad(logits, labels)
     net.store.zero_grads()
     net.backward(ctxs, dlogits)

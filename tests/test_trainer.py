@@ -124,7 +124,7 @@ class TestOverfitSingleUtterance:
                                 rng=make_rng(421), dropout_override=0.0)
             loss = np.inf
             for _ in range(500):
-                logits, ctxs = net.forward(utt.features)
+                logits, ctxs = net.forward(utt.features, training=True)
                 loss, dlogits = ctc_mod.ctc_loss_and_grad(logits, labels)
                 if loss < 0.1:
                     break
