@@ -49,17 +49,6 @@ class NgramModel:
     def event_count(self):
         return len(self.vocab) + 1
 
-    def _lookup(self, order, direction, context, symbol):
-        table = self.counts[(order, direction)]
-        c = table.get(context, {}).get(symbol, 0)
-        total = self.totals[(order, direction)].get(context, 0)
-        return (c + self.smoothing_k) / (total + self.smoothing_k * self.event_count)
-
-    def order_conditional(self, symbol, context, order, direction="F"):
-        """Smoothed P(symbol | context) for a single n-gram order."""
-        padded = (BOS,) * (order - 1) + tuple(context)
-        return self._lookup(order, direction, padded[len(padded) - (order - 1):], symbol)
-
     def conditionals(self, symbols, context, direction="F"):
         """Interpolated smoothed P(s | context) for each s of `symbols`, one
         direction.

@@ -12,7 +12,7 @@ stage becomes a one-channel T x D image; a C x T x F stack entering a
 recurrent or dense stage is flattened per time step to T x (C*F).
 """
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -23,7 +23,16 @@ KERNEL = 3
 STRIDE = 1
 PAD = 1
 
-LAYER_KINDS = ("recurrent", "conv2d", "dense", "elu", "dropout", "linear_output")
+# Each layer kind takes exactly one parameter: (LayerSpec field, type, value
+# used when a config omits it, None when it is required).
+LAYER_PARAMS = {
+    "recurrent": ("hidden_units", int, 128),
+    "conv2d": ("feature_maps", int, None),
+    "dense": ("units", int, None),
+    "elu": ("alpha", float, 1.0),
+    "dropout": ("rate", float, 0.1),
+    "linear_output": ("units", int, 62),
+}
 
 
 @dataclass(frozen=True)
@@ -34,6 +43,22 @@ class LayerSpec:
     units: int = None
     rate: float = None
     alpha: float = None
+
+
+def _layer_param(spec):
+    """The value of spec's one parameter, or its kind's default; a spec that
+    names an unknown kind, sets another kind's field or lacks a required
+    value is a ValueError."""
+    if spec.kind not in LAYER_PARAMS:
+        raise ValueError(f"unknown layer kind '{spec.kind}'")
+    name, _, default = LAYER_PARAMS[spec.kind]
+    for f in fields(LayerSpec)[1:]:
+        if f.name != name and getattr(spec, f.name) is not None:
+            raise ValueError(f"{spec.kind} takes {name}=, not {f.name}=")
+    value = getattr(spec, name)
+    if value is None and default is None:
+        raise ValueError(f"{spec.kind} needs {name}=")
+    return default if value is None else value
 
 
 def recurrent(hidden_units=128):
@@ -70,8 +95,7 @@ class NetworkConfig:
         if not self.layers:
             raise ValueError(f"network '{self.name}' has no layers")
         for spec in self.layers:
-            if spec.kind not in LAYER_KINDS:
-                raise ValueError(f"unknown layer kind '{spec.kind}'")
+            _layer_param(spec)
         if self.layers[-1].kind != "linear_output":
             raise ValueError(f"network '{self.name}' must end in a linear_output layer")
         if self.layers[:-1] and any(s.kind == "linear_output" for s in self.layers[:-1]):
@@ -279,6 +303,26 @@ class _MapsToSeq:
         return g.reshape(t, c, f).transpose(1, 0, 2)
 
 
+def _run_forward(steps, h, training, rng):
+    """Run steps in order: (output, contexts).  Only a training-mode forward
+    keeps the contexts backward needs; an inference forward returns None for
+    them and frees each context as soon as its step returns."""
+    ctxs = [] if training else None
+    for step in steps:
+        h, ctx = step.forward(h, training, rng)
+        if training:
+            ctxs.append(ctx)
+        del ctx
+    return h, ctxs
+
+
+def _run_backward(steps, ctxs, g):
+    """Backpropagate g through the steps of a training-mode _run_forward."""
+    for step, ctx in zip(reversed(steps), reversed(ctxs)):
+        g = step.backward(ctx, g)
+    return g
+
+
 class _ResidualBlock:
     """elu(x + F(x)) with an identity shortcut; F is a conv/elu run."""
 
@@ -287,25 +331,18 @@ class _ResidualBlock:
         self.alpha = alpha
 
     def forward(self, x, training, rng):
-        h = x
-        inner_ctx = []
-        for step in self.inner:
-            h, ctx = step.forward(h, training, rng)
-            inner_ctx.append(ctx)
+        h, inner_ctx = _run_forward(self.inner, x, training, rng)
         if h.shape != x.shape:
             raise ValueError(
                 f"residual branch changed shape {x.shape} -> {h.shape}; identity shortcut impossible"
             )
         pre = x + h
-        return _elu_fwd(pre, self.alpha), (inner_ctx, pre)
+        return _elu_fwd(pre, self.alpha), (inner_ctx, pre) if training else None
 
     def backward(self, ctx, g):
         inner_ctx, pre = ctx
         da = g * _elu_grad(pre, self.alpha)
-        dh = da
-        for step, c in zip(reversed(self.inner), reversed(inner_ctx)):
-            dh = step.backward(c, dh)
-        return da + dh
+        return da + _run_backward(self.inner, inner_ctx, da)
 
 
 class Network:
@@ -319,28 +356,17 @@ class Network:
         self.output_units = output_units
 
     def forward(self, x, training=False, rng=None):
-        """(logits, contexts).  Only a training-mode forward keeps the step
-        contexts backward needs; an inference forward returns None for them
-        and frees each context as soon as its step returns."""
+        """(logits, contexts); the contexts are None unless training."""
         x = np.asarray(x)
         if x.ndim != 2 or x.shape[1] != self.input_dim:
             raise ValueError(f"expected T x {self.input_dim} input, got {x.shape}")
-        ctxs = [] if training else None
-        h = x
-        for step in self.steps:
-            h, ctx = step.forward(h, training, rng)
-            if training:
-                ctxs.append(ctx)
-            del ctx
-        return h, ctxs
+        return _run_forward(self.steps, x, training, rng)
 
     def backward(self, ctxs, g):
         if ctxs is None:
             raise ValueError("backward needs the contexts of a training-mode forward "
                              "(forward(..., training=True))")
-        for step, ctx in zip(reversed(self.steps), reversed(ctxs)):
-            g = step.backward(ctx, g)
-        return g
+        return _run_backward(self.steps, ctxs, g)
 
     def n_params(self):
         return self.store.n_params()
@@ -367,28 +393,24 @@ def build_network(config, input_dim=39, output_units=None, rng=None,
     def make_step(i, spec):
         nonlocal maps, width
         name = f"L{i:02d}_{spec.kind}"
+        value = _layer_param(spec)
         if spec.kind == "elu":
-            return _Elu(spec.alpha if spec.alpha is not None else 1.0)
+            return _Elu(value)
         if spec.kind == "dropout":
-            rate = dropout_override if dropout_override is not None else spec.rate
-            return _Dropout(rate if rate is not None else 0.1)
+            return _Dropout(value if dropout_override is None else dropout_override)
         if spec.kind == "recurrent":
-            hidden = spec.hidden_units if spec.hidden_units is not None else 128
-            layer = _Recurrent(store, name, width, hidden, rng, dtype)
-            width = hidden
+            layer = _Recurrent(store, name, width, value, rng, dtype)
+            width = value
             return layer
+        if spec.kind == "linear_output" and output_units is not None:
+            value = output_units
         if spec.kind in ("dense", "linear_output"):
-            units = spec.units
-            if spec.kind == "linear_output" and output_units is not None:
-                units = output_units
-            layer = _Affine(store, name, width, units, rng, dtype)
-            width = units
+            layer = _Affine(store, name, width, value, rng, dtype)
+            width = value
             return layer
-        if spec.kind == "conv2d":
-            layer = _Conv2d(store, name, maps, spec.feature_maps, rng, dtype)
-            maps = spec.feature_maps
-            return layer
-        raise ValueError(f"unknown layer kind '{spec.kind}'")
+        layer = _Conv2d(store, name, maps, value, rng, dtype)
+        maps = value
+        return layer
 
     i = 0
     while i < len(config.layers):
@@ -403,45 +425,34 @@ def build_network(config, input_dim=39, output_units=None, rng=None,
             maps, width = None, maps * width
         if i in spans:
             a, b = spans[i]
-            inner = []
-            post_alpha = None
-            for j in range(a, b):
-                spec = config.layers[j]
-                if spec.kind == "conv2d" and spec.feature_maps != maps:
+            for j in range(a, b, 2):
+                if config.layers[j].feature_maps != maps:
                     raise ValueError(
                         f"residual span {(a, b)} in '{config.name}': conv layer {j} has "
-                        f"{spec.feature_maps} maps but the span carries {maps}"
+                        f"{config.layers[j].feature_maps} maps but the span carries {maps}"
                     )
-                if j == b - 1:
-                    post_alpha = spec.alpha if spec.alpha is not None else 1.0
-                else:
-                    inner.append(make_step(j, spec))
-            steps.append(_ResidualBlock(inner, post_alpha))
+            inner = [make_step(j, config.layers[j]) for j in range(a, b - 1)]
+            steps.append(_ResidualBlock(inner, _layer_param(config.layers[b - 1])))
             i = b
         else:
             steps.append(make_step(i, config.layers[i]))
             i += 1
 
-    out_units = config.layers[-1].units if output_units is None else output_units
-    return Network(config, store, steps, input_dim, out_units)
+    return Network(config, store, steps, input_dim, width)
 
 
 # -- config text format --------------------------------------------------------
 
-_INT_KEYS = {"hidden_units", "feature_maps", "units"}
-_FLOAT_KEYS = {"rate", "alpha"}
-
-
 def dump_config(config):
-    """One layer per line `kind key=value ...`; spans as `residual a..b`."""
+    """One layer per line `kind key=value`; spans as `residual a..b`."""
     lines = [f"network {config.name}"]
     for spec in config.layers:
-        parts = [spec.kind]
-        for key in ("hidden_units", "feature_maps", "units", "rate", "alpha"):
-            val = getattr(spec, key)
-            if val is not None:
-                parts.append(f"{key}={val:g}" if key in _FLOAT_KEYS else f"{key}={val}")
-        lines.append(" ".join(parts))
+        key, typ, _ = LAYER_PARAMS[spec.kind]
+        val = getattr(spec, key)
+        line = spec.kind
+        if val is not None:
+            line += f" {key}={val:g}" if typ is float else f" {key}={val}"
+        lines.append(line)
     for a, b in config.residual_groups:
         lines.append(f"residual {a}..{b}")
     return "\n".join(lines) + "\n"
@@ -467,21 +478,27 @@ def parse_config(text):
             except (IndexError, ValueError):
                 raise ValueError(f"line {ln}: malformed residual span {raw!r}") from None
             continue
-        if head not in LAYER_KINDS:
-            raise ValueError(f"line {ln}: unknown layer kind {head!r}")
-        kwargs = {}
-        for item in parts[1:]:
-            if "=" not in item:
-                raise ValueError(f"line {ln}: malformed parameter {item!r}")
-            key, val = item.split("=", 1)
-            if key in _INT_KEYS:
-                kwargs[key] = int(val)
-            elif key in _FLOAT_KEYS:
-                kwargs[key] = float(val)
-            else:
-                raise ValueError(f"line {ln}: unknown parameter {key!r}")
-        layers.append(LayerSpec(kind=head, **kwargs))
+        try:
+            layers.append(_parse_layer(head, parts[1:]))
+        except ValueError as exc:
+            raise ValueError(f"line {ln}: {exc}") from None
     return NetworkConfig(name=name, layers=layers, residual_groups=spans).validate()
+
+
+def _parse_layer(kind, items):
+    """The LayerSpec of a `kind [key=value]` line."""
+    if kind not in LAYER_PARAMS:
+        raise ValueError(f"unknown layer kind {kind!r}")
+    key, typ, _ = LAYER_PARAMS[kind]
+    values = {}
+    for item in items:
+        k, eq, val = item.partition("=")
+        if k != key or not eq:
+            raise ValueError(f"{kind} takes {key}=, not {item!r}")
+        values[key] = typ(val)
+    spec = LayerSpec(kind=kind, **values)
+    _layer_param(spec)
+    return spec
 
 
 def save_config(config, path):
@@ -490,8 +507,12 @@ def save_config(config, path):
 
 
 def load_config(path):
-    with open(path) as fh:
-        return parse_config(fh.read())
+    """parse_config of a file; every ValueError names the path."""
+    try:
+        with open(path) as fh:
+            return parse_config(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 # -- catalog --------------------------------------------------------------------

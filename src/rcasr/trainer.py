@@ -207,7 +207,8 @@ def compare_architectures(names, config, corpus, partition, out_dir):
     """Train several catalog models on identical data/seed; one curve CSV each.
 
     Returns {name: curve_path} for the successes and {name: error} for the
-    failures (a failing model never stops the others).
+    models that abort numerically or are not found, which never stops the
+    others.  A data error (ValueError, OSError) propagates, as from train.
     """
     os.makedirs(out_dir, exist_ok=True)
     results = {}
@@ -221,7 +222,7 @@ def compare_architectures(names, config, corpus, partition, out_dir):
         )
         try:
             _, curve = train(run_cfg, corpus, partition)
-        except Exception as exc:                      # noqa: BLE001 - isolate per model
+        except (ArithmeticError, KeyError) as exc:
             log.warning("compare: model %s failed: %s", name, exc)
             errors[name] = exc
             continue

@@ -358,21 +358,29 @@ def beam_decode_by_dicts(y, width=16, lm=None, lam=0.3, alphabet=None):
     return [(prefix, float(np.logaddexp(m[0], m[1]))) for prefix, m in order]
 
 
+def lm_order_probability(model, order, direction, window, symbol):
+    """One order's smoothed P(symbol | window), window being exactly order-1
+    symbols, read straight from the model's count tables."""
+    c = model.counts[(order, direction)].get(window, {}).get(symbol, 0)
+    total = model.totals[(order, direction)].get(window, 0)
+    return (c + model.smoothing_k) / (total + model.smoothing_k * model.event_count)
+
+
+def lm_order_conditional(model, symbol, context, order, direction="F"):
+    """One order's smoothed P(symbol | context), the context padded with
+    start markers and cut to its last order-1 symbols."""
+    padded = ("<s>",) * (order - 1) + tuple(context)
+    return lm_order_probability(model, order, direction, padded[len(padded) - (order - 1):], symbol)
+
+
 def lm_conditional_full_history(model, symbol, context, direction="F"):
     """Interpolated P(symbol | context) that maps and pads the whole history,
     as the n-gram model did before it read only the last few symbols."""
     vocab = frozenset(model.vocab)
     symbol = symbol if symbol in vocab or symbol == "</s>" else "<unk>"
     context = tuple(s if s in vocab or s == "<s>" else "<unk>" for s in context)
-    p = 0.0
-    for n in (2, 3, 4):
-        padded = ("<s>",) * (n - 1) + context
-        window = padded[len(padded) - (n - 1):]
-        c = model.counts[(n, direction)].get(window, {}).get(symbol, 0)
-        total = model.totals[(n, direction)].get(window, 0)
-        p += model.interp_weights[n] * (
-            (c + model.smoothing_k) / (total + model.smoothing_k * model.event_count))
-    return p
+    return sum(model.interp_weights[n] * lm_order_conditional(model, symbol, context, n, direction)
+               for n in (2, 3, 4))
 
 
 def lm_directional_score_full_history(model, seq, direction):

@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from oracles import (best_labelling_by_enumeration, ctc_posterior_check,
-                     ctc_prob_by_enumeration, fd_gradient, max_relative_error,
-                     osa_distance_by_search)
+                     ctc_prob_by_enumeration, fd_gradient, lm_order_probability,
+                     max_relative_error, osa_distance_by_search)
 from rcasr import corpus as corpus_mod
 from rcasr import ctc as C
 from rcasr import evaluate
@@ -118,7 +118,7 @@ def _layer_instances(kind, rng):
         y, _ = layer.forward(x, False, None)
         return float(np.sum(y * target))
 
-    _, ctx = layer.forward(x, False, None)
+    _, ctx = layer.forward(x, True, None)
     store.zero_grads()
     dx = layer.backward(ctx, target)
     checks = [(dx, x)] + [(p.grad, p.value) for p in store.entries.values()]
@@ -216,7 +216,7 @@ def test_criterion_05_residual_identity():
     block = N._ResidualBlock(inner, 1.0)
     for _ in range(10):
         x = np.abs(rng.normal(size=(2, 4, 5)))
-        y, ctx = block.forward(x, False, None)
+        y, ctx = block.forward(x, True, None)
         assert np.array_equal(y, x)
         g = rng.normal(size=x.shape)
         assert np.array_equal(block.backward(ctx, g), g)
@@ -278,11 +278,11 @@ def test_criterion_09_lm_properties():
     worst = 0.0
     for (n, d), table in model.counts.items():
         for ctx in table:
-            total = sum(model._lookup(n, d, ctx, e) for e in events)
+            total = sum(lm_order_probability(model, n, d, ctx, e) for e in events)
             worst = max(worst, abs(total - 1.0))
     for _ in range(20):   # unseen contexts too
         ctx = tuple(rng.choice(vocab, size=2))
-        total = sum(model._lookup(3, "F", ctx, e) for e in events)
+        total = sum(lm_order_probability(model, 3, "F", ctx, e) for e in events)
         worst = max(worst, abs(total - 1.0))
     assert worst <= 1e-12
 

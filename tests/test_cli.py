@@ -3,6 +3,7 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from rcasr import cli
 from rcasr import corpus as corpus_mod
@@ -92,6 +93,20 @@ class TestTrain:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"'{narrow.ids()[0]}'" in err and "13" in err and "39" in err
+
+    @pytest.mark.parametrize("layer, message", [
+        ("conv2d rate=0.5", "line 2: conv2d takes feature_maps=, not 'rate=0.5'"),
+        ("recurrent units=64", "line 2: recurrent takes hidden_units=, not 'units=64'"),
+        ("conv2d", "line 2: conv2d needs feature_maps="),
+        ("conv2d feature_maps=x", "line 2: invalid literal for int() with base 10: 'x'"),
+    ], ids=["conv2d-rate", "recurrent-units", "conv2d-no-maps", "non-numeric"])
+    def test_malformed_config_data_error(self, tmp_path, tiny_corpus_dir, capsys, layer, message):
+        cfg = tmp_path / "bad.netcfg"
+        cfg.write_text(f"network bad\n{layer}\nelu\nlinear_output units=4\n")
+        rc = cli.main(["train", "--config", str(cfg), "--data", str(tiny_corpus_dir),
+                       "--out", str(tmp_path / "run"), "--epochs", "1"])
+        assert rc == 2
+        assert f"{cfg}: {message}" in capsys.readouterr().err
 
 
 class TestPartitionCmd:
@@ -265,6 +280,19 @@ class TestCompareCmd:
         assert (out / "baseline_curve.csv").exists()
         assert (out / "RC2-toy_curve.csv").exists()
 
+    def test_feature_width_mismatch_data_error(self, tmp_path, tiny_corpus, capsys):
+        # a data error concerns the corpus, not one model: exit 2 as in train
+        narrow = corpus_mod.Corpus(
+            utterances={i: corpus_mod.Utterance(id=i, labels=u.labels, features=u.features[:, :13])
+                        for i, u in tiny_corpus.utterances.items()},
+            alphabet=tiny_corpus.alphabet)
+        data = tmp_path / "narrow"
+        corpus_mod.save_corpus(narrow, data)
+        rc = cli.main(["compare", "--models", "baseline,RC2-toy", "--data", str(data),
+                       "--out", str(tmp_path / "cmp"), "--epochs", "1"])
+        assert rc == 2
+        assert "13" in capsys.readouterr().err
+
     def test_unknown_model_usage_error(self, tmp_path, tiny_corpus_dir, capsys):
         rc = cli.main(["compare", "--models", "no-such-net",
                        "--data", str(tiny_corpus_dir), "--out", str(tmp_path / "x"),
@@ -278,6 +306,14 @@ class TestTopLevel:
         text = capsys.readouterr().out
         assert "network RC2" in text
         assert "conv2d feature_maps=16" in text
+
+    def test_dump_catalog_matches_golden(self, capsys):
+        # the text format is an interface: a .netcfg written by one version
+        # is read by the next, so the dump stays byte for byte
+        golden = os.path.join(os.path.dirname(__file__), "golden", "dump_catalog.txt")
+        assert cli.main(["--dump-catalog", "*"]) == 0
+        with open(golden, "rb") as fh:
+            assert capsys.readouterr().out.encode() == fh.read()
 
     def test_dump_unknown_entry(self, capsys):
         assert cli.main(["--dump-catalog", "XX9"]) == 1
