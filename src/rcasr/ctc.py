@@ -8,6 +8,7 @@ decoding.  The blank is always the LAST label index.
 
 import math
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -108,81 +109,137 @@ def _check_rows_stochastic(y):
         raise ValueError(f"row {worst} of y sums to {sums[worst]!r}, expected 1")
 
 
+def _check_labels(labels, n_labels):
+    if any(s < 0 or s >= n_labels - 1 for s in labels):
+        raise ValueError(f"label out of range for {n_labels}-label alphabet: {labels}")
+
+
 def ctc_forward(y, labels):
     """Fill the scaled alpha/beta trellis for label sequence `labels`.
 
     y is a T x L row-stochastic matrix whose last column is the blank.
     Infeasible (or zero-probability) labellings come back with
     log_prob = -inf rather than raising.
-
-    beta is the alpha recursion run on the time- and label-reversed
-    problem: reversing l' keeps its skip rule and its two start states, and
-    maps every frame's window onto the mirrored frame's window.
     """
     y = np.asarray(y, dtype=np.float64)
     T, L = y.shape
     _check_rows_stochastic(y)
-    blank = L - 1
     labels = tuple(int(s) for s in labels)
-    if any(s < 0 or s >= blank for s in labels):
-        raise ValueError(f"label out of range for {L}-label alphabet: {labels}")
-    lp = extend_label(labels, blank)
-    S = lp.size
-
-    empty = CtcTrellis(
+    _check_labels(labels, L)
+    if T >= min_frames(labels):
+        tr = _trellises(y, [labels], [T])
+        if not tr.dead[0]:
+            return CtcTrellis(
+                alpha=tr.alpha[:, 0], beta=tr.beta[:, 0],
+                log_alpha_scale=tr.log_c[:, 0], log_beta_scale=tr.log_d[:, 0],
+                log_prob=float(tr.log_prob[0]), l_prime=tr.lp[0], y=y,
+            )
+    S = 2 * len(labels) + 1
+    return CtcTrellis(
         alpha=np.zeros((T, S)), beta=np.zeros((T, S)),
         log_alpha_scale=np.full(T, NEG_INF), log_beta_scale=np.full(T, NEG_INF),
-        log_prob=NEG_INF, l_prime=lp, y=y,
-    )
-    if T < min_frames(labels):
-        return empty
-
-    emit = y[:, lp]
-    # skip[s - 2] = 1 where s-2 -> s is legal: l'_s is a non-blank differing
-    # from l'_{s-2}
-    skip = ((lp[2:] != blank) & (lp[2:] != lp[:-2])).astype(np.float64)
-    forward = _scaled_pass(emit, skip)
-    backward = _scaled_pass(emit[::-1, ::-1], skip[::-1])
-    if forward is None or backward is None:
-        return empty
-    alpha, log_c = forward
-    beta, log_d = backward[0][::-1, ::-1], backward[1][::-1]
-    return CtcTrellis(
-        alpha=alpha, beta=beta,
-        log_alpha_scale=log_c, log_beta_scale=log_d,
-        log_prob=float(log_c.sum()), l_prime=lp, y=y,
+        log_prob=NEG_INF, l_prime=extend_label(labels, L - 1), y=y,
     )
 
 
-def _scaled_pass(emit, skip):
-    """The scaled alpha recursion over T x S emissions.
+def _skips(lp, blank):
+    """skip[k, s - 2] = 1 where s-2 -> s is legal in row k of l': l'_s is a
+    non-blank differing from l'_{s-2}."""
+    return ((lp[:, 2:] != blank) & (lp[:, 2:] != lp[:, :-2])).astype(np.float64)
 
-    Returns the rows, each normalised to sum to 1, and ln C_t of every row;
-    None when a row sums to zero.
+
+def _trellises(y, labels, lengths):
+    """The scaled alpha and beta trellises of every utterance of a chunk.
+
+    y (N x L) stacks the utterances' frames, lengths[i] of them for label
+    sequence labels[i].  Arrays are time x utterance x state, utterances
+    longest first (column k is utterance order[k]), zero outside each one's
+    frames, states and window.  `dead` marks the utterances with a row that
+    sums to zero; their numbers are meaningless.
+
+    beta is the alpha recursion run on each utterance's time- and
+    label-reversed problem: reversing l' keeps its skip rule and its two
+    start states, and maps every frame's window onto the mirrored frame's
+    window.
     """
-    T, S = emit.shape
-    rows = np.zeros((T, S))
-    log_scale = np.zeros(T)
+    blank = y.shape[1] - 1
+    lengths = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    T = lengths[order]
+    rows = [extend_label(labels[i], blank) for i in order]
+    S = np.array([r.size for r in rows])
+    n, t_max, s_max = len(rows), int(T.max(initial=0)), int(S.max())
+    lp = np.full((n, s_max), blank, dtype=np.intp)
+    for k, r in enumerate(rows):
+        lp[k, :r.size] = r
+
+    t = np.arange(t_max)[:, None]
+    s = np.arange(s_max)
+    frames = t < T                                        # t_max x n
+    live = frames[:, :, None] & (s < S[:, None])
+    # states outside [S - 2(T - t), 2(t + 1)) either cannot be reached from
+    # the start or cannot reach an accepting end state; excluding them makes
+    # the row sums (and hence sum_t ln C_t) equal the exact path probability
+    window = live & (s >= (S - 2 * (T - t))[:, :, None]) & (s < 2 * (t + 1))[:, None]
+    frame = np.minimum((np.cumsum(lengths) - lengths)[order] + t, max(len(y) - 1, 0))
+    emit = np.where(window, y[frame[:, :, None], lp], 0.0)
+
+    # the mirror image (t, k, s) <-> (T_k - 1 - t, k, S_k - 1 - s)
+    t_rev = np.maximum(T - 1 - t, 0)
+    s_rev = np.maximum(S[:, None] - 1 - s, 0)
+    k = np.arange(n)[:, None]
+
+    def mirror(a):
+        return np.where(live, a[t_rev[:, :, None], k, s_rev], 0.0)
+
+    lp_rev = np.where(s < S[:, None], lp[k, s_rev], blank)
+    sizes = frames.sum(axis=1).tolist()
+    with np.errstate(invalid="ignore", divide="ignore"):
+        alpha, c = _scaled_pass(emit, _skips(lp, blank), sizes)
+        beta_rev, d_rev = _scaled_pass(mirror(emit), _skips(lp_rev, blank), sizes)
+    dead = (c == 0.0).any(axis=0) | (d_rev == 0.0).any(axis=0)
+    c[:, dead] = d_rev[:, dead] = 1.0
+    log_c, log_d_rev = _log(c), _log(d_rev)
+    return SimpleNamespace(
+        alpha=alpha, beta=mirror(beta_rev), log_c=log_c,
+        log_d=np.where(frames, log_d_rev[t_rev, k.T], 0.0),
+        log_prob=np.ascontiguousarray(log_c.T).sum(axis=1),
+        lp=lp, frame=frame, order=order, dead=dead,
+    )
+
+
+def _log(a):
+    """math.log of every entry (np.log can differ from it in the last bit)."""
+    return np.array([math.log(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+
+def _scaled_pass(emit, skip, sizes):
+    """The scaled alpha recursion over time x utterance x state emissions,
+    zero outside each utterance's window; the first sizes[t] utterances run
+    at time t.
+
+    Returns the rows, each normalised to sum to 1, and each row's sum C_t
+    (1 where an utterance has ended).  A row that sums to zero turns its
+    utterance's later rows into nan.
+    """
+    T, n, S = emit.shape
+    rows = np.zeros((T, n, S))
+    sums = np.ones((T, n))
     # a virtual row before t = 0 whose successors are the two start states
-    prev = np.zeros(S)
-    prev[0] = 1.0
-    for t in range(T):
-        acc = prev.copy()
-        acc[1:] += prev[:-1]
-        acc[2:] += prev[:-2] * skip
-        # states outside [lo, hi) either cannot be reached from the start or
-        # cannot reach an accepting end state; excluding them makes the row
-        # sums (and hence sum_t ln C_t) equal the exact path probability
-        lo, hi = max(0, S - 2 * (T - t)), min(S, 2 * (t + 1))
-        row = rows[t]
-        row[lo:hi] = acc[lo:hi] * emit[t, lo:hi]
-        total = row.sum()
-        if total == 0.0:
-            return None
-        row /= total
-        log_scale[t] = math.log(total)
+    prev = np.zeros((n, S))
+    prev[:, 0] = 1.0
+    for t, m in enumerate(sizes):
+        p = prev[:m]
+        acc = p.copy()
+        acc[:, 1:] += p[:, :-1]
+        acc[:, 2:] += p[:, :-2] * skip[:m]
+        row = rows[t, :m]
+        np.multiply(acc, emit[t, :m], out=row)
+        total = row.sum(axis=1)
+        row /= total[:, None]
+        sums[t, :m] = total
         prev = row
-    return rows, log_scale
+    return rows, sums
 
 
 def softmax(u):
@@ -192,34 +249,65 @@ def softmax(u):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def ctc_loss_and_grad(u, labels):
+def _utterance_error(exc, i):
+    """exc, naming the chunk utterance it is about in `exc.utterance`."""
+    exc.utterance = i
+    return exc
+
+
+def ctc_loss_and_grad(u, labels, lengths=None):
     """Negative log likelihood and its gradient w.r.t. pre-activations u.
 
-    The softmax lives inside: u is the network's linear T x L output.
+    The softmax lives inside: u is the network's linear output.  With
+    lengths None, u is one utterance (T x L), labels its label sequence, and
+    the result is (loss, grad).  Otherwise u stacks the frames of a chunk,
+    lengths[i] of them with label sequence labels[i], and the result is
+    (per-utterance losses, stacked grad) from one recursion over the whole
+    chunk.  An error about one utterance carries its chunk index in
+    `exc.utterance`.
     """
     u = np.asarray(u, dtype=np.float64)
-    if not np.all(np.isfinite(u)):
-        raise ValueError("non-finite pre-activations passed to CTC")
+    single = lengths is None
+    if single:
+        labels, lengths = [labels], [len(u)]
+    labels = [tuple(int(s) for s in lab) for lab in labels]
+    ends = np.cumsum(lengths)
+    if ends[-1] != len(u) or len(labels) != len(lengths):
+        raise ValueError(f"{len(u)} frames and {len(labels)} labels do not match "
+                         f"lengths {list(lengths)}")
+    bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
+    if bad.size:
+        raise _utterance_error(ValueError("non-finite pre-activations passed to CTC"),
+                               int(np.searchsorted(ends, bad[0], side="right")))
     y = softmax(u)
-    trellis = ctc_forward(y, labels)
-    if trellis.log_prob == NEG_INF:
-        if u.shape[0] < min_frames(labels):
-            raise InfeasibleLabel(
-                f"infeasible label length {len(tuple(labels))} for {u.shape[0]} frames"
-            )
-        raise ArithmeticError("CTC path probability underflowed to zero (saturated softmax?)")
-    lp = trellis.l_prime
-    cum_c = np.cumsum(trellis.log_alpha_scale)
-    cum_d = np.cumsum(trellis.log_beta_scale[::-1])[::-1]
-    # an overflowing factor raises FloatingPointError, an ArithmeticError,
-    # rather than filling gamma with inf * 0 = nan
-    with np.errstate(over="raise"):
-        k = np.exp(cum_c + cum_d - trellis.log_prob)
-    w = trellis.alpha * trellis.beta * k[:, None]
-    t, s = np.nonzero(w)
-    gamma = np.zeros_like(y)
-    np.add.at(gamma, (t, lp[s]), w[t, s] / y[t, lp[s]])
-    return -trellis.log_prob, y - gamma
+    for i, (lab, t) in enumerate(zip(labels, lengths)):
+        try:
+            _check_labels(lab, y.shape[1])
+            if t < min_frames(lab):
+                raise InfeasibleLabel(f"infeasible label length {len(lab)} for {t} frames")
+        except ValueError as exc:
+            raise _utterance_error(exc, i) from None
+    tr = _trellises(y, labels, lengths)
+    if tr.dead.any():
+        raise _utterance_error(
+            ArithmeticError("CTC path probability underflowed to zero (saturated softmax?)"),
+            int(tr.order[tr.dead].min()))
+    cum_c = np.cumsum(tr.log_c, axis=0)
+    cum_d = np.cumsum(tr.log_d[::-1], axis=0)[::-1]
+    with np.errstate(over="ignore"):
+        k = np.exp(cum_c + cum_d - tr.log_prob)
+    over = ~np.isfinite(k).all(axis=0)
+    if over.any():
+        raise _utterance_error(FloatingPointError("overflow in the CTC posterior scale"),
+                               int(tr.order[over].min()))
+    w = tr.alpha * tr.beta * k[:, :, None]
+    t, kk, s = np.nonzero(w)
+    rows, cols = tr.frame[t, kk], tr.lp[kk, s]
+    gamma = np.bincount(rows * y.shape[1] + cols, w[t, kk, s] / y[rows, cols],
+                        minlength=y.size).reshape(y.shape)
+    losses = np.empty(len(labels))
+    losses[tr.order] = -tr.log_prob
+    return (float(losses[0]) if single else losses), y - gamma
 
 
 def collapse(path, blank):

@@ -10,8 +10,13 @@ its trailing activation.
 Representation handling between stages: a T x D sequence entering a conv
 stage becomes a one-channel T x D image; a C x T x F stack entering a
 recurrent or dense stage is flattened per time step to T x (C*F).
+
+A forward runs one utterance or a chunk of them with their frames stacked
+along T (see _Chunk): per-frame steps run once over the stack, the recurrent
+steps keep one state per utterance and conv2d one zero border per utterance.
 """
 
+import math
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -24,14 +29,19 @@ STRIDE = 1
 PAD = 1
 
 # Each layer kind takes exactly one parameter: (LayerSpec field, type, value
-# used when a config omits it, None when it is required).
+# used when a config omits it or None when it is required, valid range).
 LAYER_PARAMS = {
-    "recurrent": ("hidden_units", int, 128),
-    "conv2d": ("feature_maps", int, None),
-    "dense": ("units", int, None),
-    "elu": ("alpha", float, 1.0),
-    "dropout": ("rate", float, 0.1),
-    "linear_output": ("units", int, 62),
+    "recurrent": ("hidden_units", int, 128, ">= 1"),
+    "conv2d": ("feature_maps", int, None, ">= 1"),
+    "dense": ("units", int, None, ">= 1"),
+    "elu": ("alpha", float, 1.0, "finite and >= 0"),
+    "dropout": ("rate", float, 0.1, "in [0, 1)"),
+    "linear_output": ("units", int, 62, ">= 1"),
+}
+_IN_RANGE = {
+    ">= 1": lambda v: v >= 1,
+    "finite and >= 0": lambda v: math.isfinite(v) and v >= 0,
+    "in [0, 1)": lambda v: 0 <= v < 1,
 }
 
 
@@ -47,18 +57,21 @@ class LayerSpec:
 
 def _layer_param(spec):
     """The value of spec's one parameter, or its kind's default; a spec that
-    names an unknown kind, sets another kind's field or lacks a required
-    value is a ValueError."""
+    names an unknown kind, sets another kind's field, lacks a required value
+    or has one out of range is a ValueError."""
     if spec.kind not in LAYER_PARAMS:
         raise ValueError(f"unknown layer kind '{spec.kind}'")
-    name, _, default = LAYER_PARAMS[spec.kind]
+    name, _, default, valid = LAYER_PARAMS[spec.kind]
     for f in fields(LayerSpec)[1:]:
         if f.name != name and getattr(spec, f.name) is not None:
             raise ValueError(f"{spec.kind} takes {name}=, not {f.name}=")
     value = getattr(spec, name)
     if value is None and default is None:
         raise ValueError(f"{spec.kind} needs {name}=")
-    return default if value is None else value
+    value = default if value is None else value
+    if not _IN_RANGE[valid](value):
+        raise ValueError(f"{spec.kind} {name}= must be {valid}, got {value}")
+    return value
 
 
 def recurrent(hidden_units=128):
@@ -121,12 +134,75 @@ class NetworkConfig:
 
 # -- layer implementations ----------------------------------------------------
 
+class _Chunk:
+    """Utterances whose frames one forward stacks along time, lengths[i]
+    frames each, in order.
+
+    Utterance i holds stacked rows spans[i] = (start, end); conv2d gives
+    each its own zero border (see _pad).  Recurrent steps run time-major
+    over the utterances still active, longest first: `packed` lists the
+    stacked rows of time step 0, then of step 1, ..., sizes[t] rows at step
+    t, and each step's utterances are a prefix of the previous step's.
+    prev[k] is the packed row one time step before packed row first + k.
+    """
+
+    def __init__(self, lengths):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        starts = np.cumsum(lengths) - lengths
+        frames = int(lengths.sum())
+        self.frames = frames
+        self.spans = list(zip(starts.tolist(), (starts + lengths).tolist()))
+        order = np.argsort(-lengths, kind="stable")
+        steps = np.arange(lengths.max(initial=0))[:, None]
+        active = steps < lengths[order]
+        sizes = active.sum(axis=1)
+        self.packed = (starts[order] + steps)[active]
+        self.sizes = sizes.tolist()
+        self.first = self.sizes[0] if self.sizes else 0
+        self.prev = np.arange(self.first, frames) - np.repeat(sizes[:-1], sizes[1:])
+
+
+class _Layout:
+    """The chunk of the forward a network is running.  Network.forward sets
+    it for the length of the forward; the network's conv2d and recurrent
+    steps share this one instance.  A step called on its own sees its input
+    as one utterance."""
+
+    def __init__(self):
+        self.chunk = None
+
+    def chunk_of(self, frames):
+        return self.chunk if self.chunk is not None else _Chunk([frames])
+
+
+# Byte budget of one chunk's training contexts, as Network.frame_bytes
+# estimates them: the trainer runs each mini-batch as the longest runs of
+# consecutive utterances that fit.  Bigger chunks share more per-step Python
+# work and hold more memory.  On RC-small toy training (32-utterance
+# batches, mean T 30) 2 / 3 / 4 / 6 MiB ran 1.21-1.33 / 1.32-1.45 /
+# 1.43-1.48 / 1.49x as fast as one utterance at a time, with peak RSS up
+# 1-2 / 4-5 / 7-9 / 12%.  One RC1 utterance of 3 s keeps about 145 MiB, so
+# paper-size training stays one utterance per chunk.
+_CHUNK_BYTES = 3 << 20
+
+
+# in place on one new array, which keeps a chunk's transient memory to one
+# copy of x; the same arithmetic as np.where(x > 0, x, alpha * (exp - 1))
 def _elu_fwd(x, alpha):
-    return np.where(x > 0, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
+    y = np.minimum(x, 0.0)
+    np.exp(y, out=y)
+    y -= 1.0
+    y *= alpha
+    np.copyto(y, x, where=x > 0)
+    return y
 
 
 def _elu_grad(x, alpha):
-    return np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
+    d = np.minimum(x, 0.0)
+    np.exp(d, out=d)
+    d *= alpha
+    d[x > 0] = 1.0
+    return d
 
 
 class _Elu:
@@ -137,7 +213,9 @@ class _Elu:
         return _elu_fwd(x, self.alpha), x
 
     def backward(self, ctx, g):
-        return g * _elu_grad(ctx, self.alpha)
+        d = _elu_grad(ctx, self.alpha)
+        d *= g
+        return d
 
 
 class _Dropout:
@@ -175,41 +253,64 @@ class _Affine:
 
 
 class _Recurrent:
-    """h_t = elu(W_xh x_t + W_hh h_{t-1} + b), h_0 = 0; backward is full BPTT."""
+    """h_t = elu(W_xh x_t + W_hh h_{t-1} + b), h_0 = 0, in each utterance of
+    the chunk; backward is full BPTT.  Each time step is one GEMM over the
+    utterances still running (see _Chunk)."""
 
-    def __init__(self, store, name, in_dim, hidden, rng, dtype, alpha=1.0):
+    def __init__(self, store, name, in_dim, hidden, rng, dtype, alpha=1.0, layout=None):
         self.alpha = alpha
         self.hidden = hidden
+        self.layout = layout if layout is not None else _Layout()
         self.w_xh = store.add(f"{name}/W_xh", glorot_init((in_dim, hidden), rng, dtype))
         self.w_hh = store.add(f"{name}/W_hh", glorot_init((hidden, hidden), rng, dtype))
         self.b = store.add(f"{name}/b", np.zeros(hidden, dtype=dtype))
 
     def forward(self, x, training, rng):
-        pre = x @ self.w_xh.value + self.b.value
+        chunk = self.layout.chunk_of(len(x))
+        # pre and h are time-major: step t's rows follow step t-1's, and the
+        # first sizes[t] rows of step t-1 are the same utterances' previous step
+        pre = (x @ self.w_xh.value + self.b.value)[chunk.packed]
         h = np.empty_like(pre)
-        prev = np.zeros(self.hidden, dtype=pre.dtype)
-        for t in range(len(pre)):
-            pre[t] += prev @ self.w_hh.value
-            prev = h[t] = _elu_fwd(pre[t], self.alpha)
-        return h, (x, pre, h)
+        a = 0   # step t's first packed row; the previous step's is a - last
+        for t, n in enumerate(chunk.sizes):
+            if t:
+                pre[a:a + n] += h[a - last:a - last + n] @ self.w_hh.value
+            h[a:a + n] = _elu_fwd(pre[a:a + n], self.alpha)
+            a, last = a + n, n
+        out = np.empty_like(h)
+        out[chunk.packed] = h
+        return out, (x, pre, h, chunk)
 
     def backward(self, ctx, g):
         # only the carry is sequential; every gradient is one GEMM over all steps
-        x, pre, h = ctx
+        x, pre, h, chunk = ctx
         slope = _elu_grad(pre, self.alpha)
+        g = g[chunk.packed]
         da = np.empty_like(pre)
-        carry = np.zeros(self.hidden, dtype=pre.dtype)
-        for t in range(len(pre) - 1, -1, -1):
-            da[t] = (g[t] + carry) * slope[t]
-            carry = da[t] @ self.w_hh.value.T
-        self.w_xh.grad += x.T @ da
-        self.w_hh.grad += h[:-1].T @ da[1:]
-        self.b.grad += da.sum(axis=0)
-        return da @ self.w_xh.value.T
+        carry = np.zeros((chunk.first, self.hidden), dtype=pre.dtype)
+        b = len(pre)    # one past step t's last packed row
+        for t, n in reversed(list(enumerate(chunk.sizes))):
+            da[b - n:b] = (g[b - n:b] + carry[:n]) * slope[b - n:b]
+            if t:
+                carry[:n] = da[b - n:b] @ self.w_hh.value.T
+            b -= n
+        self.w_hh.grad += h[chunk.prev].T @ da[chunk.first:]
+        da_x = np.empty_like(da)
+        da_x[chunk.packed] = da
+        self.w_xh.grad += x.T @ da_x
+        self.b.grad += da_x.sum(axis=0)
+        return da_x @ self.w_xh.value.T
 
 
-def _pad(x):
-    return np.pad(x, ((0, 0), (PAD, PAD), (PAD, PAD)))
+def _pad(x, chunk):
+    """A chunk's C x frames x F maps with a zero border around each
+    utterance: C x (frames + utterances + 1) x (F+2), frame t of utterance i
+    at row t + i + 1."""
+    c, t, f = x.shape
+    xp = np.zeros((c, t + len(chunk.spans) + 1, f + 2 * PAD), dtype=x.dtype)
+    for i, (s, e) in enumerate(chunk.spans):
+        xp[:, s + i + PAD:e + i + PAD, PAD:-PAD] = x[:, s:e]
+    return xp
 
 
 def _cols(xp):
@@ -226,39 +327,47 @@ def _cols(xp):
 # conv memory bounded in T and each GEMM operand near cache size.  On a Xeon
 # with 4 MiB of L2, RC1's convs ran as fast at 1 and 2.5 MiB and slower from
 # 4 MiB up.  2.5 MiB exceeds the largest toy window matrix (RC-small, 72 x
-# 57*64 doubles, 2.1 MB), so toy training runs every conv as one tile.
+# 57*64 doubles, 2.1 MB), so toy training runs each utterance's conv as one
+# tile.
 _TILE_BYTES = 5 << 19
 
 
-def _tiles(xp):
-    """Split a padded C x (T+2) x (F+2) stack into time tiles of at most
-    _TILE_BYTES of window matrix (and at least one time row): yields
-    (a, b, cols), the im2col matrix of output columns a:b of T*F."""
-    c, tp, fp = xp.shape
-    t, f = tp - 2 * PAD, fp - 2 * PAD
+def _tiles(xp, chunk):
+    """Split the frames of a chunk's padded stack (see _pad) into time tiles
+    of one utterance each, of at most _TILE_BYTES of window matrix (and at
+    least one frame): yields (a, b, cols), the im2col matrix of output
+    columns a:b of frames*F."""
+    c, _, fp = xp.shape
+    f = fp - 2 * PAD
     rows = max(1, _TILE_BYTES // (c * KERNEL * KERNEL * f * xp.itemsize))
-    for t0 in range(0, t, rows):
-        t1 = min(t, t0 + rows)
-        yield t0 * f, t1 * f, _cols(xp[:, t0:t1 + 2 * PAD])
+    for i, (s, e) in enumerate(chunk.spans):
+        for t0 in range(s, e, rows):
+            t1 = min(e, t0 + rows)
+            # frame t of utterance i sits at padded row t + i + 1
+            yield t0 * f, t1 * f, _cols(xp[:, t0 + i:t1 + i + 2 * PAD])
 
 
-def _correlate(kmat, xp):
-    """kmat (O x C*9) against every 3x3 window of a padded C x (T+2) x (F+2)
-    stack: an O x (T*F) matrix, one GEMM per time tile written in place."""
-    _, tp, fp = xp.shape
-    out = np.empty((kmat.shape[0], (tp - 2 * PAD) * (fp - 2 * PAD)),
+def _correlate(kmat, xp, chunk):
+    """kmat (O x C*9) against the 3x3 window of every frame of a chunk's
+    padded stack: an O x (frames*F) matrix, one GEMM per time tile written
+    in place."""
+    out = np.empty((kmat.shape[0], chunk.frames * (xp.shape[2] - 2 * PAD)),
                    dtype=np.result_type(kmat, xp))
-    for a, b, cols in _tiles(xp):
+    for a, b, cols in _tiles(xp, chunk):
         np.matmul(kmat, cols, out=out[:, a:b])
+        del cols    # before the next tile is built
     return out
 
 
 class _Conv2d:
-    """3x3, stride 1, zero-pad 1 convolution over C x T x F maps."""
+    """3x3, stride 1, zero-pad 1 convolution over C x T x F maps.  Every
+    utterance of a chunk has its own zero border and its own GEMMs, so none
+    reads another's frames and its values do not depend on the chunk."""
 
-    def __init__(self, store, name, in_maps, out_maps, rng, dtype):
+    def __init__(self, store, name, in_maps, out_maps, rng, dtype, layout=None):
         self.in_maps = in_maps
         self.out_maps = out_maps
+        self.layout = layout if layout is not None else _Layout()
         self.k = store.add(f"{name}/K", glorot_init((out_maps, in_maps, KERNEL, KERNEL), rng, dtype))
         self.b = store.add(f"{name}/b", np.zeros(out_maps, dtype=dtype))
 
@@ -266,21 +375,22 @@ class _Conv2d:
         c, t, f = x.shape
         if c != self.in_maps:
             raise ValueError(f"conv2d expected {self.in_maps} input maps, got {c}")
-        xp = _pad(x)
-        y = _correlate(self.k.value.reshape(self.out_maps, -1), xp)
+        chunk = self.layout.chunk_of(t)
+        xp = _pad(x, chunk)
+        y = _correlate(self.k.value.reshape(self.out_maps, -1), xp, chunk)
         y += self.b.value[:, None]
-        return y.reshape(self.out_maps, t, f), (xp, (c, t, f))
+        return y.reshape(self.out_maps, t, f), (xp, (c, t, f), chunk)
 
     def backward(self, ctx, g):
-        xp, (c, t, f) = ctx
+        xp, (c, t, f), chunk = ctx
         # dX is the correlation of the padded g with the flipped, in/out-swapped
-        # kernel.  It goes first: the loop below keeps its last window matrix
-        # until return, which must not overlap dX's window matrices.
+        # kernel
         flipped = self.k.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        dx = _correlate(flipped, _pad(g)).reshape(c, t, f)
+        dx = _correlate(flipped, _pad(g, chunk), chunk).reshape(c, t, f)
         gm = g.reshape(self.out_maps, t * f)
-        for a, b, cols in _tiles(xp):
+        for a, b, cols in _tiles(xp, chunk):
             self.k.grad += (gm[:, a:b] @ cols.T).reshape(self.k.value.shape)
+            del cols
         self.b.grad += gm.sum(axis=1)
         return dx
 
@@ -317,9 +427,11 @@ def _run_forward(steps, h, training, rng):
 
 
 def _run_backward(steps, ctxs, g):
-    """Backpropagate g through the steps of a training-mode _run_forward."""
-    for step, ctx in zip(reversed(steps), reversed(ctxs)):
-        g = step.backward(ctx, g)
+    """Backpropagate g through the steps of a training-mode _run_forward.
+    Each context is released as soon as its step is done, so ctxs ends up
+    empty."""
+    for step in reversed(steps):
+        g = step.backward(ctxs.pop(), g)
     return g
 
 
@@ -348,25 +460,48 @@ class _ResidualBlock:
 class Network:
     """A built, runnable stack bound to its ParameterStore."""
 
-    def __init__(self, config, store, steps, input_dim, output_units):
+    def __init__(self, config, store, steps, input_dim, output_units, layout, frame_bytes):
         self.config = config
         self.store = store
         self.steps = steps
         self.input_dim = input_dim
         self.output_units = output_units
+        self.layout = layout
+        # about what one frame keeps for backward: every layer's output
+        self.frame_bytes = frame_bytes
 
     def forward(self, x, training=False, rng=None):
-        """(logits, contexts); the contexts are None unless training."""
-        x = np.asarray(x)
-        if x.ndim != 2 or x.shape[1] != self.input_dim:
-            raise ValueError(f"expected T x {self.input_dim} input, got {x.shape}")
-        return _run_forward(self.steps, x, training, rng)
+        """(logits, contexts) of one utterance, a T x D matrix, or of a chunk,
+        a list of them, whose logits come stacked in order; the contexts are
+        None unless training."""
+        xs = [np.asarray(u) for u in x] if isinstance(x, list) else [np.asarray(x)]
+        for u in xs:
+            if u.ndim != 2 or u.shape[1] != self.input_dim:
+                raise ValueError(f"expected T x {self.input_dim} input, got {u.shape}")
+        self.layout.chunk = _Chunk([len(u) for u in xs])
+        try:
+            return _run_forward(self.steps, np.concatenate(xs), training, rng)
+        finally:
+            self.layout.chunk = None
 
     def backward(self, ctxs, g):
         if ctxs is None:
             raise ValueError("backward needs the contexts of a training-mode forward "
                              "(forward(..., training=True))")
         return _run_backward(self.steps, ctxs, g)
+
+    def chunks(self, lengths):
+        """Cut utterances of these frame counts into runs of consecutive
+        ones whose contexts fit _CHUNK_BYTES: yields (a, b) index ranges.
+        An utterance over the budget runs alone."""
+        a, used = 0, 0
+        for i, n in enumerate(lengths):
+            if i > a and used + n * self.frame_bytes > _CHUNK_BYTES:
+                yield a, i
+                a, used = i, 0
+            used += n * self.frame_bytes
+        if a < len(lengths):
+            yield a, len(lengths)
 
     def n_params(self):
         return self.store.n_params()
@@ -386,31 +521,33 @@ def build_network(config, input_dim=39, output_units=None, rng=None,
     spans = {a: (a, b) for a, b in sorted(config.residual_groups)}
 
     steps = []
+    layout = _Layout()
     # the current stage: `maps` feature maps of T x `width`, or (maps None) a
     # T x `width` sequence; conv stages keep T x width intact
     maps, width = None, input_dim
+    frame_width = 0     # summed per-frame output widths of the layers
 
     def make_step(i, spec):
-        nonlocal maps, width
+        nonlocal maps, width, frame_width
         name = f"L{i:02d}_{spec.kind}"
         value = _layer_param(spec)
         if spec.kind == "elu":
-            return _Elu(value)
-        if spec.kind == "dropout":
-            return _Dropout(value if dropout_override is None else dropout_override)
-        if spec.kind == "recurrent":
-            layer = _Recurrent(store, name, width, value, rng, dtype)
+            step = _Elu(value)
+        elif spec.kind == "dropout":
+            step = _Dropout(value if dropout_override is None else dropout_override)
+        elif spec.kind == "recurrent":
+            step = _Recurrent(store, name, width, value, rng, dtype, layout=layout)
             width = value
-            return layer
-        if spec.kind == "linear_output" and output_units is not None:
-            value = output_units
-        if spec.kind in ("dense", "linear_output"):
-            layer = _Affine(store, name, width, value, rng, dtype)
+        elif spec.kind in ("dense", "linear_output"):
+            if spec.kind == "linear_output" and output_units is not None:
+                value = output_units
+            step = _Affine(store, name, width, value, rng, dtype)
             width = value
-            return layer
-        layer = _Conv2d(store, name, maps, value, rng, dtype)
-        maps = value
-        return layer
+        else:
+            step = _Conv2d(store, name, maps, value, rng, dtype, layout=layout)
+            maps = value
+        frame_width += (maps or 1) * width
+        return step
 
     i = 0
     while i < len(config.layers):
@@ -433,12 +570,14 @@ def build_network(config, input_dim=39, output_units=None, rng=None,
                     )
             inner = [make_step(j, config.layers[j]) for j in range(a, b - 1)]
             steps.append(_ResidualBlock(inner, _layer_param(config.layers[b - 1])))
+            frame_width += maps * width
             i = b
         else:
             steps.append(make_step(i, config.layers[i]))
             i += 1
 
-    return Network(config, store, steps, input_dim, width)
+    return Network(config, store, steps, input_dim, width, layout,
+                   frame_width * np.dtype(dtype).itemsize)
 
 
 # -- config text format --------------------------------------------------------
@@ -447,7 +586,7 @@ def dump_config(config):
     """One layer per line `kind key=value`; spans as `residual a..b`."""
     lines = [f"network {config.name}"]
     for spec in config.layers:
-        key, typ, _ = LAYER_PARAMS[spec.kind]
+        key, typ = LAYER_PARAMS[spec.kind][:2]
         val = getattr(spec, key)
         line = spec.kind
         if val is not None:
@@ -489,12 +628,14 @@ def _parse_layer(kind, items):
     """The LayerSpec of a `kind [key=value]` line."""
     if kind not in LAYER_PARAMS:
         raise ValueError(f"unknown layer kind {kind!r}")
-    key, typ, _ = LAYER_PARAMS[kind]
+    key, typ = LAYER_PARAMS[kind][:2]
     values = {}
     for item in items:
         k, eq, val = item.partition("=")
         if k != key or not eq:
             raise ValueError(f"{kind} takes {key}=, not {item!r}")
+        if key in values:
+            raise ValueError(f"{kind} sets {key}= twice")
         values[key] = typ(val)
     spec = LayerSpec(kind=kind, **values)
     _layer_param(spec)

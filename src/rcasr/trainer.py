@@ -2,8 +2,12 @@
 
 Each epoch shuffles the training ids (seed-deterministic), cuts mini-batches,
 and accumulates per-utterance CTC gradients (batch loss = mean utterance
-loss) before one Adam step.  Every utterance runs through the network at its
-own length; nothing is padded.
+loss) before one Adam step.  A mini-batch runs as chunks: the longest runs
+of consecutive utterances whose training contexts fit the network's chunk
+budget (`Network.chunks`).  A chunk is one forward, one CTC loss and one
+backward over its utterances' frames stacked along time; no frame is padded
+or computed twice, and each utterance keeps its own recurrent state, conv
+border and CTC trellis.  Validation runs in chunks the same way.
 
 The same (seed, config, corpus) always reproduces the same batch stream,
 cost values and checkpoint bytes; wall-clock stamps are the one
@@ -47,6 +51,10 @@ class TrainConfig:
             raise ValueError("learning rate must be >= 0")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
+        if self.epochs < 0:
+            raise ValueError("epochs must be >= 0")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint_every must be >= 0")
 
 
 @dataclass
@@ -95,8 +103,9 @@ def train(config, corpus, partition=None):
 
     A train or val utterance whose feature width is not config.input_dim is
     a ValueError before the first epoch.  Infeasible utterances (too few
-    frames for their label) are skipped with a warning.  A non-finite loss
-    aborts with epoch/batch context.
+    frames for their label) are skipped with a warning.  A numeric failure
+    (non-finite logits, a CTC underflow or overflow) aborts naming the
+    epoch, batch and utterance.
     """
     net_config = _resolve_config(config.network)
     alphabet = corpus.alphabet
@@ -141,25 +150,10 @@ def train(config, corpus, partition=None):
             batch_no = b0 // config.batch_size + 1
             log_lines.append(f"epoch {epoch} batch {batch_no} ids {','.join(batch_ids)}")
             scale = 1.0 / len(batch_ids)
-            for utt_id in batch_ids:
-                utt = corpus[utt_id]
-                try:
-                    logits, ctxs = net.forward(utt.features, training=True, rng=dropout_rng)
-                    loss, dlogits = ctc_mod.ctc_loss_and_grad(logits, alphabet.encode(utt.labels))
-                except ctc_mod.InfeasibleLabel:
-                    log.warning("train: skipping '%s' (infeasible) in epoch %d", utt_id, epoch)
-                    continue
-                except (ValueError, ArithmeticError) as exc:
-                    raise TrainingAborted(
-                        f"numeric failure at epoch {epoch}, batch {batch_no}, "
-                        f"utterance '{utt_id}': {exc}"
-                    ) from exc
-                if not np.isfinite(loss):
-                    raise TrainingAborted(
-                        f"non-finite loss at epoch {epoch}, batch {batch_no}, utterance '{utt_id}'"
-                    )
-                net.backward(ctxs, dlogits * scale)
-                epoch_losses.append(loss)
+            utts = [corpus[i] for i in batch_ids]
+            for a, b in net.chunks([u.n_frames for u in utts]):
+                epoch_losses += _train_chunk(net, utts[a:b], alphabet, dropout_rng, scale,
+                                             f"epoch {epoch}, batch {batch_no}")
             adam_step(net.store, config.lr)
 
         train_cost = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
@@ -182,23 +176,43 @@ def train(config, corpus, partition=None):
     return net.store, curve
 
 
+def _train_chunk(net, chunk, alphabet, rng, scale, where):
+    """One forward, CTC loss and backward over the utterances of a chunk:
+    adds scale times their gradients to the store's and returns their
+    losses.  A numeric failure is a TrainingAborted naming `where` and the
+    utterance."""
+    try:
+        logits, ctxs = net.forward([u.features for u in chunk], training=True, rng=rng)
+        losses, dlogits = ctc_mod.ctc_loss_and_grad(
+            logits, [alphabet.encode(u.labels) for u in chunk], [u.n_frames for u in chunk])
+    except (ValueError, ArithmeticError) as exc:
+        i = getattr(exc, "utterance", None)
+        who = (f"utterance '{chunk[i].id}'" if i is not None
+               else "utterances " + ", ".join(f"'{u.id}'" for u in chunk))
+        raise TrainingAborted(f"numeric failure at {where}, {who}: {exc}") from exc
+    dlogits *= scale
+    net.backward(ctxs, dlogits)
+    return losses.tolist()
+
+
 def _validate(net, corpus, alphabet, val_ids):
+    """Mean CTC loss and greedy PER of the val utterances, run in chunks."""
     if not val_ids:
         return float("nan"), float("nan")
+    refs = {i: corpus[i].labels for i in val_ids}
+    hyps = dict.fromkeys(val_ids, ())       # an infeasible utterance decodes to nothing
+    utts = [corpus[i] for i in val_ids if corpus[i].ctc_feasible]
     losses = []
-    refs = {}
-    hyps = {}
-    for utt_id in val_ids:
-        utt = corpus[utt_id]
-        refs[utt_id] = utt.labels
-        if not utt.ctc_feasible:
-            hyps[utt_id] = ()
-            continue
-        logits, _ = net.forward(utt.features, training=False)
-        loss, _ = ctc_mod.ctc_loss_and_grad(logits, alphabet.encode(utt.labels))
-        losses.append(loss)
+    for a, b in net.chunks([u.n_frames for u in utts]):
+        chunk = utts[a:b]
+        lengths = [u.n_frames for u in chunk]
+        logits, _ = net.forward([u.features for u in chunk], training=False)
+        loss, _ = ctc_mod.ctc_loss_and_grad(
+            logits, [alphabet.encode(u.labels) for u in chunk], lengths)
+        losses.extend(loss.tolist())
         y = ctc_mod.softmax(logits)
-        hyps[utt_id] = alphabet.decode(ctc_mod.greedy_decode(y))
+        for u, y_u in zip(chunk, np.split(y, np.cumsum(lengths)[:-1])):
+            hyps[u.id] = alphabet.decode(ctc_mod.greedy_decode(y_u))
     val_cost = float(np.mean(losses)) if losses else float("nan")
     return val_cost, evaluate.per(refs, hyps).aggregate
 

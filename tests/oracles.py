@@ -110,6 +110,122 @@ def recurrent_backward_by_steps(x, pre, h, g, w_xh, w_hh, alpha=1.0):
     return dw_xh, dw_hh, db, dx
 
 
+# -- the per-utterance training step, frozen -----------------------------------
+
+def _elu(x, alpha):
+    return np.where(x > 0, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
+
+
+def _elu_slope(x, alpha):
+    return np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
+
+
+def _im2col(xp):
+    win = np.lib.stride_tricks.sliding_window_view(xp, (3, 3), axis=(1, 2))
+    return np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2)).reshape(xp.shape[0] * 9, -1)
+
+
+def _pad1(x):
+    return np.pad(x, ((0, 0), (1, 1), (1, 1)))
+
+
+def _step_forward_one(step, x):
+    """(output, context) of one step of a built rcasr network on one
+    utterance, by the per-utterance code the chunked steps replaced."""
+    kind = type(step).__name__
+    if kind == "_Recurrent":
+        pre = x @ step.w_xh.value + step.b.value
+        h = np.empty_like(pre)
+        prev = np.zeros(step.hidden)
+        for t in range(len(pre)):
+            pre[t] += prev @ step.w_hh.value
+            prev = h[t] = _elu(pre[t], step.alpha)
+        return h, (x, pre, h)
+    if kind == "_Conv2d":
+        _, t, f = x.shape
+        xp = _pad1(x)
+        y = step.k.value.reshape(step.out_maps, -1) @ _im2col(xp) + step.b.value[:, None]
+        return y.reshape(step.out_maps, t, f), xp
+    if kind == "_ResidualBlock":
+        h, ctxs = x, []
+        for inner in step.inner:
+            h, ctx = _step_forward_one(inner, h)
+            ctxs.append(ctx)
+        return _elu(x + h, step.alpha), (ctxs, x + h)
+    if kind == "_Elu":
+        return _elu(x, step.alpha), x
+    if kind == "_Affine":
+        return x @ step.w.value + step.b.value, x
+    if kind == "_Dropout":
+        assert step.rate == 0.0, "the per-utterance oracle runs without dropout"
+        return x, None
+    if kind == "_SeqToMaps":
+        return x[None], None
+    assert kind == "_MapsToSeq", kind
+    c, t, f = x.shape
+    return x.transpose(1, 0, 2).reshape(t, c * f), (c, t, f)
+
+
+def _step_backward_one(step, ctx, g):
+    """Adds one step's parameter gradients for one utterance to the store
+    and returns its input gradient."""
+    kind = type(step).__name__
+    if kind == "_Recurrent":
+        x, pre, h = ctx
+        grads = recurrent_backward_by_steps(x, pre, h, g, step.w_xh.value, step.w_hh.value,
+                                            step.alpha)
+        for p, d in zip((step.w_xh, step.w_hh, step.b), grads):
+            p.grad += d
+        return grads[3]
+    if kind == "_Conv2d":
+        xp = ctx
+        c, (_, t, f) = xp.shape[0], g.shape
+        flipped = step.k.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+        gm = g.reshape(step.out_maps, -1)
+        step.k.grad += (gm @ _im2col(xp).T).reshape(step.k.value.shape)
+        step.b.grad += gm.sum(axis=1)
+        return (flipped @ _im2col(_pad1(g))).reshape(c, t, f)
+    if kind == "_ResidualBlock":
+        ctxs, pre = ctx
+        da = g * _elu_slope(pre, step.alpha)
+        d = da
+        for inner, inner_ctx in zip(reversed(step.inner), reversed(ctxs)):
+            d = _step_backward_one(inner, inner_ctx, d)
+        return da + d
+    if kind == "_Elu":
+        return g * _elu_slope(ctx, step.alpha)
+    if kind == "_Affine":
+        step.w.grad += ctx.T @ g
+        step.b.grad += g.sum(axis=0)
+        return g @ step.w.value.T
+    if kind == "_Dropout":
+        return g
+    if kind == "_SeqToMaps":
+        return g[0]
+    c, t, f = ctx
+    return g.reshape(t, c, f).transpose(1, 0, 2)
+
+
+def train_step_per_utterance(net, xs, labels):
+    """The per-utterance training step the chunked one replaced, frozen: each
+    utterance runs forward, CTC (`ctc_loss_and_grad_by_frames`) and backward
+    on its own, through a recurrent loop of vector-matrix products and one
+    im2col GEMM per conv.  Adds every utterance's parameter gradients to the
+    store's; returns (losses, input gradient per utterance)."""
+    losses, dxs = [], []
+    for x, lab in zip(xs, labels):
+        h, ctxs = x, []
+        for step in net.steps:
+            h, ctx = _step_forward_one(step, h)
+            ctxs.append(ctx)
+        loss, g = ctc_loss_and_grad_by_frames(h, lab)
+        for step, ctx in zip(reversed(net.steps), reversed(ctxs)):
+            g = _step_backward_one(step, ctx, g)
+        losses.append(loss)
+        dxs.append(g)
+    return np.array(losses), dxs
+
+
 def collapse_path(path, blank):
     out = []
     prev = None

@@ -99,7 +99,14 @@ class TestTrain:
         ("recurrent units=64", "line 2: recurrent takes hidden_units=, not 'units=64'"),
         ("conv2d", "line 2: conv2d needs feature_maps="),
         ("conv2d feature_maps=x", "line 2: invalid literal for int() with base 10: 'x'"),
-    ], ids=["conv2d-rate", "recurrent-units", "conv2d-no-maps", "non-numeric"])
+        ("conv2d feature_maps=0", "line 2: conv2d feature_maps= must be >= 1, got 0"),
+        ("recurrent hidden_units=-3", "line 2: recurrent hidden_units= must be >= 1, got -3"),
+        ("dense units=0", "line 2: dense units= must be >= 1, got 0"),
+        ("elu alpha=nan", "line 2: elu alpha= must be finite and >= 0, got nan"),
+        ("dropout rate=1.5", "line 2: dropout rate= must be in [0, 1), got 1.5"),
+        ("conv2d feature_maps=2 feature_maps=3", "line 2: conv2d sets feature_maps= twice"),
+    ], ids=["conv2d-rate", "recurrent-units", "conv2d-no-maps", "non-numeric", "zero-maps",
+            "negative-hidden", "zero-units", "nan-alpha", "rate-above-one", "repeated-key"])
     def test_malformed_config_data_error(self, tmp_path, tiny_corpus_dir, capsys, layer, message):
         cfg = tmp_path / "bad.netcfg"
         cfg.write_text(f"network bad\n{layer}\nelu\nlinear_output units=4\n")
@@ -107,6 +114,21 @@ class TestTrain:
                        "--out", str(tmp_path / "run"), "--epochs", "1"])
         assert rc == 2
         assert f"{cfg}: {message}" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--epochs", "-2", "epochs must be >= 0"),
+        ("--checkpoint-every", "-1", "checkpoint_every must be >= 0"),
+        ("--batch-size", "0", "batch size must be >= 1"),
+    ], ids=["epochs", "checkpoint-every", "batch-size"])
+    def test_negative_schedule_data_error(self, tmp_path, tiny_corpus_dir, capsys,
+                                          flag, value, message):
+        out = tmp_path / "run"
+        rc = cli.main(["train", "--config", "baseline", "--data", str(tiny_corpus_dir),
+                       "--out", str(out), flag, value])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
 
 
 class TestPartitionCmd:

@@ -317,6 +317,63 @@ class TestTrellisMatchesTwoLoopOracle:
         assert compared > 400 and raised > 0, (compared, raised)
 
 
+class TestChunkMatchesOneUtterancePath:
+    """One recursion over a chunk of utterances against each utterance's
+    own, on chunks that mix frame counts (1 to 300) and label lengths."""
+
+    def test_loss_and_grad(self):
+        rng = make_rng(94)
+        by_width = {}
+        for y, labels in trellis_cases(rng):
+            if C.min_frames(labels) <= len(y):
+                by_width.setdefault(y.shape[1], []).append(
+                    (rng.normal(scale=3.0, size=y.shape), labels))
+        compared = failed = 0
+        for cases in by_width.values():
+            for c0 in range(0, len(cases), 7):
+                chunk = cases[c0:c0 + 7]
+                want = []
+                for u, labels in chunk:
+                    try:
+                        want.append(C.ctc_loss_and_grad(u, labels))
+                    except ArithmeticError as exc:
+                        want.append(exc)
+                bad = [i for i, w in enumerate(want) if isinstance(w, Exception)]
+                if bad:
+                    # the failing utterance is named by its place in the chunk
+                    with pytest.raises(ArithmeticError) as info:
+                        C.ctc_loss_and_grad(np.concatenate([u for u, _ in chunk]),
+                                            [lab for _, lab in chunk], [len(u) for u, _ in chunk])
+                    assert info.value.utterance == bad[0]
+                    failed += len(bad)
+                    chunk = [c for c, w in zip(chunk, want) if not isinstance(w, Exception)]
+                    want = [w for w in want if not isinstance(w, Exception)]
+                lengths = [len(u) for u, _ in chunk]
+                losses, grad = C.ctc_loss_and_grad(np.concatenate([u for u, _ in chunk]),
+                                                   [lab for _, lab in chunk], lengths)
+                for (loss, g), got_loss, got_g in zip(
+                        want, losses, np.split(grad, np.cumsum(lengths)[:-1])):
+                    assert abs(got_loss - loss) <= 1e-12 * max(1.0, abs(loss))
+                    assert np.max(np.abs(got_g - g)) <= 1e-12
+                    compared += 1
+        assert compared > 600 and failed > 0, (compared, failed)
+
+    def test_empty_utterance_and_errors_name_the_utterance(self):
+        u = make_rng(95).normal(size=(9, 4))
+        lengths = [2, 0, 3, 4]
+        losses, grad = C.ctc_loss_and_grad(u, [(0,), (), (1, 2), (2,)], lengths)
+        assert losses[1] == 0.0 and grad.shape == u.shape
+        want, _ = C.ctc_loss_and_grad(u[5:], (2,))
+        assert abs(losses[3] - want) <= 1e-12
+        with pytest.raises(C.InfeasibleLabel) as info:
+            C.ctc_loss_and_grad(u, [(0,), (), (1, 1, 1), (2,)], lengths)
+        assert info.value.utterance == 2
+        u[6, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite") as info:
+            C.ctc_loss_and_grad(u, [(0,), (), (1, 2), (2,)], lengths)
+        assert info.value.utterance == 3
+
+
 class TestGreedy:
     def test_hand_case(self):
         # frame argmaxes: a a blank a b b  -> (a, a, b)

@@ -1,8 +1,15 @@
+import importlib.util
+import tracemalloc
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from oracles import train_step_per_utterance
+from rcasr import cli  # noqa: F401  (the benchmark tracer wraps every rcasr module)
 from rcasr import corpus as corpus_mod
 from rcasr import ctc as ctc_mod
+from rcasr import network as N
 from rcasr import trainer as T
 from rcasr.network import build_network, catalog
 from rcasr.numerics import adam_step, load_checkpoint, make_rng
@@ -45,6 +52,10 @@ class TestTrainBasics:
             T.TrainConfig(lr=-1.0)
         with pytest.raises(ValueError):
             T.TrainConfig(batch_size=0)
+        with pytest.raises(ValueError, match="epochs"):
+            T.TrainConfig(epochs=-2)
+        with pytest.raises(ValueError, match="checkpoint_every"):
+            T.TrainConfig(checkpoint_every=-1)
 
     def test_infeasible_utterances_skipped_with_warning(self, caplog):
         corp, part = small_setup()
@@ -68,6 +79,133 @@ class TestTrainBasics:
                             seed=6, dropout=0.0)
         with pytest.raises((T.TrainingAborted, ValueError), match="epoch|non-finite"):
             T.train(cfg, corp, part)
+
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    def test_abort_names_the_failing_utterance(self):
+        corp, part = small_setup()
+        bad = corp[part.train[3]]
+        bad.features[1, 2] = np.inf
+        cfg = T.TrainConfig(network="RC-small", lr=0.001, epochs=1, batch_size=32,
+                            seed=6, dropout=0.0)
+        with pytest.raises(T.TrainingAborted, match=f"epoch 1, batch 1, utterance '{bad.id}': "
+                                                    "non-finite pre-activations"):
+            T.train(cfg, corp, part)
+
+
+class TestChunks:
+    def test_chunks_cut_consecutive_runs_within_the_budget(self, monkeypatch):
+        net = build_network(catalog()["RC-small"], output_units=4)
+        monkeypatch.setattr(N, "_CHUNK_BYTES", 10 * net.frame_bytes)
+        lengths = [3, 4, 3, 12, 1, 2, 9, 9]
+        assert list(net.chunks(lengths)) == [(0, 3), (3, 4), (4, 6), (6, 7), (7, 8)]
+        assert list(net.chunks([])) == []
+
+    @pytest.mark.parametrize("name", ["RC-small", "CR2-toy", "Res-RC2-toy"])
+    def test_chunk_matches_per_utterance_oracle(self, name):
+        # lengths differ by more than 2x and one utterance has a single frame
+        rng = make_rng(80)
+        lengths = [1, 23, 9, 4, 17, 2]
+        xs = [rng.normal(size=(t, 39)) for t in lengths]
+        labels = [tuple(int(v) for v in rng.integers(0, 10, size=max(1, t // 3)))
+                  for t in lengths]
+        net = build_network(catalog()[name], output_units=11, rng=make_rng(81),
+                            dropout_override=0.0)
+        logits, ctxs = net.forward(xs, training=True)
+        losses, dlogits = ctc_mod.ctc_loss_and_grad(logits, labels, lengths)
+        dxs = np.split(net.backward(ctxs, dlogits), np.cumsum(lengths)[:-1])
+        chunked = {name: p.grad.copy() for name, p in net.store.entries.items()}
+        net.store.zero_grads()
+        want_losses, want_dxs = train_step_per_utterance(net, xs, labels)
+        assert np.max(np.abs(losses - want_losses)) <= 1e-12
+        for dx, want in zip(dxs, want_dxs):
+            assert np.max(np.abs(dx - want)) <= 1e-12
+        for param, p in net.store.entries.items():
+            assert np.max(np.abs(chunked[param] - p.grad)) <= 1e-12, param
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTrainingMemoryBounded:
+    def test_toy_batch_peak_follows_the_chunk_budget(self, monkeypatch):
+        # one mini-batch of 32 toy utterances (mean T about 26): its peak is
+        # one chunk's contexts (the budget) plus one step's transient arrays
+        # over that chunk (at most about as much again); the whole batch at
+        # once keeps several times the budget in contexts alone
+        spec = corpus_mod.SyntheticSpec.default(n_phonemes=10, rng=make_rng(82, 1), sigma=0.15)
+        spec.duration_range = (3, 4)
+        spec.sentence_length_range = (6, 9)
+        corp = corpus_mod.generate_synthetic(spec, 32, make_rng(82, 2))
+        cfg = T.TrainConfig(network="RC-small", epochs=1, batch_size=32, seed=7, dropout=0.0)
+        bound = 3 * N._CHUNK_BYTES
+        assert _traced_peak(lambda: T.train(cfg, corp)) <= bound
+        monkeypatch.setattr(N, "_CHUNK_BYTES", 1 << 40)
+        assert _traced_peak(lambda: T.train(cfg, corp)) > bound
+
+    def test_paper_size_utterances_run_one_at_a_time(self):
+        # one RC1 utterance of 3 s keeps about 145 MiB of contexts, far over
+        # the budget: a batch of two peaks no higher than one utterance plus
+        # the logits of the other
+        alphabet = ctc_mod.timit_alphabet()
+        rng = make_rng(83)
+
+        def corpus_of(n):
+            return corpus_mod.Corpus(alphabet=alphabet, utterances={
+                f"u{i}": corpus_mod.Utterance(
+                    id=f"u{i}", features=rng.normal(size=(300, 39)),
+                    labels=tuple(rng.choice(alphabet.non_blank, size=40)))
+                for i in range(n)})
+
+        cfg = T.TrainConfig(network="RC1", epochs=1, batch_size=2, seed=8, dropout=0.0)
+        one = _traced_peak(lambda: T.train(cfg, corpus_of(1)))
+        two = _traced_peak(lambda: T.train(cfg, corpus_of(2)))
+        assert two <= one + 300 * alphabet.size * 8
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _all_steps(steps):
+    for step in steps:
+        yield step
+        yield from _all_steps(getattr(step, "inner", ()))
+
+
+@pytest.mark.parametrize("name", ["RC-small", "Res-RC2-toy"])
+def test_benchmark_tracer_sees_chunked_training(name, tiny_corpus, tiny_partition):
+    """The benchmark's tracer (perfbench/tracing.py) times each step kind
+    and counts conv2d flops from step inputs and contexts; chunked training
+    must keep every step visible to it."""
+    tracing = _load_tracer()
+    steps = list(_all_steps(build_network(catalog()[name], output_units=4).steps))
+    assert all(type(s).__name__ in tracing.STEP_KINDS for s in steps)
+    cfg = T.TrainConfig(network=name, lr=0.001, batch_size=8, epochs=1, seed=9, dropout=0.0)
+    with tracing.Tracer() as tracer:
+        T.train(cfg, tiny_corpus, tiny_partition)
+    for kind in {tracing.STEP_KINDS[type(s).__name__] for s in steps}:
+        assert tracer.durations[f"network.{kind}.forward"], kind
+        assert tracer.durations[f"network.{kind}.backward"], kind
+    # each conv's F is the width of the last recurrent layer before it; a
+    # training frame costs one forward and a twice-as-costly backward
+    width = [s for s in steps if isinstance(s, N._Recurrent)][-1].hidden
+    per_frame = sum(2 * s.out_maps * 9 * s.in_maps * width
+                    for s in steps if isinstance(s, N._Conv2d))
+    frames = {split: sum(tiny_corpus[i].n_frames for i in ids if tiny_corpus[i].ctc_feasible)
+              for split, ids in (("train", tiny_partition.train), ("val", tiny_partition.val))}
+    assert tracer.counts["network.conv2d.flops"] == per_frame * (3 * frames["train"]
+                                                                 + frames["val"])
 
 
 class TestDeterminism:
