@@ -29,7 +29,7 @@ from rcasr.network import _Conv2d, _ResidualBlock
 from rcasr.numerics import ParameterStore
 
 store = ParameterStore()
-inner = [_Conv2d(store, "f", 2, 2, make_rng(1), np.float64)]
+inner = [_Conv2d(store, "f", 2, 2, make_rng(1))]
 for p in store.entries.values():
     p.value[...] = 0.0
 block = _ResidualBlock(inner, alpha=1.0)

@@ -133,25 +133,38 @@ def cmd_synth(args):
     return EXIT_OK
 
 
+# spec file key -> (value type, number of values)
+_SPEC_KEYS = {"n_phonemes": (int, 1), "sigma": (float, 1), "duration": (int, 2),
+              "sentence": (int, 2), "seed": (int, 1)}
+
+
 def _load_synth_spec(path):
     """Spec file: `n_phonemes N`, `sigma S`, `duration LO HI`, `sentence LO HI`,
-    `seed K` lines; means/transitions are drawn from the seed."""
-    fields = {}
+    `seed K` lines, each optional; means/transitions are drawn from the seed.
+    A malformed line is a ValueError naming the path and line."""
+    fields = {"n_phonemes": (10,), "sigma": (0.25,), "seed": (0,)}
     with open(path) as fh:
         for ln, line in enumerate(fh, start=1):
-            parts = line.split()
-            if not parts or parts[0].startswith("#"):
+            parts = line.split("#", 1)[0].split()
+            if not parts:
                 continue
-            fields[parts[0]] = parts[1:]
+            key, values = parts[0], parts[1:]
+            try:
+                if key not in _SPEC_KEYS:
+                    raise ValueError(f"unknown key {key!r}")
+                typ, count = _SPEC_KEYS[key]
+                if len(values) != count:
+                    raise ValueError(f"{key} takes {count} value(s), got {len(values)}")
+                fields[key] = tuple(typ(v) for v in values)
+                if count == 2 and not 1 <= fields[key][0] <= fields[key][1]:
+                    raise ValueError(f"{key} range needs 1 <= lo <= hi, got {' '.join(values)}")
+            except ValueError as exc:
+                raise ValueError(f"{path}:{ln}: {exc}") from None
     spec = corpus_mod.SyntheticSpec.default(
-        n_phonemes=int(fields.get("n_phonemes", ["10"])[0]),
-        rng=make_rng(int(fields.get("seed", ["0"])[0]), 10),
-        sigma=float(fields.get("sigma", ["0.25"])[0]),
-    )
-    if "duration" in fields:
-        spec.duration_range = (int(fields["duration"][0]), int(fields["duration"][1]))
-    if "sentence" in fields:
-        spec.sentence_length_range = (int(fields["sentence"][0]), int(fields["sentence"][1]))
+        n_phonemes=fields["n_phonemes"][0], rng=make_rng(fields["seed"][0], 10),
+        sigma=fields["sigma"][0])
+    spec.duration_range = fields.get("duration", spec.duration_range)
+    spec.sentence_length_range = fields.get("sentence", spec.sentence_length_range)
     return spec
 
 
@@ -192,8 +205,7 @@ def cmd_partition(args):
         if len(sizes) != 3:
             raise UsageError("--sizes wants three comma-separated counts")
     parts = corpus_mod.make_partitions(
-        corp, n_partitions=args.candidates, rng=make_rng(args.seed, 20), sizes=sizes,
-        seed=args.seed)
+        corp, n_partitions=args.candidates, rng=make_rng(args.seed, 20), sizes=sizes)
     chosen = corpus_mod.select_partition(parts, corp, budget_epochs=args.budget_epochs) \
         if args.candidates > 1 else parts[0]
     corpus_mod.save_partition(chosen, args.out)
@@ -217,7 +229,6 @@ def cmd_train(args):
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
     corp, part = _load_training_inputs(args)
-    os.makedirs(args.out, exist_ok=True)
     cfg = trainer.TrainConfig(
         network=net_config, lr=args.lr, batch_size=args.batch_size,
         epochs=args.epochs, seed=args.seed, dropout=args.dropout,

@@ -67,7 +67,6 @@ class Partition:
     train: tuple
     val: tuple
     test: tuple
-    seed: int = 0
 
     def check_covers(self, corpus):
         groups = [set(self.train), set(self.val), set(self.test)]
@@ -79,20 +78,19 @@ class Partition:
         return self
 
 
-def scaled_split_sizes(n, full_split=DEFAULT_SPLIT):
-    """Shrink the default 5000/1000/300 split proportionally to n utterances."""
-    total = sum(full_split)
-    test = max(1, round(n * full_split[2] / total))
-    val = max(1, round(n * full_split[1] / total))
+def scaled_split_sizes(n):
+    """Shrink the DEFAULT_SPLIT of 5000/1000/300 proportionally to n utterances."""
+    total = sum(DEFAULT_SPLIT)
+    test = max(1, round(n * DEFAULT_SPLIT[2] / total))
+    val = max(1, round(n * DEFAULT_SPLIT[1] / total))
     train = n - val - test
     if train < 1:
         raise ValueError(f"corpus of {n} utterances is too small to split (need >= 3)")
     return train, val, test
 
 
-def make_partitions(corpus, n_partitions=6, rng=None, sizes=None, seed=0):
-    """Draw seed-deterministic random train/val/test splits."""
-    rng = rng if rng is not None else np.random.default_rng(seed)
+def make_partitions(corpus, n_partitions, rng, sizes=None):
+    """Draw n_partitions random train/val/test splits from rng."""
     ids = corpus.ids()
     n = len(ids)
     n_train, n_val, n_test = sizes if sizes is not None else scaled_split_sizes(n)
@@ -107,7 +105,6 @@ def make_partitions(corpus, n_partitions=6, rng=None, sizes=None, seed=0):
             train=tuple(order[:n_train]),
             val=tuple(order[n_train:n_train + n_val]),
             test=tuple(order[n_train + n_val:]),
-            seed=seed,
         )
         parts.append(part.check_covers(corpus))
     return parts
@@ -185,9 +182,9 @@ class SyntheticSpec:
         return self.means.shape[1]
 
     @classmethod
-    def default(cls, n_phonemes=10, feature_dim=39, rng=None, sigma=0.25):
+    def default(cls, n_phonemes=10, rng=None, sigma=0.25):
         rng = rng if rng is not None else np.random.default_rng(0)
-        means = rng.normal(0.0, 1.0, size=(n_phonemes, feature_dim))
+        means = rng.normal(0.0, 1.0, size=(n_phonemes, feats.N_FEATURES))
         transitions = rng.dirichlet(np.ones(n_phonemes) * 2.0, size=n_phonemes)
         start = rng.dirichlet(np.ones(n_phonemes) * 2.0)
         return cls(means=means, transitions=transitions, start_probs=start, sigma=sigma)
@@ -233,24 +230,22 @@ def save_corpus(corpus, root):
             fh.write(" ".join(utt.labels) + "\n")
 
 
-def load_corpus(root, alphabet=None):
+def load_corpus(root):
     """Load a corpus directory; wav audio is run through the MFCC front end.
 
-    Alphabet resolution: explicit argument, else ``root/alphabet.txt``, else
-    the built-in 61-phone set.  Transcript symbols outside the alphabet are
-    a hard error.
+    The alphabet is ``root/alphabet.txt``, else the built-in 61-phone set.
+    Transcript symbols outside the alphabet are a hard error.
     """
     root = str(root)
     feat_dir = os.path.join(root, "feat")
     wav_dir = os.path.join(root, "wav")
     phn_dir = os.path.join(root, "phn")
-    if alphabet is None:
-        alpha_path = os.path.join(root, "alphabet.txt")
-        if os.path.exists(alpha_path):
-            with open(alpha_path) as fh:
-                alphabet = Alphabet(non_blank=tuple(fh.read().split()))
-        else:
-            alphabet = timit_alphabet()
+    alpha_path = os.path.join(root, "alphabet.txt")
+    if os.path.exists(alpha_path):
+        with open(alpha_path) as fh:
+            alphabet = Alphabet(non_blank=tuple(fh.read().split()))
+    else:
+        alphabet = timit_alphabet()
 
     entries = []
     if os.path.isdir(feat_dir):

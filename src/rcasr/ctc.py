@@ -12,8 +12,6 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from .lm import HISTORY
-
 NEG_INF = float("-inf")
 
 
@@ -332,14 +330,13 @@ def greedy_decode(y):
     return collapse(np.argmax(y, axis=1), blank)
 
 
-def beam_decode(y, width=16, lm=None, lam=0.3, alphabet=None):
-    """Prefix beam search; returns hypotheses as (label_ids, ctc_log_prob).
+def beam_decode(y, width=16):
+    """Prefix beam search; returns hypotheses as (label_ids, ctc_log_prob),
+    best first.
 
-    Each live prefix keeps separate blank/non-blank log masses.  With an
-    n-gram model attached, every label extension also adds
-    lam * forward LM log probability to the pruning score (the reported
-    score stays the pure CTC log probability).  width=None disables pruning,
-    which makes the top hypothesis the exact most probable labelling.
+    Each live prefix keeps separate blank/non-blank log masses.  width=None
+    disables pruning, which makes the top hypothesis the exact most probable
+    labelling.
 
     Each frame is one (W, L) candidate matrix over the W live prefixes:
     column 0 is the prefix itself, column c + 1 the prefix extended by label
@@ -350,8 +347,6 @@ def beam_decode(y, width=16, lm=None, lam=0.3, alphabet=None):
     """
     if width is not None and width < 1:
         raise ValueError(f"beam width must be >= 1, got {width}")
-    if lm is not None and alphabet is None:
-        raise ValueError("beam_decode needs an alphabet to query the language model")
     y = np.asarray(y, dtype=np.float64)
     T, L = y.shape
     blank = L - 1
@@ -361,8 +356,6 @@ def beam_decode(y, width=16, lm=None, lam=0.3, alphabet=None):
     prefixes = [()]
     pb = np.array([0.0])      # log mass of paths ending in blank
     pnb = np.array([NEG_INF])  # log mass of paths ending in the last label
-    # live prefix -> its LM bonus followed by the bonuses of its L-1 extensions
-    lm_rows = {(): _lm_row(lm, lam, alphabet, (), 0.0, blank)} if lm is not None else None
 
     for t in range(T):
         n = len(prefixes)
@@ -401,10 +394,7 @@ def beam_decode(y, width=16, lm=None, lam=0.3, alphabet=None):
                 live[i, cell] = False
 
         cand = np.flatnonzero(live)
-        score = np.logaddexp(b, nb)
-        if lm is not None:
-            score += np.array([lm_rows[p] for p in prefixes])
-        score = score.ravel()[cand]
+        score = np.logaddexp(b, nb).ravel()[cand]
         if width is not None and cand.size > width:
             # the width best; of those tied with the worst kept, the earliest cells
             cut = np.partition(score, cand.size - width)[cand.size - width]
@@ -417,24 +407,10 @@ def beam_decode(y, width=16, lm=None, lam=0.3, alphabet=None):
                     for i, c in zip(rows.tolist(), cols.tolist())]
         pb = b.ravel()[cand]
         pnb = nb.ravel()[cand]
-        if lm is not None:
-            lm_rows = {
-                p: lm_rows[p] if p in lm_rows
-                else _lm_row(lm, lam, alphabet, p, lm_rows[p[:-1]][p[-1] + 1], blank)
-                for p in prefixes
-            }
 
     final = np.logaddexp(pb, pnb)
-    fused = final + np.array([lm_rows[p][0] for p in prefixes]) if lm is not None else final
-    order = np.argsort(-fused, kind="stable")
+    order = np.argsort(-final, kind="stable")
     return [(prefixes[k], float(final[k])) for k in order]
-
-
-def _lm_row(lm, lam, alphabet, prefix, bonus, blank):
-    """[bonus, bonus + lam * log P(c | prefix) for each label c < blank]."""
-    context = alphabet.decode(prefix[-HISTORY:])    # all the model reads
-    logp = np.array(lm.forward_logprobs(alphabet.non_blank[:blank], context))
-    return np.concatenate([[bonus], bonus + lam * logp])
 
 
 def format_hypotheses(utt_id, hyps, alphabet):

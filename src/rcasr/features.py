@@ -40,9 +40,9 @@ class AudioClip:
             raise ValueError(f"non-positive sample rate {self.sample_rate}")
 
 
-def hamming_window(length=FRAME_LENGTH):
-    n = np.arange(length)
-    return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (length - 1))
+def hamming_window():
+    n = np.arange(FRAME_LENGTH)
+    return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (FRAME_LENGTH - 1))
 
 
 _HAMMING = hamming_window()
@@ -70,8 +70,8 @@ def frame_and_window(clip, preemphasis=PREEMPHASIS):
     return x[idx] * _HAMMING[None, :]
 
 
-def power_spectrum(frame, fft_size=FFT_SIZE):
-    spec = np.fft.rfft(frame, n=fft_size)
+def power_spectrum(frame):
+    spec = np.fft.rfft(frame, n=FFT_SIZE)
     return (spec.real ** 2 + spec.imag ** 2)
 
 
@@ -83,15 +83,16 @@ def mel_to_hz(m):
     return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
-def mel_filterbank(n_mels=N_MELS, fft_size=FFT_SIZE, sample_rate=SAMPLE_RATE,
-                   f_min=0.0, f_max=None):
-    """Triangular mel filters as an (n_mels, fft_size//2 + 1) weight matrix."""
-    if f_max is None:
-        f_max = sample_rate / 2.0
-    mel_points = np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)
-    bins = np.floor((fft_size + 1) * mel_to_hz(mel_points) / sample_rate).astype(int)
-    fbank = np.zeros((n_mels, fft_size // 2 + 1))
-    for m in range(1, n_mels + 1):
+# the filters' edges and centres: N_MELS + 2 points equally spaced in mel
+# from 0 Hz to the Nyquist frequency
+_MEL_POINTS_HZ = mel_to_hz(np.linspace(hz_to_mel(0.0), hz_to_mel(SAMPLE_RATE / 2.0), N_MELS + 2))
+
+
+def mel_filterbank():
+    """Triangular mel filters as an (N_MELS, FFT_SIZE//2 + 1) weight matrix."""
+    bins = np.floor((FFT_SIZE + 1) * _MEL_POINTS_HZ / SAMPLE_RATE).astype(int)
+    fbank = np.zeros((N_MELS, FFT_SIZE // 2 + 1))
+    for m in range(1, N_MELS + 1):
         left, center, right = bins[m - 1], bins[m], bins[m + 1]
         for k in range(left, center):
             fbank[m - 1, k] = (k - left) / max(center - left, 1)
@@ -100,12 +101,9 @@ def mel_filterbank(n_mels=N_MELS, fft_size=FFT_SIZE, sample_rate=SAMPLE_RATE,
     return fbank
 
 
-def filter_centers_hz(n_mels=N_MELS, sample_rate=SAMPLE_RATE, f_min=0.0, f_max=None):
+def filter_centers_hz():
     """Center frequency of each mel filter, in Hz."""
-    if f_max is None:
-        f_max = sample_rate / 2.0
-    mel_points = np.linspace(hz_to_mel(f_min), hz_to_mel(f_max), n_mels + 2)
-    return mel_to_hz(mel_points)[1:-1]
+    return _MEL_POINTS_HZ[1:-1].copy()
 
 
 def dct_matrix(n_out, n_in):
@@ -131,17 +129,18 @@ def mfcc(frames):
     return ceps
 
 
-def mfcc_matrix(clip, preemphasis=PREEMPHASIS):
-    return mfcc(frame_and_window(clip, preemphasis=preemphasis))
+def mfcc_matrix(clip):
+    return mfcc(frame_and_window(clip))
 
 
-def deltas(coeffs, window=DELTA_WINDOW):
+def deltas(coeffs):
     """Append regression deltas and delta-deltas: T x D -> T x 3D.
 
     Delta_t = sum_n n*(c_{t+n} - c_{t-n}) / (2 * sum_n n^2) with edge frames
     replicated; the second derivative is the delta of the delta.
     """
     coeffs = np.atleast_2d(np.asarray(coeffs, dtype=np.float64))
+    window = DELTA_WINDOW
 
     def one(track):
         padded = np.concatenate([
@@ -161,7 +160,7 @@ def deltas(coeffs, window=DELTA_WINDOW):
     return np.concatenate([coeffs, d1, d2], axis=1)
 
 
-def extract(clip, preemphasis=PREEMPHASIS):
+def extract(clip):
     """Full front end for one clip: T x 39 unnormalized features.
 
     The frame, hop and filterbank constants are fixed for SAMPLE_RATE, so a
@@ -169,7 +168,7 @@ def extract(clip, preemphasis=PREEMPHASIS):
     """
     if clip.sample_rate != SAMPLE_RATE:
         raise ValueError(f"expected {SAMPLE_RATE} Hz audio, got {clip.sample_rate} Hz")
-    return deltas(mfcc_matrix(clip, preemphasis=preemphasis))
+    return deltas(mfcc_matrix(clip))
 
 
 # -- corpus-level normalization ----------------------------------------------
@@ -249,9 +248,10 @@ def save_feature_dump(path, mat):
 
 
 def load_feature_dump(path):
+    """A T x D matrix; a malformed file is a ValueError naming path and line."""
     with open(path) as fh:
         header = fh.readline().split()
-        if len(header) != 2:
+        if len(header) != 2 or not all(v.isdecimal() for v in header):
             raise ValueError(f"{path}:1: malformed feature dump header")
         t, d = int(header[0]), int(header[1])
         rows = []
@@ -261,7 +261,10 @@ def load_feature_dump(path):
                 continue
             if len(vals) != d:
                 raise ValueError(f"{path}:{i}: expected {d} values, got {len(vals)}")
-            rows.append([float(v) for v in vals])
+            try:
+                rows.append([float(v) for v in vals])
+            except ValueError as exc:
+                raise ValueError(f"{path}:{i}: {exc}") from None
     if len(rows) != t:
         raise ValueError(f"{path}: header claims {t} rows, found {len(rows)}")
     return np.asarray(rows, dtype=np.float64)
@@ -275,9 +278,12 @@ def save_stats(path, stats):
 
 
 def load_stats(path):
-    with open(path) as fh:
-        mean = np.asarray([float(v) for v in fh.readline().split()])
-        std = np.asarray([float(v) for v in fh.readline().split()])
+    try:
+        with open(path) as fh:
+            mean = np.asarray([float(v) for v in fh.readline().split()])
+            std = np.asarray([float(v) for v in fh.readline().split()])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     if mean.size != std.size or mean.size == 0:
         raise ValueError(f"{path}: malformed stats file")
     return FeatureStats(mean=mean, std=std)

@@ -43,48 +43,31 @@ class NgramModel:
         for key in [(n, d) for n in ORDERS for d in "FB"]:
             self.counts.setdefault(key, {})
             self.totals.setdefault(key, {})
+        self._vocab_set = frozenset(self.vocab)
 
     # event space: every vocab symbol plus the end-of-sentence marker
     @property
     def event_count(self):
         return len(self.vocab) + 1
 
-    def conditionals(self, symbols, context, direction="F"):
-        """Interpolated smoothed P(s | context) for each s of `symbols`, one
-        direction.
+    def conditional(self, symbol, context, direction="F"):
+        """Interpolated smoothed P(symbol | context) for one direction.
 
         `context` is the preceding history (most recent last).  Only its last
         HISTORY symbols are read: each order slices its own last n-1 symbols
         after start-marker padding, and no order is longer than HISTORY + 1.
         """
         vocab = self._vocab_set
-        symbols = [s if s in vocab or s == EOS else UNK for s in symbols]
+        symbol = symbol if symbol in vocab or symbol == EOS else UNK
         context = tuple(s if s in vocab or s == BOS else UNK for s in tuple(context)[-HISTORY:])
-        probs = [0.0] * len(symbols)
+        p = 0.0
         for n in ORDERS:
             padded = (BOS,) * (n - 1) + context
             ctx = padded[len(padded) - (n - 1):]
             row = self.counts[(n, direction)].get(ctx, {})
             denom = self.totals[(n, direction)].get(ctx, 0) + self.smoothing_k * self.event_count
-            w = self.interp_weights[n]
-            probs = [p + w * ((row.get(s, 0) + self.smoothing_k) / denom) for p, s in zip(probs, symbols)]
-        return probs
-
-    def conditional(self, symbol, context, direction="F"):
-        """Interpolated smoothed P(symbol | context) for one direction."""
-        return self.conditionals((symbol,), context, direction)[0]
-
-    def forward_logprobs(self, symbols, context):
-        """Forward log P(s | context) for each s of `symbols`."""
-        return [math.log(p) for p in self.conditionals(symbols, context, "F")]
-
-    @property
-    def _vocab_set(self):
-        cached = getattr(self, "_vocab_cache", None)
-        if cached is None:
-            cached = frozenset(self.vocab)
-            self._vocab_cache = cached
-        return cached
+            p += self.interp_weights[n] * ((row.get(symbol, 0) + self.smoothing_k) / denom)
+        return p
 
 
 def _count_sentence(model, sentence, direction):
@@ -178,25 +161,52 @@ def save_lm(path, model):
 
 
 def load_lm(path):
+    """Read a save_lm file; a malformed line is a ValueError naming the path
+    and line."""
+    def bad(ln, msg):
+        return ValueError(f"{path}:{ln}: {msg}")
+
     with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "NGRAM-LM v1":
+        if fh.readline().strip() != "NGRAM-LM v1":
             raise ValueError(f"{path}: not an n-gram model file")
-        k = float(fh.readline().split()[1])
-        weights = dict(zip(ORDERS, map(float, fh.readline().split()[1:])))
-        mu = float(fh.readline().split()[1])
-        vocab = tuple(fh.readline().split()[1:])
-        model = NgramModel(vocab=vocab, smoothing_k=k, interp_weights=weights, mu=mu)
+        head = []
+        for ln, (key, count) in enumerate((("k", 1), ("weights", len(ORDERS)), ("mu", 1)), start=2):
+            parts = fh.readline().split()
+            if parts[:1] != [key] or len(parts) != count + 1:
+                raise bad(ln, f"expected `{key}` and {count} number(s)")
+            try:
+                head.append([float(v) for v in parts[1:]])
+            except ValueError as exc:
+                raise bad(ln, exc) from None
+        (k,), weights, (mu,) = head
+        vocab = fh.readline().split()
+        if vocab[:1] != ["vocab"]:
+            raise bad(5, "expected `vocab` and the symbols")
+        try:
+            model = NgramModel(vocab=tuple(vocab[1:]), smoothing_k=k,
+                               interp_weights=dict(zip(ORDERS, weights)), mu=mu)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+        # (order, direction) as written -> (counts, totals, context length)
+        tables = {(str(n), d): (model.counts[(n, d)], model.totals[(n, d)], n - 1)
+                  for n in ORDERS for d in "FB"}
         for ln, line in enumerate(fh, start=6):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) < 4:
-                raise ValueError(f"{path}:{ln}: malformed count line")
-            n = int(parts[0])
-            d = parts[1]
-            ctx = tuple(parts[2:-2])
-            sym, c = parts[-2], int(parts[-1])
-            model.counts[(n, d)].setdefault(ctx, {})[sym] = c
-            model.totals[(n, d)][ctx] = model.totals[(n, d)].get(ctx, 0) + c
+                raise bad(ln, "malformed count line")
+            n, d, ctx, sym, c = parts[0], parts[1], tuple(parts[2:-2]), parts[-2], parts[-1]
+            table = tables.get((n, d))
+            if table is None:
+                raise bad(ln, f"direction {d!r} is not F or B" if (n, "F") in tables
+                          else f"order {n!r} is not one of {ORDERS}")
+            counts, totals, width = table
+            if len(ctx) != width:
+                raise bad(ln, f"order {n} takes {width} context symbols, got {len(ctx)}")
+            if not c.isdecimal():
+                raise bad(ln, f"count {c!r} is not a non-negative integer")
+            c = int(c)
+            counts.setdefault(ctx, {})[sym] = c
+            totals[ctx] = totals.get(ctx, 0) + c
     return model

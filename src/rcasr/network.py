@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .numerics import DEFAULT_DTYPE, ParameterStore, glorot_init, make_rng
+from .numerics import ParameterStore, glorot_init, make_rng
 
 KERNEL = 3
 STRIDE = 1
@@ -239,9 +239,9 @@ class _Dropout:
 class _Affine:
     """Per-time-step x @ W + b; used for dense and linear_output layers."""
 
-    def __init__(self, store, name, in_dim, units, rng, dtype):
-        self.w = store.add(f"{name}/W", glorot_init((in_dim, units), rng, dtype))
-        self.b = store.add(f"{name}/b", np.zeros(units, dtype=dtype))
+    def __init__(self, store, name, in_dim, units, rng):
+        self.w = store.add(f"{name}/W", glorot_init((in_dim, units), rng))
+        self.b = store.add(f"{name}/b", np.zeros(units))
 
     def forward(self, x, training, rng):
         return x @ self.w.value + self.b.value, x
@@ -253,17 +253,17 @@ class _Affine:
 
 
 class _Recurrent:
-    """h_t = elu(W_xh x_t + W_hh h_{t-1} + b), h_0 = 0, in each utterance of
-    the chunk; backward is full BPTT.  Each time step is one GEMM over the
-    utterances still running (see _Chunk)."""
+    """h_t = elu(W_xh x_t + W_hh h_{t-1} + b) with alpha 1, h_0 = 0, in each
+    utterance of the chunk; backward is full BPTT.  Each time step is one
+    GEMM over the utterances still running (see _Chunk)."""
 
-    def __init__(self, store, name, in_dim, hidden, rng, dtype, alpha=1.0, layout=None):
-        self.alpha = alpha
+    def __init__(self, store, name, in_dim, hidden, rng, layout=None):
+        self.alpha = 1.0
         self.hidden = hidden
         self.layout = layout if layout is not None else _Layout()
-        self.w_xh = store.add(f"{name}/W_xh", glorot_init((in_dim, hidden), rng, dtype))
-        self.w_hh = store.add(f"{name}/W_hh", glorot_init((hidden, hidden), rng, dtype))
-        self.b = store.add(f"{name}/b", np.zeros(hidden, dtype=dtype))
+        self.w_xh = store.add(f"{name}/W_xh", glorot_init((in_dim, hidden), rng))
+        self.w_hh = store.add(f"{name}/W_hh", glorot_init((hidden, hidden), rng))
+        self.b = store.add(f"{name}/b", np.zeros(hidden))
 
     def forward(self, x, training, rng):
         chunk = self.layout.chunk_of(len(x))
@@ -364,12 +364,12 @@ class _Conv2d:
     utterance of a chunk has its own zero border and its own GEMMs, so none
     reads another's frames and its values do not depend on the chunk."""
 
-    def __init__(self, store, name, in_maps, out_maps, rng, dtype, layout=None):
+    def __init__(self, store, name, in_maps, out_maps, rng, layout=None):
         self.in_maps = in_maps
         self.out_maps = out_maps
         self.layout = layout if layout is not None else _Layout()
-        self.k = store.add(f"{name}/K", glorot_init((out_maps, in_maps, KERNEL, KERNEL), rng, dtype))
-        self.b = store.add(f"{name}/b", np.zeros(out_maps, dtype=dtype))
+        self.k = store.add(f"{name}/K", glorot_init((out_maps, in_maps, KERNEL, KERNEL), rng))
+        self.b = store.add(f"{name}/b", np.zeros(out_maps))
 
     def forward(self, x, training, rng):
         c, t, f = x.shape
@@ -467,7 +467,8 @@ class Network:
         self.input_dim = input_dim
         self.output_units = output_units
         self.layout = layout
-        # about what one frame keeps for backward: every layer's output
+        # about what one frame keeps for backward: every layer's output, in
+        # 8-byte floats
         self.frame_bytes = frame_bytes
 
     def forward(self, x, training=False, rng=None):
@@ -508,7 +509,7 @@ class Network:
 
 
 def build_network(config, input_dim=39, output_units=None, rng=None,
-                  dropout_override=None, dtype=DEFAULT_DTYPE):
+                  dropout_override=None):
     """Instantiate a config into a Network plus a fresh ParameterStore.
 
     output_units, when given, replaces the final layer's unit count (the
@@ -536,15 +537,15 @@ def build_network(config, input_dim=39, output_units=None, rng=None,
         elif spec.kind == "dropout":
             step = _Dropout(value if dropout_override is None else dropout_override)
         elif spec.kind == "recurrent":
-            step = _Recurrent(store, name, width, value, rng, dtype, layout=layout)
+            step = _Recurrent(store, name, width, value, rng, layout=layout)
             width = value
         elif spec.kind in ("dense", "linear_output"):
             if spec.kind == "linear_output" and output_units is not None:
                 value = output_units
-            step = _Affine(store, name, width, value, rng, dtype)
+            step = _Affine(store, name, width, value, rng)
             width = value
         else:
-            step = _Conv2d(store, name, maps, value, rng, dtype, layout=layout)
+            step = _Conv2d(store, name, maps, value, rng, layout=layout)
             maps = value
         frame_width += (maps or 1) * width
         return step
@@ -576,8 +577,7 @@ def build_network(config, input_dim=39, output_units=None, rng=None,
             steps.append(make_step(i, config.layers[i]))
             i += 1
 
-    return Network(config, store, steps, input_dim, width, layout,
-                   frame_width * np.dtype(dtype).itemsize)
+    return Network(config, store, steps, input_dim, width, layout, frame_width * 8)
 
 
 # -- config text format --------------------------------------------------------
@@ -658,14 +658,13 @@ def load_config(path):
 
 # -- catalog --------------------------------------------------------------------
 
-def _stack(name, *, conv_first, conv_maps, n_rec, hidden, dense_units,
-           out_units=62, rate=0.1):
+def _stack(name, *, conv_first, conv_maps, n_rec, hidden, dense_units):
     layers = []
 
     def rec_block():
         for _ in range(n_rec):
             layers.append(recurrent(hidden))
-            layers.append(dropout(rate))
+            layers.append(dropout())
 
     def conv_block():
         for m in conv_maps:
@@ -680,8 +679,8 @@ def _stack(name, *, conv_first, conv_maps, n_rec, hidden, dense_units,
         conv_block()
     layers.append(dense(dense_units))
     layers.append(elu())
-    layers.append(dropout(rate))
-    layers.append(linear_output(out_units))
+    layers.append(dropout())
+    layers.append(linear_output())
     return NetworkConfig(name=name, layers=layers)
 
 

@@ -1,8 +1,8 @@
 """Dense-array numerics shared by every other module.
 
-All math runs on plain numpy arrays in 64-bit precision by default; float32
-is an opt-in for speed.  Randomness always flows through :func:`make_rng`
-(PCG64), so any pipeline rerun with the same seed is bit-identical.
+All math runs on plain numpy arrays in 64-bit precision.  Randomness always
+flows through :func:`make_rng` (PCG64), so any pipeline rerun with the same
+seed is bit-identical.
 """
 
 import math
@@ -11,8 +11,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-
-DEFAULT_DTYPE = np.float64
 
 CHECKPOINT_MAGIC = b"RCNN1\x00"
 _DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1}
@@ -34,7 +32,7 @@ def make_rng(seed, *stream):
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def glorot_init(shape, rng, dtype=DEFAULT_DTYPE):
+def glorot_init(shape, rng):
     """Uniform draw in +-sqrt(6 / (fan_in + fan_out)).
 
     For rank >= 2 the trailing dimensions count as the receptive field
@@ -50,7 +48,7 @@ def glorot_init(shape, rng, dtype=DEFAULT_DTYPE):
         fan_in = shape[1] * receptive if len(shape) > 2 else shape[0]
         fan_out = shape[0] * receptive if len(shape) > 2 else shape[1]
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(dtype)
+    return rng.uniform(-limit, limit, size=shape)
 
 
 # -- parameter storage and Adam ---------------------------------------------

@@ -55,6 +55,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
+        if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass

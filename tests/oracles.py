@@ -420,17 +420,10 @@ def ctc_posterior_check(trellis):
     return out
 
 
-def _lm_increment(lm, lam, alphabet, prefix_ids, new_id):
-    context = alphabet.decode(prefix_ids)
-    return lam * math.log(lm.conditional(alphabet.non_blank[new_id], context, "F"))
-
-
-def beam_decode_by_dicts(y, width=16, lm=None, lam=0.3, alphabet=None):
+def beam_decode_by_dicts(y, width=16):
     """The dict-of-prefixes prefix beam search `rcasr.ctc.beam_decode`
-    replaced, frozen: per-extension tuple and dict work, and an LM bonus kept
-    for every prefix ever generated.  Only the LM query changed, from the
-    removed `forward_logprob(s, c)` to the `log(conditional(s, c, "F"))` it
-    returned."""
+    replaced, frozen (minus its forward-LM fusion): per-extension tuple and
+    dict work."""
     NEG_INF = float("-inf")
     y = np.asarray(y, dtype=np.float64)
     T, L = y.shape
@@ -439,10 +432,9 @@ def beam_decode_by_dicts(y, width=16, lm=None, lam=0.3, alphabet=None):
         ly = np.log(y)
 
     beams = {(): [0.0, NEG_INF]}   # prefix -> [log p_blank, log p_nonblank]
-    lm_bonus = {(): 0.0}
 
-    def fused(prefix, masses):
-        return np.logaddexp(masses[0], masses[1]) + lm_bonus[prefix]
+    def total(item):
+        return np.logaddexp(item[1][0], item[1][1])
 
     for t in range(T):
         nxt = {}
@@ -458,19 +450,14 @@ def beam_decode_by_dicts(y, width=16, lm=None, lam=0.3, alphabet=None):
                 src = lpb if (prefix and c == prefix[-1]) else lp_tot
                 if src == NEG_INF:
                     continue
-                new = prefix + (c,)
-                if new not in lm_bonus:
-                    lm_bonus[new] = lm_bonus[prefix] + (
-                        _lm_increment(lm, lam, alphabet, prefix, c) if lm is not None else 0.0
-                    )
-                ext = nxt.setdefault(new, [NEG_INF, NEG_INF])
+                ext = nxt.setdefault(prefix + (c,), [NEG_INF, NEG_INF])
                 ext[1] = np.logaddexp(ext[1], src + ly[t, c])
         if width is not None and len(nxt) > width:
-            ranked = sorted(nxt.items(), key=lambda kv: fused(kv[0], kv[1]), reverse=True)
+            ranked = sorted(nxt.items(), key=total, reverse=True)
             nxt = dict(ranked[:width])
         beams = nxt
 
-    order = sorted(beams.items(), key=lambda kv: fused(kv[0], kv[1]), reverse=True)
+    order = sorted(beams.items(), key=total, reverse=True)
     return [(prefix, float(np.logaddexp(m[0], m[1]))) for prefix, m in order]
 
 

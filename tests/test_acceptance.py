@@ -91,23 +91,23 @@ def _layer_instances(kind, rng):
     store = ParameterStore()
     if kind == "dense":
         d, u = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        layer = N._Affine(store, "p", d, u, rng, np.float64)
+        layer = N._Affine(store, "p", d, u, rng)
         x = rng.normal(size=(int(rng.integers(1, 5)), d))
         target = rng.normal(size=(x.shape[0], u))
     elif kind == "recurrent":
         d, h = int(rng.integers(1, 6)), int(rng.integers(1, 6))
-        layer = N._Recurrent(store, "p", d, h, rng, np.float64)
+        layer = N._Recurrent(store, "p", d, h, rng)
         x = rng.normal(size=(int(rng.integers(1, 5)), d))
         target = rng.normal(size=(x.shape[0], h))
     elif kind == "conv2d":
         ci, co = int(rng.integers(1, 4)), int(rng.integers(1, 4))
-        layer = N._Conv2d(store, "p", ci, co, rng, np.float64)
+        layer = N._Conv2d(store, "p", ci, co, rng)
         x = rng.normal(size=(ci, int(rng.integers(1, 5)), int(rng.integers(1, 5))))
         target = rng.normal(size=(co,) + x.shape[1:])
     elif kind == "residual":
         ci = int(rng.integers(1, 4))
-        inner = [N._Conv2d(store, "p", ci, ci, rng, np.float64), N._Elu(1.0),
-                 N._Conv2d(store, "q", ci, ci, rng, np.float64)]
+        inner = [N._Conv2d(store, "p", ci, ci, rng), N._Elu(1.0),
+                 N._Conv2d(store, "q", ci, ci, rng)]
         layer = N._ResidualBlock(inner, 1.0)
         x = rng.normal(size=(ci, int(rng.integers(1, 5)), int(rng.integers(1, 5))))
         target = rng.normal(size=x.shape)
@@ -209,8 +209,8 @@ def test_criterion_04_posterior_reconstruction_constant():
 def test_criterion_05_residual_identity():
     rng = make_rng(1005)
     store = ParameterStore()
-    inner = [N._Conv2d(store, "f1", 2, 2, rng, np.float64), N._Elu(1.0),
-             N._Conv2d(store, "f2", 2, 2, rng, np.float64)]
+    inner = [N._Conv2d(store, "f1", 2, 2, rng), N._Elu(1.0),
+             N._Conv2d(store, "f2", 2, 2, rng)]
     for p in store.entries.values():
         p.value[...] = 0.0
     block = N._ResidualBlock(inner, 1.0)
@@ -226,7 +226,7 @@ def test_criterion_05_residual_identity():
 def test_criterion_06_conv_shape_preservation():
     rng = make_rng(1006)
     store = ParameterStore()
-    layer = N._Conv2d(store, "c", 2, 3, rng, np.float64)
+    layer = N._Conv2d(store, "c", 2, 3, rng)
     for i in range(50):
         t, f = int(rng.integers(1, 40)), int(rng.integers(1, 40))
         y, _ = layer.forward(rng.normal(size=(2, t, f)), False, None)

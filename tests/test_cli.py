@@ -9,6 +9,7 @@ from rcasr import cli
 from rcasr import corpus as corpus_mod
 from rcasr import ctc as ctc_mod
 from rcasr import features as F
+from rcasr import lm as lm_mod
 from rcasr.network import build_network, load_config
 from rcasr.numerics import load_checkpoint, make_rng
 
@@ -52,6 +53,21 @@ class TestSynth:
         corp = corpus_mod.load_corpus(out)
         assert len(corp.alphabet.non_blank) == 4
         assert all(2 <= len(u.labels) <= 3 for u in corp.utterances.values())
+
+    @pytest.mark.parametrize("line, message", [
+        ("duration 3", "duration takes 2 value(s), got 1"),
+        ("n_phonemes x", "invalid literal for int() with base 10: 'x'"),
+        ("sentence 5 2", "sentence range needs 1 <= lo <= hi, got 5 2"),
+        ("durations 3 5", "unknown key 'durations'"),
+    ], ids=["one-bound", "non-numeric", "reversed-range", "unknown-key"])
+    def test_malformed_spec_data_error(self, tmp_path, capsys, line, message):
+        spec = tmp_path / "gen.spec"
+        spec.write_text(f"sigma 0.1\n{line}\n")
+        out = tmp_path / "c"
+        rc = cli.main(["synth", "--spec", str(spec), "--out", str(out), "--n", "5"])
+        assert rc == 2
+        assert f"{spec}:2: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -115,12 +131,12 @@ class TestTrain:
         assert rc == 2
         assert f"{cfg}: {message}" in capsys.readouterr().err
 
-
     @pytest.mark.parametrize("flag, value, message", [
         ("--epochs", "-2", "epochs must be >= 0"),
         ("--checkpoint-every", "-1", "checkpoint_every must be >= 0"),
         ("--batch-size", "0", "batch size must be >= 1"),
-    ], ids=["epochs", "checkpoint-every", "batch-size"])
+        ("--dropout", "1.5", "dropout must be in [0, 1), got 1.5"),
+    ], ids=["epochs", "checkpoint-every", "batch-size", "dropout"])
     def test_negative_schedule_data_error(self, tmp_path, tiny_corpus_dir, capsys,
                                           flag, value, message):
         out = tmp_path / "run"
@@ -128,7 +144,19 @@ class TestTrain:
                        "--out", str(out), flag, value])
         assert rc == 2
         assert message in capsys.readouterr().err
-        assert not list(out.glob("*.ckpt"))
+        assert not out.exists()
+
+    def test_non_numeric_feature_dump_data_error(self, tmp_path, tiny_corpus, capsys):
+        data = tmp_path / "data"
+        corpus_mod.save_corpus(tiny_corpus, data)
+        dump = data / "feat" / f"{tiny_corpus.ids()[3]}.txt"
+        lines = dump.read_text().splitlines()
+        lines[2] = " ".join(["abc"] + lines[2].split()[1:])
+        dump.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["train", "--config", "baseline", "--data", str(data),
+                       "--out", str(tmp_path / "run"), "--epochs", "1"])
+        assert rc == 2
+        assert f"{dump}:3: could not convert string to float: 'abc'" in capsys.readouterr().err
 
 
 class TestPartitionCmd:
@@ -174,6 +202,19 @@ class TestFeaturesCmd:
         assert rc == 2
         assert "u0.wav" in capsys.readouterr().err
 
+    def test_non_numeric_stats_data_error(self, tmp_path, capsys):
+        data = tmp_path / "raw"
+        (data / "wav").mkdir(parents=True)
+        (data / "phn").mkdir()
+        F.write_wav(data / "wav" / "u0.wav", F.AudioClip(make_rng(442).normal(scale=0.1, size=8000)))
+        (data / "phn" / "u0.txt").write_text("aa b\n")
+        stats = tmp_path / "stats.txt"
+        stats.write_text("x\n1\n")
+        rc = cli.main(["features", "--data", str(data), "--out", str(tmp_path / "out"),
+                       "--stats-in", str(stats)])
+        assert rc == 2
+        assert f"{stats}: could not convert string to float: 'x'" in capsys.readouterr().err
+
 
 class TestLmTrainCmd:
     def test_model_file_written(self, tmp_path, tiny_corpus_dir):
@@ -186,6 +227,18 @@ class TestLmTrainCmd:
         assert score(model, ("p0", "p1")) < 0.0
 
 
+def trained_posteriors(trained_tiny, corpus):
+    """utt_id -> the softmax of the trained toy model's logits, in-process."""
+    net = build_network(load_config(trained_tiny["netcfg"]), output_units=corpus.alphabet.size)
+    for name, p in load_checkpoint(trained_tiny["ckpt"]).entries.items():
+        net.store[name].value[...] = p.value
+    return {i: ctc_mod.softmax(net.forward(corpus[i].features)[0]) for i in corpus.ids()}
+
+
+# the LM file of test_malformed_lm_data_error, one line replaced per case
+LM_TEXT = "NGRAM-LM v1\nk 1\nweights 0.4 0.35 0.25\nmu 0.5\nvocab p0 p1 p2\n2 F <s> p0 3\n"
+
+
 class TestDecode:
     def test_beam_one_equals_greedy(self, tmp_path, trained_tiny, tiny_corpus_dir, tiny_corpus):
         out = tmp_path / "hyp.txt"
@@ -194,17 +247,45 @@ class TestDecode:
                        "--out", str(out)])
         assert rc == 0
         decoded = cli.read_hypotheses(out)
+        for utt_id, y in trained_posteriors(trained_tiny, tiny_corpus).items():
+            assert decoded[utt_id] == tiny_corpus.alphabet.decode(ctc_mod.greedy_decode(y)), utt_id
 
-        net_config = load_config(trained_tiny["netcfg"])
-        net = build_network(net_config, output_units=tiny_corpus.alphabet.size)
-        store = load_checkpoint(trained_tiny["ckpt"])
-        for name, p in store.entries.items():
-            net.store[name].value[...] = p.value
-        for utt_id in tiny_corpus.ids():
-            logits, _ = net.forward(tiny_corpus[utt_id].features)
-            greedy = tiny_corpus.alphabet.decode(
-                ctc_mod.greedy_decode(ctc_mod.softmax(logits)))
-            assert decoded[utt_id] == greedy, utt_id
+    def test_lm_rectifies_beam_hypotheses(self, tmp_path, trained_tiny, tiny_corpus_dir,
+                                          tiny_corpus):
+        lm_path, out = tmp_path / "m.lm", tmp_path / "hyp.txt"
+        assert cli.main(["lm-train", "--data", str(tiny_corpus_dir), "--out", str(lm_path)]) == 0
+        assert cli.main(["decode", "--ckpt", str(trained_tiny["ckpt"]),
+                         "--data", str(tiny_corpus_dir), "--beam", "4", "--lm", str(lm_path),
+                         "--lambda", "0.3", "--out", str(out)]) == 0
+        model = lm_mod.load_lm(lm_path)
+        want = []
+        for utt_id, y in trained_posteriors(trained_tiny, tiny_corpus).items():
+            hyps = [(tiny_corpus.alphabet.decode(h), s) for h, s in ctc_mod.beam_decode(y, width=4)]
+            seq, combined = lm_mod.rectify(model, hyps, 0.3)
+            want.append(f"{utt_id} {combined:.6f} {' '.join(seq)}".rstrip())
+        assert out.read_text().splitlines() == want
+
+    @pytest.mark.parametrize("line, replace, message", [
+        (2, None, "2: expected `k` and 1 number(s)"),
+        (3, "weights 0.5 0.5", "3: expected `weights` and 3 number(s)"),
+        (6, "5 F a b c d p0 3", "6: order '5' is not one of (2, 3, 4)"),
+        (6, "2 X <s> p0 3", "6: direction 'X' is not F or B"),
+        (6, "3 F p0 p1 3", "6: order 3 takes 2 context symbols, got 1"),
+        (6, "2 F <s> p0 x", "6: count 'x' is not a non-negative integer"),
+        (6, "2 F <s> p0 -1", "6: count '-1' is not a non-negative integer"),
+    ], ids=["header-only", "two-weights", "order-5", "direction", "short-context",
+            "non-integer-count", "negative-count"])
+    def test_malformed_lm_data_error(self, tmp_path, trained_tiny, tiny_corpus_dir, capsys,
+                                     line, replace, message):
+        lines = LM_TEXT.splitlines()
+        lines = lines[:1] if replace is None else lines[:line - 1] + [replace] + lines[line:]
+        lm_path, out = tmp_path / "bad.lm", tmp_path / "hyp.txt"
+        lm_path.write_text("\n".join(lines) + "\n")
+        rc = cli.main(["decode", "--ckpt", str(trained_tiny["ckpt"]),
+                       "--data", str(tiny_corpus_dir), "--lm", str(lm_path), "--out", str(out)])
+        assert rc == 2
+        assert f"{lm_path}:{message}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_lambda_zero_equals_no_lm(self, tmp_path, trained_tiny, tiny_corpus_dir):
         lm_path = tmp_path / "m.lm"

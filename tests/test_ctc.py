@@ -445,42 +445,6 @@ class TestBeam:
             assert np.exp(log_p) == pytest.approx(
                 ctc_prob_by_enumeration(y, lab), abs=1e-12)
 
-    def test_lm_fusion_zero_lambda_neutral(self):
-        from rcasr.lm import train_lm
-
-        alphabet = C.synthetic_alphabet(2)
-        model = train_lm([("p0", "p1"), ("p1", "p0"), ("p0", "p0")])
-        y = random_stochastic(make_rng(87), 5, 3)
-        plain = C.beam_decode(y, width=4)
-        fused = C.beam_decode(y, width=4, lm=model, lam=0.0, alphabet=alphabet)
-        assert [h[0] for h in plain] == [h[0] for h in fused]
-        for (_, a), (_, b) in zip(plain, fused):
-            assert a == pytest.approx(b, abs=1e-12)
-
-    def test_lm_fusion_breaks_ctc_ties(self):
-        from rcasr.lm import train_lm
-
-        alphabet = C.synthetic_alphabet(2)
-        # LM overwhelmingly prefers p0 sequences
-        model = train_lm([("p0",)] * 20 + [("p1",)])
-        y = np.array([[0.45, 0.45, 0.10]] * 2)
-        plain = C.beam_decode(y, width=None)
-        # pure CTC is ambivalent between the one-label sequences
-        p0 = dict(plain)[(0,)]
-        p1 = dict(plain)[(1,)]
-        assert p0 == pytest.approx(p1, abs=1e-12)
-        fused = C.beam_decode(y, width=None, lm=model, lam=5.0, alphabet=alphabet)
-        order = [h[0] for h in fused]
-        assert order.index((0,)) < order.index((1,))
-
-    def test_requires_alphabet_with_lm(self):
-        from rcasr.lm import train_lm
-
-        model = train_lm([("p0",)])
-        y = random_stochastic(make_rng(88), 2, 2)
-        with pytest.raises(ValueError, match="alphabet"):
-            C.beam_decode(y, lm=model)
-
 
 def posteriors(rng, kind, t, n_labels):
     """T x L rows of one kind: dirichlet `random`, `zeros` (about a third of
@@ -514,14 +478,6 @@ def oracle_cases(rng):
         yield posteriors(rng, kind, t, 62), 16
 
 
-def random_lm(rng, alphabet):
-    from rcasr.lm import train_lm
-
-    symbols = alphabet.non_blank
-    return train_lm([tuple(symbols[i] for i in rng.integers(0, len(symbols), int(rng.integers(1, 15))))
-                     for _ in range(40)])
-
-
 class TestBeamMatchesDictOracle:
     """The array-form search against the dict-of-prefixes search it replaced:
     the same prefixes in the same order, ties included."""
@@ -533,35 +489,16 @@ class TestBeamMatchesDictOracle:
             assert [h[0] for h in got] == [h[0] for h in want], (y.shape, width)
             assert [h[1] for h in got] == [h[1] for h in want], (y.shape, width)
 
-    @pytest.mark.parametrize("lam", [0.0, 0.3, 5.0])
-    def test_with_lm_fusion(self, lam):
-        rng = make_rng(90)
-        for n_labels, t, width in ((2, 4, None), (3, 4, None), (3, 30, 4), (12, 4, None),
-                                   (12, 40, 1), (12, 40, 16), (62, 2, None), (62, 40, 16)):
-            alphabet = C.synthetic_alphabet(n_labels - 1)
-            model = random_lm(rng, alphabet)
-            for kind in ("random", "zeros", "uniform"):
-                y = posteriors(rng, kind, t, n_labels)
-                kw = dict(lm=model, lam=lam, alphabet=alphabet)
-                got = C.beam_decode(y, width=width, **kw)
-                want = beam_decode_by_dicts(y, width=width, **kw)
-                assert [h[0] for h in got] == [h[0] for h in want], (y.shape, width, kind)
-                np.testing.assert_allclose([h[1] for h in got], [h[1] for h in want],
-                                           rtol=0.0, atol=1e-12)
-
 
 class TestBeamMemory:
-    @pytest.mark.parametrize("with_lm", [False, True])
-    def test_peak_independent_of_prefixes_generated(self, with_lm):
-        # the dict search kept an LM bonus for every prefix ever generated,
-        # O(T * W * L): over 100 MB already at T=300
+    def test_peak_independent_of_prefixes_generated(self):
+        # nothing may be kept per prefix ever generated, O(T * W * L): the
+        # dict search's LM bonuses took over 100 MB already at T=300
         rng = make_rng(91)
-        alphabet = C.timit_alphabet()
-        y = random_stochastic(rng, 600, alphabet.size)
-        kw = dict(lm=random_lm(rng, alphabet), alphabet=alphabet) if with_lm else {}
+        y = random_stochastic(rng, 600, C.timit_alphabet().size)
         tracemalloc.start()
         try:
-            C.beam_decode(y, width=16, **kw)
+            C.beam_decode(y, width=16)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

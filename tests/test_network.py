@@ -42,7 +42,7 @@ class TestElu:
 class TestRecurrent:
     def make(self, d, h, seed=1):
         store = ParameterStore()
-        return N._Recurrent(store, "r", d, h, make_rng(seed), np.float64), store
+        return N._Recurrent(store, "r", d, h, make_rng(seed)), store
 
     def test_zero_weights_zero_output(self):
         layer, store = self.make(3, 4)
@@ -109,7 +109,7 @@ class TestRecurrent:
 class TestConv2d:
     def make(self, c_in, c_out, seed=5):
         store = ParameterStore()
-        return N._Conv2d(store, "c", c_in, c_out, make_rng(seed), np.float64), store
+        return N._Conv2d(store, "c", c_in, c_out, make_rng(seed)), store
 
     def test_identity_kernel(self):
         layer, _ = self.make(1, 1)
@@ -324,7 +324,7 @@ class TestResidual:
 class TestDense:
     def test_backward_matches_finite_differences(self):
         store = ParameterStore()
-        layer = N._Affine(store, "d", 3, 5, make_rng(55), np.float64)
+        layer = N._Affine(store, "d", 3, 5, make_rng(55))
         x = make_rng(56).normal(size=(4, 3))
         target = make_rng(57).normal(size=(4, 5))
 
@@ -342,7 +342,7 @@ class TestDense:
         rng = make_rng(58)
         for seed in range(10):
             t, d, units = (int(v) for v in rng.integers(1, 9, size=3))
-            layer = N._Affine(ParameterStore(), "d", d, units, make_rng(seed), np.float64)
+            layer = N._Affine(ParameterStore(), "d", d, units, make_rng(seed))
             layer.b.value[...] = rng.normal(size=units)
             x = rng.normal(size=(t, d))
             y, _ = layer.forward(x, False, None)
