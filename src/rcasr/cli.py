@@ -16,6 +16,7 @@ from . import lm as lm_mod
 from . import evaluate, trainer
 from .network import build_network, catalog, dump_config, get_config, load_config
 from .numerics import load_checkpoint, make_rng
+from .textio import open_text
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -115,7 +116,7 @@ def build_parser():
 
 
 def _read_ids(path):
-    with open(path) as fh:
+    with open_text(path) as fh:
         return [line.strip() for line in fh if line.strip()]
 
 
@@ -143,7 +144,7 @@ def _load_synth_spec(path):
     `seed K` lines, each optional; means/transitions are drawn from the seed.
     A malformed line is a ValueError naming the path and line."""
     fields = {"n_phonemes": (10,), "sigma": (0.25,), "seed": (0,)}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             parts = line.split("#", 1)[0].split()
             if not parts:
@@ -160,9 +161,12 @@ def _load_synth_spec(path):
                     raise ValueError(f"{key} range needs 1 <= lo <= hi, got {' '.join(values)}")
             except ValueError as exc:
                 raise ValueError(f"{path}:{ln}: {exc}") from None
-    spec = corpus_mod.SyntheticSpec.default(
-        n_phonemes=fields["n_phonemes"][0], rng=make_rng(fields["seed"][0], 10),
-        sigma=fields["sigma"][0])
+    try:
+        spec = corpus_mod.SyntheticSpec.default(
+            n_phonemes=fields["n_phonemes"][0], rng=make_rng(fields["seed"][0], 10),
+            sigma=fields["sigma"][0])
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
     spec.duration_range = fields.get("duration", spec.duration_range)
     spec.sentence_length_range = fields.get("sentence", spec.sentence_length_range)
     return spec
@@ -291,7 +295,8 @@ def cmd_decode(args):
     if args.beam < 1:
         raise UsageError(f"beam width must be >= 1, got {args.beam}")
     net_config = _resolve_decode_config(args)
-    corp = corpus_mod.load_corpus(args.data)
+    ids = _read_ids(args.ids) if args.ids else None
+    corp = corpus_mod.load_corpus(args.data, ids)
     store = load_checkpoint(args.ckpt)
     net = build_network(net_config, output_units=corp.alphabet.size)
     _adopt_values(net.store, store)
@@ -299,7 +304,8 @@ def cmd_decode(args):
     if args.lm:
         _require_path(args.lm, "language model")
         model = lm_mod.load_lm(args.lm)
-    ids = _read_ids(args.ids) if args.ids else corp.ids()
+    if ids is None:
+        ids = corp.ids()
     lines = []
     for utt_id in ids:
         utt = corp[utt_id]
@@ -333,7 +339,7 @@ def _adopt_values(store, loaded):
 
 def read_hypotheses(path):
     hyps = {}
-    with open(path) as fh:
+    with open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
@@ -347,9 +353,13 @@ def read_hypotheses(path):
 def cmd_score(args):
     _require_path(args.refs, "reference directory")
     _require_path(args.hyps, "hypothesis file")
-    corp = corpus_mod.load_corpus(args.refs)
+    transcripts = corpus_mod.load_transcripts(args.refs)
     hyps = read_hypotheses(args.hyps)
-    refs = {utt_id: corp[utt_id].labels for utt_id in hyps}
+    for utt_id in hyps:
+        if utt_id not in transcripts:
+            raise ValueError(
+                f"{args.hyps}: utterance {utt_id!r} has no transcript under {args.refs}")
+    refs = {utt_id: transcripts[utt_id] for utt_id in hyps}
     report = evaluate.per(refs, hyps)
     report.to_csv(args.out)
     print(f"PER {report.aggregate:.4f} over {len(hyps)} utterances -> {args.out}")

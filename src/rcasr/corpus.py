@@ -16,6 +16,7 @@ import numpy as np
 
 from . import features as feats
 from .ctc import Alphabet, min_frames, timit_alphabet
+from .textio import open_text
 
 log = logging.getLogger(__name__)
 
@@ -50,16 +51,6 @@ class Corpus:
 
     def ids(self):
         return list(self.utterances)
-
-    def validate_labels(self):
-        known = set(self.alphabet.non_blank)
-        for utt in self.utterances.values():
-            if not utt.labels:
-                raise ValueError(f"utterance '{utt.id}' has an empty transcript")
-            for sym in utt.labels:
-                if sym not in known:
-                    raise ValueError(f"utterance '{utt.id}': symbol {sym!r} not in alphabet")
-        return self
 
 
 @dataclass
@@ -230,57 +221,90 @@ def save_corpus(corpus, root):
             fh.write(" ".join(utt.labels) + "\n")
 
 
-def load_corpus(root):
-    """Load a corpus directory; wav audio is run through the MFCC front end.
-
-    The alphabet is ``root/alphabet.txt``, else the built-in 61-phone set.
-    Transcript symbols outside the alphabet are a hard error.
-    """
+def _scan(root):
+    """The alphabet and the (utt_id, data path, kind, labels) entries of a
+    corpus directory, reading its transcripts but no features: every feature
+    or wav file needs a transcript, every transcript a file, and every label
+    must be in the alphabet."""
     root = str(root)
     feat_dir = os.path.join(root, "feat")
     wav_dir = os.path.join(root, "wav")
     phn_dir = os.path.join(root, "phn")
     alpha_path = os.path.join(root, "alphabet.txt")
     if os.path.exists(alpha_path):
-        with open(alpha_path) as fh:
+        with open_text(alpha_path) as fh:
             alphabet = Alphabet(non_blank=tuple(fh.read().split()))
     else:
         alphabet = timit_alphabet()
 
-    entries = []
+    files = []
     if os.path.isdir(feat_dir):
-        entries = [(f[:-4], os.path.join(feat_dir, f), "feat")
-                   for f in sorted(os.listdir(feat_dir)) if f.endswith(".txt")]
+        files = [(f[:-4], os.path.join(feat_dir, f), "feat")
+                 for f in sorted(os.listdir(feat_dir)) if f.endswith(".txt")]
     elif os.path.isdir(wav_dir):
-        entries = [(f[:-4], os.path.join(wav_dir, f), "wav")
-                   for f in sorted(os.listdir(wav_dir)) if f.endswith(".wav")]
-    if not entries:
+        files = [(f[:-4], os.path.join(wav_dir, f), "wav")
+                 for f in sorted(os.listdir(wav_dir)) if f.endswith(".wav")]
+    if not files:
         log.warning("load_corpus: no feature or wav files under %s", root)
-        return Corpus(utterances={}, alphabet=alphabet)
+        return alphabet, []
 
-    utterances = {}
-    for utt_id, path, kind in entries:
+    entries = []
+    for utt_id, path, kind in files:
         phn_path = os.path.join(phn_dir, f"{utt_id}.txt")
         if not os.path.exists(phn_path):
             raise FileNotFoundError(f"missing transcript for utterance '{utt_id}'")
-        with open(phn_path) as fh:
-            labels = tuple(fh.read().split())
+        with open_text(phn_path) as fh:
+            entries.append((utt_id, path, kind, tuple(fh.read().split())))
+    known = {utt_id for utt_id, _, _ in files}
+    for f in sorted(os.listdir(phn_dir)) if os.path.isdir(phn_dir) else []:
+        if f.endswith(".txt") and f[:-4] not in known:
+            raise FileNotFoundError(f"transcript '{f[:-4]}' has no feature or wav file")
+
+    symbols = set(alphabet.non_blank)
+    for utt_id, _, _, labels in entries:
+        if not labels:
+            raise ValueError(f"utterance '{utt_id}' has an empty transcript")
+        for sym in labels:
+            if sym not in symbols:
+                raise ValueError(f"utterance '{utt_id}': symbol {sym!r} not in alphabet")
+    return alphabet, entries
+
+
+def load_corpus(root, ids=None):
+    """Load a corpus directory; wav audio is run through the MFCC front end.
+
+    The alphabet is ``root/alphabet.txt``, else the built-in 61-phone set.
+    Transcript symbols outside the alphabet are a hard error.  `ids` keeps
+    only those utterances, so only they are read or run through the front
+    end; every transcript is still checked.
+    """
+    alphabet, entries = _scan(root)
+    if ids is not None:
+        wanted = set(ids)
+        missing = wanted - {utt_id for utt_id, _, _, _ in entries}
+        if missing:
+            raise ValueError(f"{root}: no utterance {min(missing)!r}")
+        entries = [e for e in entries if e[0] in wanted]
+    utterances = {}
+    for utt_id, path, kind, labels in entries:
         if kind == "feat":
             mat = feats.load_feature_dump(path)
         else:
             mat = feats.extract(feats.read_wav(path))
         utterances[utt_id] = Utterance(id=utt_id, labels=labels, features=mat)
-    for f in sorted(os.listdir(phn_dir)) if os.path.isdir(phn_dir) else []:
-        utt_id = f[:-4]
-        if f.endswith(".txt") and utt_id not in utterances:
-            raise FileNotFoundError(f"transcript '{utt_id}' has no feature or wav file")
 
-    corpus = Corpus(utterances=utterances, alphabet=alphabet).validate_labels()
+    corpus = Corpus(utterances=utterances, alphabet=alphabet)
     infeasible = [u.id for u in utterances.values() if not u.ctc_feasible]
     if infeasible:
         log.warning("load_corpus: %d utterances too short for their labels: %s",
                     len(infeasible), ", ".join(infeasible[:5]))
     return corpus
+
+
+def load_transcripts(root):
+    """utt_id -> labels of a corpus directory, with load_corpus's checks of
+    the file pairing and the labels but no feature or audio read."""
+    return {utt_id: labels for utt_id, _, _, labels in _scan(root)[1]}
 
 
 def save_partition(partition, out_dir):
@@ -295,6 +319,6 @@ def load_partition(part_dir):
     sets = {}
     for name in ("train", "val", "test"):
         path = os.path.join(part_dir, f"{name}.txt")
-        with open(path) as fh:
+        with open_text(path) as fh:
             sets[name] = tuple(line.strip() for line in fh if line.strip())
     return Partition(**sets)

@@ -15,6 +15,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .textio import open_text
+
 log = logging.getLogger(__name__)
 
 SAMPLE_RATE = 16000
@@ -249,7 +251,7 @@ def save_feature_dump(path, mat):
 
 def load_feature_dump(path):
     """A T x D matrix; a malformed file is a ValueError naming path and line."""
-    with open(path) as fh:
+    with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or not all(v.isdecimal() for v in header):
             raise ValueError(f"{path}:1: malformed feature dump header")

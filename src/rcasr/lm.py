@@ -12,6 +12,8 @@ import logging
 import math
 from dataclasses import dataclass, field
 
+from .textio import open_text
+
 log = logging.getLogger(__name__)
 
 BOS = "<s>"
@@ -104,24 +106,36 @@ def train_lm(corpus, smoothing_k=DEFAULT_K, interp_weights=None, mu=DEFAULT_MU):
     return model
 
 
-def _directional_score(model, seq, direction):
+def _directional_score(model, seq, direction, memo):
+    """One direction's log score, the plain sequential sum of the log
+    conditionals.  `memo` maps (direction, history, symbol) to a log
+    conditional already computed; rectify shares one across its hypotheses,
+    because an n-best list repeats most of its windows."""
     total = 0.0
     history = ()
     for sym in tuple(seq) + (EOS,):
-        total += math.log(model.conditional(sym, history, direction))
+        key = (direction, history, sym)
+        logp = memo.get(key)
+        if logp is None:
+            logp = memo[key] = math.log(model.conditional(sym, history, direction))
+        total += logp
         history = (history + (sym if sym in model._vocab_set else UNK,))[-HISTORY:]
     return total
 
 
-def score(model, seq):
-    """Bidirectional log score: mu * forward + (1 - mu) * backward."""
+def _score(model, seq, memo):
     seq = tuple(seq)
     unknown = [s for s in seq if s not in model._vocab_set]
     if unknown:
         log.warning("score: mapping %d out-of-vocabulary symbols to %s", len(unknown), UNK)
-    fwd = _directional_score(model, seq, "F")
-    bwd = _directional_score(model, tuple(reversed(seq)), "B")
+    fwd = _directional_score(model, seq, "F", memo)
+    bwd = _directional_score(model, tuple(reversed(seq)), "B", memo)
     return model.mu * fwd + (1.0 - model.mu) * bwd
+
+
+def score(model, seq):
+    """Bidirectional log score: mu * forward + (1 - mu) * backward."""
+    return _score(model, seq, {})
 
 
 def rectify(model, hypotheses, lam):
@@ -132,9 +146,10 @@ def rectify(model, hypotheses, lam):
     """
     if not hypotheses:
         raise ValueError("rectify: empty hypothesis list")
+    memo = {}
     best = None
     for seq, ctc_score in hypotheses:
-        combined = ctc_score + lam * score(model, seq)
+        combined = ctc_score + lam * _score(model, seq, memo)
         key = (combined, ctc_score)
         if best is None or key > best[0]:
             best = (key, tuple(seq))
@@ -166,7 +181,7 @@ def load_lm(path):
     def bad(ln, msg):
         return ValueError(f"{path}:{ln}: {msg}")
 
-    with open(path) as fh:
+    with open_text(path) as fh:
         if fh.readline().strip() != "NGRAM-LM v1":
             raise ValueError(f"{path}: not an n-gram model file")
         head = []

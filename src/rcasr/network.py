@@ -186,22 +186,59 @@ class _Layout:
 _CHUNK_BYTES = 3 << 20
 
 
-# in place on one new array, which keeps a chunk's transient memory to one
-# copy of x; the same arithmetic as np.where(x > 0, x, alpha * (exp - 1))
-def _elu_fwd(x, alpha):
-    y = np.minimum(x, 0.0)
-    np.exp(y, out=y)
-    y -= 1.0
-    y *= alpha
-    np.copyto(y, x, where=x > 0)
+# Elements per block of the ELU loops below: each block's passes run on
+# operands that stay in cache.  On RC1's 48 x 298 x 128 map stack (a Xeon
+# with 4 MiB of L2, medians of 25 interleaved runs) 4k / 8k / 16k / 32k /
+# 64k / 256k elements ran the forward in 12.7 / 10.2 / 8.9 / 9.0 / 9.3 /
+# 11.4 ms and the slope in 15.8 / 11.6 / 11.7 / 12.2 / 13.1 / 17.7 ms; the
+# masked whole-array forms took 29.7 and 26.0 ms.
+_ELU_BLOCK = 1 << 14
+
+
+def _blocks(x, y):
+    """(x, y) block pairs for the ELU loops, y C-contiguous of x's shape: the
+    arrays themselves when they fit one block (a recurrent step's rows), else
+    consecutive flat blocks of both."""
+    if x.size <= _ELU_BLOCK:
+        return [(x, y)]
+    xf, yf = np.ravel(x), y.reshape(-1)
+    return [(xf[a:a + _ELU_BLOCK], yf[a:a + _ELU_BLOCK]) for a in range(0, xf.size, _ELU_BLOCK)]
+
+
+def _elu_fwd(x, alpha, out=None):
+    """max(x, 0) + alpha * (exp(min(x, 0)) - 1), into `out` (C-contiguous)
+    or a new array.  Each term is exactly 0 where the other applies, so this
+    is np.where(x > 0, x, alpha * (exp(min(x, 0)) - 1)) without a mask."""
+    y = np.empty(x.shape, dtype=x.dtype) if out is None else out
+    blocks = _blocks(x, y)
+    scratch = np.empty_like(blocks[0][1])    # one buffer for every block
+    for xb, yb in blocks:
+        pos = scratch[:len(xb)]
+        np.minimum(xb, 0.0, out=yb)
+        np.exp(yb, out=yb)
+        yb -= 1.0
+        yb *= alpha
+        np.maximum(xb, 0.0, out=pos)
+        yb += pos
     return y
 
 
 def _elu_grad(x, alpha):
-    d = np.minimum(x, 0.0)
-    np.exp(d, out=d)
-    d *= alpha
-    d[x > 0] = 1.0
+    """The ELU slope, 1 where x > 0 and alpha * exp(x) elsewhere: d =
+    alpha * exp(min(x, 0)), then with h the 0/1 floats of x > 0, d -= d * h
+    and d += h."""
+    d = np.empty(x.shape, dtype=x.dtype)
+    blocks = _blocks(x, d)
+    h, dh = np.empty((2,) + blocks[0][1].shape, dtype=d.dtype)
+    for xb, db in blocks:
+        hb, dhb = h[:len(xb)], dh[:len(xb)]
+        np.minimum(xb, 0.0, out=db)
+        np.exp(db, out=db)
+        db *= alpha
+        np.greater(xb, 0.0, out=hb)
+        np.multiply(db, hb, out=dhb)
+        db -= dhb
+        db += hb
     return d
 
 
@@ -275,7 +312,7 @@ class _Recurrent:
         for t, n in enumerate(chunk.sizes):
             if t:
                 pre[a:a + n] += h[a - last:a - last + n] @ self.w_hh.value
-            h[a:a + n] = _elu_fwd(pre[a:a + n], self.alpha)
+            _elu_fwd(pre[a:a + n], self.alpha, out=h[a:a + n])
             a, last = a + n, n
         out = np.empty_like(h)
         out[chunk.packed] = h

@@ -498,6 +498,32 @@ def lm_directional_score_full_history(model, seq, direction):
     return total
 
 
+def lm_directional_score_unmemoised(model, seq, direction):
+    """One direction's log score with a fresh model.conditional per symbol,
+    as lm._directional_score was before rectify shared a memo."""
+    vocab = frozenset(model.vocab)
+    total = 0.0
+    history = ()
+    for sym in tuple(seq) + ("</s>",):
+        total += math.log(model.conditional(sym, history, direction))
+        history = (history + (sym if sym in vocab else "<unk>",))[-3:]
+    return total
+
+
+def lm_rectify_unmemoised(model, hypotheses, lam):
+    """lm.rectify before the memo: each hypothesis scored on its own."""
+    best = None
+    for seq, ctc_score in hypotheses:
+        seq = tuple(seq)
+        lm_score = (model.mu * lm_directional_score_unmemoised(model, seq, "F")
+                    + (1.0 - model.mu) * lm_directional_score_unmemoised(model, seq[::-1], "B"))
+        combined = ctc_score + lam * lm_score
+        key = (combined, ctc_score)
+        if best is None or key > best[0]:
+            best = (key, seq)
+    return best[1], best[0][0]
+
+
 def osa_distance_by_search(a, b):
     """Exhaustive edit-script search for the restricted (OSA) distance.
 

@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 
@@ -54,19 +55,21 @@ class TestSynth:
         assert len(corp.alphabet.non_blank) == 4
         assert all(2 <= len(u.labels) <= 3 for u in corp.utterances.values())
 
+    # the message follows the spec path; a line's own check names the line
     @pytest.mark.parametrize("line, message", [
-        ("duration 3", "duration takes 2 value(s), got 1"),
-        ("n_phonemes x", "invalid literal for int() with base 10: 'x'"),
-        ("sentence 5 2", "sentence range needs 1 <= lo <= hi, got 5 2"),
-        ("durations 3 5", "unknown key 'durations'"),
-    ], ids=["one-bound", "non-numeric", "reversed-range", "unknown-key"])
+        ("duration 3", ":2: duration takes 2 value(s), got 1"),
+        ("n_phonemes x", ":2: invalid literal for int() with base 10: 'x'"),
+        ("sentence 5 2", ":2: sentence range needs 1 <= lo <= hi, got 5 2"),
+        ("durations 3 5", ":2: unknown key 'durations'"),
+        ("sigma -1", ": sigma must be >= 0"),
+    ], ids=["one-bound", "non-numeric", "reversed-range", "unknown-key", "negative-sigma"])
     def test_malformed_spec_data_error(self, tmp_path, capsys, line, message):
         spec = tmp_path / "gen.spec"
         spec.write_text(f"sigma 0.1\n{line}\n")
         out = tmp_path / "c"
         rc = cli.main(["synth", "--spec", str(spec), "--out", str(out), "--n", "5"])
         assert rc == 2
-        assert f"{spec}:2: {message}" in capsys.readouterr().err
+        assert f"data error: {spec}{message}" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -401,6 +404,116 @@ class TestCompareCmd:
                        "--data", str(tiny_corpus_dir), "--out", str(tmp_path / "x"),
                        "--epochs", "1"])
         assert rc == 1
+
+
+class TestFrontEndCalls:
+    """decode runs the front end only for the clips it decodes; score never."""
+
+    @pytest.fixture
+    def wav_corpus(self, tmp_path):
+        data = tmp_path / "wavs"
+        (data / "wav").mkdir(parents=True)
+        (data / "phn").mkdir()
+        (data / "alphabet.txt").write_text("p0 p1 p2\n")
+        rng = make_rng(443)
+        for i in range(4):
+            F.write_wav(data / "wav" / f"u{i}.wav", F.AudioClip(rng.normal(scale=0.1, size=8000)))
+            (data / "phn" / f"u{i}.txt").write_text(f"p{i % 3} p{(i + 1) % 3}\n")
+        return data
+
+    @pytest.fixture
+    def extract_calls(self, monkeypatch):
+        calls = []
+
+        def counted(clip):
+            calls.append(clip)
+            return extract(clip)
+
+        extract = F.extract
+        monkeypatch.setattr(F, "extract", counted)
+        return calls
+
+    def test_decode_ids_extracts_only_listed(self, tmp_path, trained_tiny, wav_corpus,
+                                             extract_calls):
+        base = ["decode", "--ckpt", str(trained_tiny["ckpt"]), "--data", str(wav_corpus),
+                "--beam", "4"]
+        assert cli.main(base + ["--out", str(tmp_path / "all.txt")]) == 0
+        assert len(extract_calls) == 4
+        ids = tmp_path / "ids.txt"
+        ids.write_text("u2\n")
+        assert cli.main(base + ["--ids", str(ids), "--out", str(tmp_path / "one.txt")]) == 0
+        assert len(extract_calls) == 5
+        every = (tmp_path / "all.txt").read_text().splitlines()
+        assert (tmp_path / "one.txt").read_text().splitlines() == [every[2]]
+
+    def test_decode_unknown_id_data_error(self, tmp_path, trained_tiny, wav_corpus, capsys):
+        ids = tmp_path / "ids.txt"
+        ids.write_text("u1\nu9\n")
+        rc = cli.main(["decode", "--ckpt", str(trained_tiny["ckpt"]), "--data", str(wav_corpus),
+                       "--ids", str(ids), "--out", str(tmp_path / "h.txt")])
+        assert rc == 2
+        assert "'u9'" in capsys.readouterr().err
+
+    def test_score_reads_no_audio(self, tmp_path, wav_corpus, extract_calls, capsys):
+        hyps = tmp_path / "h.txt"
+        hyps.write_text("u0 0.0 p0 p1\nu3 0.0 p2\n")
+        out = tmp_path / "per.csv"
+        assert cli.main(["score", "--refs", str(wav_corpus), "--hyps", str(hyps),
+                         "--out", str(out)]) == 0
+        assert extract_calls == []
+        # u3's reference is p0 p1: one substitution and one deletion
+        assert out.read_text().splitlines()[-1] == "AGGREGATE,2,4,0.500000"
+        hyps.write_text("u0 0.0 p0\nu7 0.0 p1\n")
+        assert cli.main(["score", "--refs", str(wav_corpus), "--hyps", str(hyps),
+                         "--out", str(out)]) == 2
+        assert "'u7' has no transcript" in capsys.readouterr().err
+
+    def test_score_keeps_pairing_check(self, tmp_path, wav_corpus, capsys):
+        (wav_corpus / "wav" / "u1.wav").unlink()
+        hyps = tmp_path / "h.txt"
+        hyps.write_text("u0 0.0 p0 p1\n")
+        assert cli.main(["score", "--refs", str(wav_corpus), "--hyps", str(hyps),
+                         "--out", str(tmp_path / "per.csv")]) == 2
+        assert "transcript 'u1' has no feature or wav file" in capsys.readouterr().err
+
+
+class TestUndecodableText:
+    """Every text input whose bytes do not decode is a data error naming the
+    file."""
+
+    @pytest.mark.parametrize("target", [
+        "feat", "phn", "alphabet", "stats", "lm", "hyps", "ids", "partition", "spec"])
+    def test_names_the_file(self, tmp_path, tiny_corpus_dir, trained_tiny, capsys, target):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_corpus_dir, data)
+        first = sorted(os.listdir(data / "feat"))[0]
+        stats, lm, hyps, ids, spec = (tmp_path / name for name in (
+            "stats.txt", "m.lm", "h.txt", "ids.txt", "gen.spec"))
+        part = tmp_path / "part"
+        # a valid text file in every input a case does not break
+        hyps.write_text("")
+        part.mkdir()
+        for name in ("train", "val", "test"):
+            (part / f"{name}.txt").write_text("")
+        bad, argv = {
+            "feat": (data / "feat" / first, ["partition", "--data", str(data)]),
+            "phn": (data / "phn" / first, ["score", "--refs", str(data), "--hyps", str(hyps)]),
+            "alphabet": (data / "alphabet.txt", ["partition", "--data", str(data)]),
+            "stats": (stats, ["features", "--data", str(data), "--stats-in", str(stats)]),
+            "lm": (lm, ["decode", "--data", str(data), "--lm", str(lm),
+                        "--ckpt", str(trained_tiny["ckpt"]), "--beam", "1"]),
+            "hyps": (hyps, ["score", "--refs", str(data), "--hyps", str(hyps)]),
+            "ids": (ids, ["lm-train", "--data", str(data), "--ids", str(ids)]),
+            "partition": (part / "train.txt", ["train", "--config", "baseline",
+                                               "--data", str(data), "--partition", str(part)]),
+            "spec": (spec, ["synth", "--n", "2", "--spec", str(spec)]),
+        }[target]
+        bad.write_bytes(b"\xff\xfe 1 2\n" if target != "lm" else
+                        LM_TEXT.replace("vocab p0", "vocab p0 \xff").encode("latin-1"))
+        rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert f"data error: {bad}: " in err and "can't decode byte 0xff" in err
 
 
 class TestTopLevel:

@@ -3,7 +3,9 @@ import math
 import pytest
 
 from oracles import (lm_conditional_full_history, lm_directional_score_full_history,
-                     lm_order_conditional, lm_order_probability)
+                     lm_directional_score_unmemoised, lm_order_conditional, lm_order_probability,
+                     lm_rectify_unmemoised)
+from rcasr import ctc as ctc_mod
 from rcasr import lm as L
 from rcasr.numerics import make_rng
 
@@ -101,7 +103,7 @@ class TestHistoryBound:
     def test_score_on_long_sequence_exact(self):
         model, seq, _ = self.model_and_context()
         for d in "FB":
-            assert L._directional_score(model, seq, d) == lm_directional_score_full_history(model, seq, d)
+            assert L._directional_score(model, seq, d, {}) == lm_directional_score_full_history(model, seq, d)
         assert L.score(model, seq) == (
             model.mu * lm_directional_score_full_history(model, seq, "F")
             + (1.0 - model.mu) * lm_directional_score_full_history(model, tuple(reversed(seq)), "B"))
@@ -117,13 +119,13 @@ class TestScore:
         model = L.train_lm(small_corpus(), mu=1.0)
         seq = ("a", "b")
         assert L.score(model, seq) == pytest.approx(
-            L._directional_score(model, seq, "F"), abs=1e-15)
+            L._directional_score(model, seq, "F", {}), abs=1e-15)
 
     def test_mu_zero_is_pure_backward(self):
         model = L.train_lm(small_corpus(), mu=0.0)
         seq = ("a", "b")
         assert L.score(model, seq) == pytest.approx(
-            L._directional_score(model, tuple(reversed(seq)), "B"), abs=1e-15)
+            L._directional_score(model, tuple(reversed(seq)), "B", {}), abs=1e-15)
 
     def test_training_sentence_beats_permutation(self):
         # single-sentence corpus is enough to rank the real ordering first
@@ -176,6 +178,40 @@ class TestRectify:
         model = L.train_lm(small_corpus())
         with pytest.raises(ValueError):
             L.rectify(model, [], lam=0.1)
+
+
+class TestMemoisedRescoring:
+    """rectify's shared memo against the scoring it replaced, exactly."""
+
+    def model(self):
+        rng = make_rng(93)
+        return L.train_lm([tuple(f"p{i}" for i in rng.integers(0, 5, int(rng.integers(2, 12))))
+                           for _ in range(40)], mu=0.3)
+
+    def assert_exact(self, model, hyps, lam):
+        assert L.rectify(model, hyps, lam) == lm_rectify_unmemoised(model, hyps, lam)
+        memo = {}
+        for seq, _ in hyps:
+            for d, s in (("F", seq), ("B", tuple(reversed(seq)))):
+                assert L._directional_score(model, s, d, memo) == \
+                    lm_directional_score_unmemoised(model, s, d)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.3, 2.0])
+    def test_beam_output(self, lam):
+        # flat posteriors keep 16 long, overlapping hypotheses
+        alphabet = ctc_mod.synthetic_alphabet(6)
+        y = ctc_mod.softmax(make_rng(94).normal(scale=0.5, size=(80, alphabet.size)))
+        hyps = [(alphabet.decode(h), s) for h, s in ctc_mod.beam_decode(y, width=16)]
+        assert len(hyps) == 16
+        self.assert_exact(self.model(), hyps, lam)
+
+    def test_unknown_start_markers_and_duplicates(self):
+        model = self.model()
+        hyps = [(("p0", "zz", "p1"), -3.0), (("p0", L.UNK, "p1"), -3.5),
+                ((L.BOS, "p2", L.BOS), -4.0), (("zz", "yy", "p0", "p1"), -2.5),
+                (("p0", "zz", "p1"), -3.0), ((), -9.0), (("p0", "zz", "p1"), -3.25)]
+        for lam in (0.1, 1.0, 10.0):
+            self.assert_exact(model, hyps, lam)
 
 
 class TestSaveLoad:

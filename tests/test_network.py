@@ -3,8 +3,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import (conv2d_grads_by_loops, fd_gradient, max_relative_error, naive_matmul,
-                     recurrent_backward_by_steps, sliding_conv2d)
+from oracles import (_elu, _elu_slope, conv2d_grads_by_loops, fd_gradient, max_relative_error,
+                     naive_matmul, recurrent_backward_by_steps, sliding_conv2d)
 from rcasr import ctc as ctc_mod
 from rcasr import network as N
 from rcasr.numerics import ParameterStore, make_rng
@@ -37,6 +37,56 @@ class TestElu:
         e = N._Elu(0.5)
         y, _ = e.forward(np.array([-2.0]), False, None)
         assert y[0] == pytest.approx(0.5 * (np.exp(-2) - 1), abs=1e-15)
+
+
+# signed zeros, subnormals, exp under/overflow, infinities and NaN
+ELU_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-17, -1e-17,
+                        800.0, -800.0, np.inf, -np.inf, np.nan])
+
+
+def elu_inputs(n, seed):
+    x = make_rng(seed).normal(scale=3.0, size=n)
+    k = min(n, ELU_SPECIAL.size)
+    x[:k] = ELU_SPECIAL[:k]
+    return x
+
+
+class TestBlockedElu:
+    """The mask-free blocked forms against the np.where oracles, across the
+    block edges."""
+
+    B = N._ELU_BLOCK
+    SIZES = (1, B - 1, B, B + 1, 3 * B + 7)
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_bytes_equal_oracle(self, n, alpha):
+        x = elu_inputs(n, n)
+        assert N._elu_fwd(x, alpha).tobytes() == _elu(x, alpha).tobytes()
+        assert N._elu_grad(x, alpha).tobytes() == _elu_slope(x, alpha).tobytes()
+
+    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
+    def test_non_contiguous_input(self, alpha):
+        x = elu_inputs(2 * (self.B + 5), 3).reshape(2, -1)[:, ::2]
+        assert not x.flags.c_contiguous
+        for fast, oracle in ((N._elu_fwd, _elu), (N._elu_grad, _elu_slope)):
+            y = fast(x, alpha)
+            assert y.shape == x.shape
+            assert y.tobytes() == oracle(x, alpha).tobytes()
+
+    def test_out_writes_the_given_rows(self):
+        x = elu_inputs(self.B + 3, 4).reshape(-1, 1)
+        h = np.full((len(x) + 2, 1), 7.0)
+        N._elu_fwd(x, 1.0, out=h[1:-1])
+        assert h[1:-1].tobytes() == _elu(x, 1.0).tobytes()
+        assert h[0, 0] == h[-1, 0] == 7.0
+
+    @pytest.mark.parametrize("n", SIZES)
+    def test_alpha_zero_equal_values(self, n):
+        # 0 * (exp(x) - 1) is -0.0 in the oracle where the blocked form adds +0.0
+        x = elu_inputs(n, n)
+        assert np.array_equal(N._elu_fwd(x, 0.0), _elu(x, 0.0), equal_nan=True)
+        assert np.array_equal(N._elu_grad(x, 0.0), _elu_slope(x, 0.0), equal_nan=True)
 
 
 class TestRecurrent:
