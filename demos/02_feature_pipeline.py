@@ -10,13 +10,13 @@ from rcasr import features as F
 
 sr = 16000
 t = np.arange(int(0.8 * sr)) / sr
-tone = F.AudioClip(0.4 * np.sin(2 * np.pi * 440 * t))
-chirp = F.AudioClip(0.4 * np.sin(2 * np.pi * (200 + 1200 * t) * t))
+tone = 0.4 * np.sin(2 * np.pi * 440 * t)
+chirp = 0.4 * np.sin(2 * np.pi * (200 + 1200 * t) * t)
 
 print("== Framing: 25 ms windows every 10 ms ==")
 frames = F.frame_and_window(tone)
-expected = (tone.samples.size - F.FRAME_LENGTH) // F.FRAME_SHIFT + 1
-print(f"{tone.samples.size} samples -> {frames.shape[0]} frames "
+expected = (tone.size - F.FRAME_LENGTH) // F.FRAME_SHIFT + 1
+print(f"{tone.size} samples -> {frames.shape[0]} frames "
       f"of {frames.shape[1]} (formula gives {expected})")
 
 print("\n== MFCC of one frame ==")

@@ -17,7 +17,7 @@ for name, cfg in cat.items():
     print(f"  {name:12s} {net.n_params():>8,d} params  ({shape}{spans})")
 
 print("\n== RC2 feature-map schedule ==")
-print([s.feature_maps for s in cat["RC2"].layers if s.kind == "conv2d"])
+print([s.value for s in cat["RC2"].layers if s.kind == "conv2d"])
 
 print("\n== Res-RC2: identity shortcuts wrap each equal-width conv run ==")
 print(dump_config(cat["Res-RC2"]))

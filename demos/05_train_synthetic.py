@@ -15,7 +15,7 @@ spec = corpus_mod.SyntheticSpec.default(n_phonemes=4, rng=make_rng(11, 1), sigma
 spec.duration_range = (4, 7)
 spec.sentence_length_range = (3, 5)
 corp = corpus_mod.generate_synthetic(spec, 60, make_rng(11, 2))
-part = corpus_mod.make_partitions(corp, 1, rng=make_rng(11, 3), sizes=(44, 8, 8))[0]
+part = corpus_mod.make_partitions(corp.ids(), 1, rng=make_rng(11, 3), sizes=(44, 8, 8))[0]
 print(f"corpus: {len(corp)} utterances over {len(corp.alphabet.non_blank)} phonemes, "
       f"split {len(part.train)}/{len(part.val)}/{len(part.test)}")
 

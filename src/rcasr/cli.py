@@ -202,16 +202,18 @@ def cmd_features(args):
 
 def cmd_partition(args):
     _require_path(args.data, "data directory")
-    corp = corpus_mod.load_corpus(args.data)
+    ids = list(corpus_mod.load_transcripts(args.data))
     sizes = None
     if args.sizes:
         sizes = tuple(int(v) for v in args.sizes.split(","))
         if len(sizes) != 3:
             raise UsageError("--sizes wants three comma-separated counts")
     parts = corpus_mod.make_partitions(
-        corp, n_partitions=args.candidates, rng=make_rng(args.seed, 20), sizes=sizes)
-    chosen = corpus_mod.select_partition(parts, corp, budget_epochs=args.budget_epochs) \
-        if args.candidates > 1 else parts[0]
+        ids, n_partitions=args.candidates, rng=make_rng(args.seed, 20), sizes=sizes)
+    chosen = parts[0]
+    if args.candidates > 1:     # only the baselines that pick one read features
+        chosen = corpus_mod.select_partition(
+            parts, corpus_mod.load_corpus(args.data), budget_epochs=args.budget_epochs)
     corpus_mod.save_partition(chosen, args.out)
     print(f"wrote partition ({len(chosen.train)}/{len(chosen.val)}/{len(chosen.test)}) to {args.out}")
     return EXIT_OK
@@ -223,7 +225,7 @@ def _load_training_inputs(args):
     part = None
     if args.partition:
         _require_path(args.partition, "partition directory")
-        part = corpus_mod.load_partition(args.partition).check_covers(corp)
+        part = corpus_mod.load_partition(args.partition).check_covers(corp.ids())
     return corp, part
 
 
@@ -267,9 +269,9 @@ def cmd_compare(args):
 
 def cmd_lm_train(args):
     _require_path(args.data, "data directory")
-    corp = corpus_mod.load_corpus(args.data)
-    ids = _read_ids(args.ids) if args.ids else corp.ids()
-    sentences = [corp[i].labels for i in ids]
+    transcripts = corpus_mod.load_transcripts(args.data)
+    ids = _read_ids(args.ids) if args.ids else list(transcripts)
+    sentences = [transcripts[i] for i in ids]
     model = lm_mod.train_lm(sentences, smoothing_k=args.k, mu=args.mu)
     lm_mod.save_lm(args.out, model)
     print(f"trained n-gram model on {len(sentences)} sentences -> {args.out}")
@@ -311,13 +313,9 @@ def cmd_decode(args):
         utt = corp[utt_id]
         logits, _ = net.forward(utt.features, training=False)
         y = ctc_mod.softmax(logits)
-        hyps = ctc_mod.beam_decode(y, width=args.beam)
-        if model is not None:
-            symbol_hyps = [(corp.alphabet.decode(h), s) for h, s in hyps]
-            best_seq, best_score = lm_mod.rectify(model, symbol_hyps, args.lam)
-            lines.append(f"{utt_id} {best_score:.6f} {' '.join(best_seq)}".rstrip())
-        else:
-            lines.extend(ctc_mod.format_hypotheses(utt_id, hyps[:1], corp.alphabet))
+        hyps = [(corp.alphabet.decode(h), s) for h, s in ctc_mod.beam_decode(y, width=args.beam)]
+        best_seq, best_score = hyps[0] if model is None else lm_mod.rectify(model, hyps, args.lam)
+        lines.append(hypothesis_line(utt_id, best_score, best_seq))
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     print(f"decoded {len(ids)} utterances -> {args.out}")
@@ -335,6 +333,11 @@ def _adopt_values(store, loaded):
         if store[name].value.shape != p.value.shape:
             raise ValueError(f"checkpoint shape mismatch for '{name}'")
         store[name].value[...] = p.value
+
+
+def hypothesis_line(utt_id, score, symbols):
+    """`utt_id score ph1 ph2 ...`, the line read_hypotheses reads back."""
+    return f"{utt_id} {score:.6f} {' '.join(symbols)}".rstrip()
 
 
 def read_hypotheses(path):

@@ -59,12 +59,12 @@ class Partition:
     val: tuple
     test: tuple
 
-    def check_covers(self, corpus):
+    def check_covers(self, ids):
         groups = [set(self.train), set(self.val), set(self.test)]
         union = set().union(*groups)
         if sum(len(g) for g in groups) != len(union):
             raise ValueError("partition sets overlap")
-        if union != set(corpus.ids()):
+        if union != set(ids):
             raise ValueError("partition does not cover the corpus exactly")
         return self
 
@@ -80,9 +80,9 @@ def scaled_split_sizes(n):
     return train, val, test
 
 
-def make_partitions(corpus, n_partitions, rng, sizes=None):
-    """Draw n_partitions random train/val/test splits from rng."""
-    ids = corpus.ids()
+def make_partitions(ids, n_partitions, rng, sizes=None):
+    """Draw n_partitions random train/val/test splits of the utterance ids
+    from rng."""
     n = len(ids)
     n_train, n_val, n_test = sizes if sizes is not None else scaled_split_sizes(n)
     if n_train + n_val + n_test != n:
@@ -97,7 +97,7 @@ def make_partitions(corpus, n_partitions, rng, sizes=None):
             val=tuple(order[n_train:n_train + n_val]),
             test=tuple(order[n_train + n_val:]),
         )
-        parts.append(part.check_covers(corpus))
+        parts.append(part.check_covers(ids))
     return parts
 
 

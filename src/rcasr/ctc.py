@@ -411,12 +411,3 @@ def beam_decode(y, width=16):
     final = np.logaddexp(pb, pnb)
     order = np.argsort(-final, kind="stable")
     return [(prefixes[k], float(final[k])) for k in order]
-
-
-def format_hypotheses(utt_id, hyps, alphabet):
-    """One text line per hypothesis: `utt_id score ph1 ph2 ...`."""
-    lines = []
-    for ids, score in hyps:
-        symbols = " ".join(alphabet.decode(ids))
-        lines.append(f"{utt_id} {score:.6f} {symbols}".rstrip())
-    return lines

@@ -31,17 +31,6 @@ LOG_FLOOR = 1e-10
 DELTA_WINDOW = 2
 
 
-@dataclass
-class AudioClip:
-    samples: np.ndarray
-    sample_rate: int = SAMPLE_RATE
-
-    def __post_init__(self):
-        self.samples = np.asarray(self.samples, dtype=np.float64)
-        if self.sample_rate <= 0:
-            raise ValueError(f"non-positive sample rate {self.sample_rate}")
-
-
 def hamming_window():
     n = np.arange(FRAME_LENGTH)
     return 0.54 - 0.46 * np.cos(2.0 * np.pi * n / (FRAME_LENGTH - 1))
@@ -54,19 +43,16 @@ def frame_count(n_samples):
     return (n_samples - FRAME_LENGTH) // FRAME_SHIFT + 1
 
 
-def frame_and_window(clip, preemphasis=PREEMPHASIS):
-    """Slice a clip into Hamming-windowed frames of 400 samples every 160.
-
-    The trailing partial frame is dropped.  Set preemphasis=0 to window the
-    raw signal.
+def frame_and_window(samples):
+    """Pre-emphasise 16 kHz samples and slice them into Hamming-windowed frames
+    of 400 samples every 160.  The trailing partial frame is dropped.
     """
-    x = clip.samples
+    x = np.asarray(samples, dtype=np.float64)
     if x.size < FRAME_LENGTH:
         raise ValueError(
             f"clip of {x.size} samples is shorter than one {FRAME_LENGTH}-sample frame"
         )
-    if preemphasis:
-        x = np.concatenate([x[:1], x[1:] - preemphasis * x[:-1]])
+    x = np.concatenate([x[:1], x[1:] - PREEMPHASIS * x[:-1]])
     n = frame_count(x.size)
     idx = np.arange(FRAME_LENGTH)[None, :] + FRAME_SHIFT * np.arange(n)[:, None]
     return x[idx] * _HAMMING[None, :]
@@ -131,8 +117,8 @@ def mfcc(frames):
     return ceps
 
 
-def mfcc_matrix(clip):
-    return mfcc(frame_and_window(clip))
+def mfcc_matrix(samples):
+    return mfcc(frame_and_window(samples))
 
 
 def deltas(coeffs):
@@ -162,15 +148,10 @@ def deltas(coeffs):
     return np.concatenate([coeffs, d1, d2], axis=1)
 
 
-def extract(clip):
-    """Full front end for one clip: T x 39 unnormalized features.
-
-    The frame, hop and filterbank constants are fixed for SAMPLE_RATE, so a
-    clip at any other rate is refused rather than framed wrongly.
-    """
-    if clip.sample_rate != SAMPLE_RATE:
-        raise ValueError(f"expected {SAMPLE_RATE} Hz audio, got {clip.sample_rate} Hz")
-    return deltas(mfcc_matrix(clip))
+def extract(samples):
+    """Full front end for one clip of 16 kHz samples: T x 39 unnormalized
+    features."""
+    return deltas(mfcc_matrix(samples))
 
 
 # -- corpus-level normalization ----------------------------------------------
@@ -213,7 +194,11 @@ def apply_stats(mat, stats):
 # -- file formats -------------------------------------------------------------
 
 def read_wav(path):
-    """Read 16 kHz 16-bit PCM mono WAV into samples scaled to [-1, 1)."""
+    """Read 16 kHz 16-bit PCM mono WAV into samples scaled to [-1, 1).
+
+    The frame, hop and filterbank constants are fixed for SAMPLE_RATE, so a
+    file at any other rate is refused rather than framed wrongly.
+    """
     import wave
 
     with wave.open(str(path), "rb") as wf:
@@ -225,18 +210,18 @@ def read_wav(path):
         if rate != SAMPLE_RATE:
             raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz audio, got {rate} Hz")
         raw = wf.readframes(wf.getnframes())
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-    return AudioClip(samples=samples, sample_rate=rate)
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
-def write_wav(path, clip):
+def write_wav(path, samples):
+    """Write samples in [-1, 1) as 16 kHz 16-bit PCM mono WAV."""
     import wave
 
-    pcm = np.clip(np.round(clip.samples * 32768.0), -32768, 32767).astype("<i2")
+    pcm = np.clip(np.round(np.asarray(samples) * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)
-        wf.setframerate(clip.sample_rate)
+        wf.setframerate(SAMPLE_RATE)
         wf.writeframes(pcm.tobytes())
 
 

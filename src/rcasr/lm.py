@@ -85,18 +85,13 @@ def _count_sentence(model, sentence, direction):
             totals[ctx] = totals.get(ctx, 0) + 1
 
 
-def train_lm(corpus, smoothing_k=DEFAULT_K, interp_weights=None, mu=DEFAULT_MU):
+def train_lm(corpus, smoothing_k=DEFAULT_K, mu=DEFAULT_MU):
     """Count forward and backward tables of orders 2-4 over label sequences."""
     corpus = [tuple(s) for s in corpus]
     if not corpus:
         raise ValueError("train_lm: empty corpus")
     vocab = tuple(sorted({sym for sent in corpus for sym in sent}))
-    model = NgramModel(
-        vocab=vocab,
-        smoothing_k=smoothing_k,
-        interp_weights=dict(interp_weights) if interp_weights else dict(DEFAULT_WEIGHTS),
-        mu=mu,
-    )
+    model = NgramModel(vocab=vocab, smoothing_k=smoothing_k, mu=mu)
     for sent in corpus:
         if not sent:
             log.warning("train_lm: skipping empty sentence")
@@ -123,11 +118,15 @@ def _directional_score(model, seq, direction, memo):
     return total
 
 
+def _warn_oov(model, seqs, caller):
+    """One warning for all the out-of-vocabulary symbols of seqs."""
+    n = sum(s not in model._vocab_set for seq in seqs for s in seq)
+    if n:
+        log.warning("%s: mapping %d out-of-vocabulary symbols to %s", caller, n, UNK)
+
+
 def _score(model, seq, memo):
     seq = tuple(seq)
-    unknown = [s for s in seq if s not in model._vocab_set]
-    if unknown:
-        log.warning("score: mapping %d out-of-vocabulary symbols to %s", len(unknown), UNK)
     fwd = _directional_score(model, seq, "F", memo)
     bwd = _directional_score(model, tuple(reversed(seq)), "B", memo)
     return model.mu * fwd + (1.0 - model.mu) * bwd
@@ -135,6 +134,7 @@ def _score(model, seq, memo):
 
 def score(model, seq):
     """Bidirectional log score: mu * forward + (1 - mu) * backward."""
+    _warn_oov(model, [seq], "score")
     return _score(model, seq, {})
 
 
@@ -146,6 +146,7 @@ def rectify(model, hypotheses, lam):
     """
     if not hypotheses:
         raise ValueError("rectify: empty hypothesis list")
+    _warn_oov(model, [seq for seq, _ in hypotheses], "rectify")
     memo = {}
     best = None
     for seq, ctc_score in hypotheses:

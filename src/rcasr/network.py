@@ -17,7 +17,7 @@ steps keep one state per utterance and conv2d one zero border per utterance.
 """
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -25,11 +25,10 @@ from numpy.lib.stride_tricks import sliding_window_view
 from .numerics import ParameterStore, glorot_init, make_rng
 
 KERNEL = 3
-STRIDE = 1
 PAD = 1
 
-# Each layer kind takes exactly one parameter: (LayerSpec field, type, value
-# used when a config omits it or None when it is required, valid range).
+# Each layer kind takes exactly one parameter: (config key, type, value used
+# when a config omits it or None when it is required, valid range).
 LAYER_PARAMS = {
     "recurrent": ("hidden_units", int, 128, ">= 1"),
     "conv2d": ("feature_maps", int, None, ">= 1"),
@@ -47,55 +46,49 @@ _IN_RANGE = {
 
 @dataclass(frozen=True)
 class LayerSpec:
+    """A layer kind and its one parameter (see LAYER_PARAMS); None stands for
+    the kind's default."""
     kind: str
-    hidden_units: int = None
-    feature_maps: int = None
-    units: int = None
-    rate: float = None
-    alpha: float = None
+    value: float = None
 
 
 def _layer_param(spec):
     """The value of spec's one parameter, or its kind's default; a spec that
-    names an unknown kind, sets another kind's field, lacks a required value
-    or has one out of range is a ValueError."""
+    names an unknown kind, lacks a required value or has one out of range is
+    a ValueError."""
     if spec.kind not in LAYER_PARAMS:
         raise ValueError(f"unknown layer kind '{spec.kind}'")
     name, _, default, valid = LAYER_PARAMS[spec.kind]
-    for f in fields(LayerSpec)[1:]:
-        if f.name != name and getattr(spec, f.name) is not None:
-            raise ValueError(f"{spec.kind} takes {name}=, not {f.name}=")
-    value = getattr(spec, name)
-    if value is None and default is None:
+    value = default if spec.value is None else spec.value
+    if value is None:
         raise ValueError(f"{spec.kind} needs {name}=")
-    value = default if value is None else value
     if not _IN_RANGE[valid](value):
         raise ValueError(f"{spec.kind} {name}= must be {valid}, got {value}")
     return value
 
 
 def recurrent(hidden_units=128):
-    return LayerSpec(kind="recurrent", hidden_units=hidden_units)
+    return LayerSpec("recurrent", hidden_units)
 
 
 def conv2d(feature_maps):
-    return LayerSpec(kind="conv2d", feature_maps=feature_maps)
+    return LayerSpec("conv2d", feature_maps)
 
 
 def dense(units):
-    return LayerSpec(kind="dense", units=units)
+    return LayerSpec("dense", units)
 
 
 def elu(alpha=1.0):
-    return LayerSpec(kind="elu", alpha=alpha)
+    return LayerSpec("elu", alpha)
 
 
 def dropout(rate=0.1):
-    return LayerSpec(kind="dropout", rate=rate)
+    return LayerSpec("dropout", rate)
 
 
 def linear_output(units=62):
-    return LayerSpec(kind="linear_output", units=units)
+    return LayerSpec("linear_output", units)
 
 
 @dataclass
@@ -601,10 +594,10 @@ def build_network(config, input_dim=39, output_units=None, rng=None,
         if i in spans:
             a, b = spans[i]
             for j in range(a, b, 2):
-                if config.layers[j].feature_maps != maps:
+                if config.layers[j].value != maps:
                     raise ValueError(
                         f"residual span {(a, b)} in '{config.name}': conv layer {j} has "
-                        f"{config.layers[j].feature_maps} maps but the span carries {maps}"
+                        f"{config.layers[j].value} maps but the span carries {maps}"
                     )
             inner = [make_step(j, config.layers[j]) for j in range(a, b - 1)]
             steps.append(_ResidualBlock(inner, _layer_param(config.layers[b - 1])))
@@ -624,7 +617,7 @@ def dump_config(config):
     lines = [f"network {config.name}"]
     for spec in config.layers:
         key, typ = LAYER_PARAMS[spec.kind][:2]
-        val = getattr(spec, key)
+        val = spec.value
         line = spec.kind
         if val is not None:
             line += f" {key}={val:g}" if typ is float else f" {key}={val}"
@@ -666,15 +659,15 @@ def _parse_layer(kind, items):
     if kind not in LAYER_PARAMS:
         raise ValueError(f"unknown layer kind {kind!r}")
     key, typ = LAYER_PARAMS[kind][:2]
-    values = {}
+    value = None
     for item in items:
         k, eq, val = item.partition("=")
         if k != key or not eq:
             raise ValueError(f"{kind} takes {key}=, not {item!r}")
-        if key in values:
+        if value is not None:
             raise ValueError(f"{kind} sets {key}= twice")
-        values[key] = typ(val)
-    spec = LayerSpec(kind=kind, **values)
+        value = typ(val)
+    spec = LayerSpec(kind, value)
     _layer_param(spec)
     return spec
 
@@ -731,11 +724,11 @@ def conv_residual_spans(config, max_spans=None):
         if layers[i].kind != "conv2d":
             i += 1
             continue
-        maps = layers[i].feature_maps
+        maps = layers[i].value
         run_start = i
         j = i
         while j + 1 < len(layers) and layers[j].kind == "conv2d" \
-                and layers[j].feature_maps == maps and layers[j + 1].kind == "elu":
+                and layers[j].value == maps and layers[j + 1].kind == "elu":
             j += 2
         n_convs = (j - run_start) // 2
         if n_convs > 1:

@@ -23,6 +23,7 @@ import numpy as np
 
 from . import ctc as ctc_mod
 from . import evaluate
+from .features import N_FEATURES
 from .network import NetworkConfig, build_network, get_config, save_config
 from .numerics import adam_step, make_rng, save_checkpoint
 
@@ -44,7 +45,6 @@ class TrainConfig:
     log_path: str = None
     checkpoint_dir: str = None
     checkpoint_every: int = 0          # also checkpoints the final epoch when a dir is set
-    input_dim: int = 39
 
     def __post_init__(self):
         if self.lr < 0:
@@ -103,8 +103,8 @@ def _resolve_config(network):
 def train(config, corpus, partition=None):
     """Run the training loop; returns (ParameterStore, CostCurve).
 
-    A train or val utterance whose feature width is not config.input_dim is
-    a ValueError before the first epoch.  Infeasible utterances (too few
+    A train or val utterance whose feature width is not N_FEATURES is a
+    ValueError before the first epoch.  Infeasible utterances (too few
     frames for their label) are skipped with a warning.  A numeric failure
     (non-finite logits, a CTC underflow or overflow) aborts naming the
     epoch, batch and utterance.
@@ -113,7 +113,7 @@ def train(config, corpus, partition=None):
     alphabet = corpus.alphabet
     net = build_network(
         net_config,
-        input_dim=config.input_dim,
+        input_dim=N_FEATURES,
         output_units=alphabet.size,
         rng=make_rng(config.seed, 1),
         dropout_override=config.dropout,
@@ -125,10 +125,10 @@ def train(config, corpus, partition=None):
     val_ids = list(partition.val) if partition is not None else []
     for utt_id in train_ids + val_ids:
         utt = corpus[utt_id]
-        if utt.n_frames and utt.features.shape[1] != config.input_dim:
+        if utt.n_frames and utt.features.shape[1] != N_FEATURES:
             raise ValueError(
                 f"utterance '{utt_id}' has {utt.features.shape[1]}-wide features, "
-                f"but the network takes {config.input_dim}"
+                f"but the network takes {N_FEATURES}"
             )
     feasible = [i for i in train_ids if corpus[i].ctc_feasible]
     skipped = sorted(set(train_ids) - set(feasible))

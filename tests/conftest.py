@@ -1,7 +1,20 @@
+import wave
+
+import numpy as np
 import pytest
 
 from rcasr import corpus as corpus_mod
 from rcasr.numerics import make_rng
+
+
+def write_wav_at(path, samples, rate):
+    """A 16-bit mono WAV at any sample rate; rcasr itself writes only 16 kHz."""
+    pcm = np.clip(np.round(np.asarray(samples) * 32768.0), -32768, 32767).astype("<i2")
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(rate)
+        wf.writeframes(pcm.tobytes())
 
 
 @pytest.fixture(scope="session")
@@ -17,7 +30,7 @@ def tiny_corpus():
 @pytest.fixture(scope="session")
 def tiny_partition(tiny_corpus):
     parts = corpus_mod.make_partitions(
-        tiny_corpus, n_partitions=1, rng=make_rng(101, 3), sizes=(20, 6, 4))
+        tiny_corpus.ids(), n_partitions=1, rng=make_rng(101, 3), sizes=(20, 6, 4))
     return parts[0]
 
 

@@ -317,7 +317,7 @@ def protocol_corpus():
     spec.sentence_length_range = (6, 9)
     corp = corpus_mod.generate_synthetic(spec, 300, make_rng(PROTOCOL_SEED, 2))
     part = corpus_mod.make_partitions(
-        corp, 1, rng=make_rng(PROTOCOL_SEED, 3), sizes=(200, 50, 50))[0]
+        corp.ids(), 1, rng=make_rng(PROTOCOL_SEED, 3), sizes=(200, 50, 50))[0]
     return corp, part
 
 

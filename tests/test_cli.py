@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from conftest import write_wav_at
 from rcasr import cli
 from rcasr import corpus as corpus_mod
 from rcasr import ctc as ctc_mod
@@ -169,7 +170,7 @@ class TestPartitionCmd:
                        "--seed", "6", "--sizes", "20,6,4"])
         assert rc == 0
         part = corpus_mod.load_partition(out)
-        part.check_covers(tiny_corpus)
+        part.check_covers(tiny_corpus.ids())
 
 
 class TestFeaturesCmd:
@@ -179,8 +180,7 @@ class TestFeaturesCmd:
         (data / "wav").mkdir(parents=True)
         (data / "phn").mkdir()
         for i in range(3):
-            clip = F.AudioClip(rng.normal(scale=0.1, size=8000))
-            F.write_wav(data / "wav" / f"u{i}.wav", clip)
+            F.write_wav(data / "wav" / f"u{i}.wav", rng.normal(scale=0.1, size=8000))
             (data / "phn" / f"u{i}.txt").write_text("aa b\n")
         out = tmp_path / "featcorpus"
         stats_path = tmp_path / "stats.txt"
@@ -198,8 +198,7 @@ class TestFeaturesCmd:
         data = tmp_path / "raw"
         (data / "wav").mkdir(parents=True)
         (data / "phn").mkdir()
-        F.write_wav(data / "wav" / "u0.wav",
-                    F.AudioClip(make_rng(441).normal(scale=0.1, size=8000), sample_rate=8000))
+        write_wav_at(data / "wav" / "u0.wav", make_rng(441).normal(scale=0.1, size=8000), 8000)
         (data / "phn" / "u0.txt").write_text("aa b\n")
         rc = cli.main(["features", "--data", str(data), "--out", str(tmp_path / "out")])
         assert rc == 2
@@ -209,7 +208,7 @@ class TestFeaturesCmd:
         data = tmp_path / "raw"
         (data / "wav").mkdir(parents=True)
         (data / "phn").mkdir()
-        F.write_wav(data / "wav" / "u0.wav", F.AudioClip(make_rng(442).normal(scale=0.1, size=8000)))
+        F.write_wav(data / "wav" / "u0.wav", make_rng(442).normal(scale=0.1, size=8000))
         (data / "phn" / "u0.txt").write_text("aa b\n")
         stats = tmp_path / "stats.txt"
         stats.write_text("x\n1\n")
@@ -330,6 +329,11 @@ class TestDecode:
             assert f"{bad}: truncated checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "x.txt").exists()
 
+    def test_hypothesis_line(self):
+        assert cli.hypothesis_line("utt1", -1.5, ("p0", "p2")) == "utt1 -1.500000 p0 p2"
+        # an empty hypothesis leaves no trailing space
+        assert cli.hypothesis_line("utt1", -2.0, ()) == "utt1 -2.000000"
+
     def test_invalid_beam_usage_error(self, tmp_path, trained_tiny, tiny_corpus_dir):
         rc = cli.main(["decode", "--ckpt", str(trained_tiny["ckpt"]),
                        "--data", str(tiny_corpus_dir), "--beam", "0",
@@ -407,7 +411,8 @@ class TestCompareCmd:
 
 
 class TestFrontEndCalls:
-    """decode runs the front end only for the clips it decodes; score never."""
+    """decode runs the front end only for the clips it decodes; score,
+    partition and lm-train never read features."""
 
     @pytest.fixture
     def wav_corpus(self, tmp_path):
@@ -417,7 +422,7 @@ class TestFrontEndCalls:
         (data / "alphabet.txt").write_text("p0 p1 p2\n")
         rng = make_rng(443)
         for i in range(4):
-            F.write_wav(data / "wav" / f"u{i}.wav", F.AudioClip(rng.normal(scale=0.1, size=8000)))
+            F.write_wav(data / "wav" / f"u{i}.wav", rng.normal(scale=0.1, size=8000))
             (data / "phn" / f"u{i}.txt").write_text(f"p{i % 3} p{(i + 1) % 3}\n")
         return data
 
@@ -425,9 +430,9 @@ class TestFrontEndCalls:
     def extract_calls(self, monkeypatch):
         calls = []
 
-        def counted(clip):
-            calls.append(clip)
-            return extract(clip)
+        def counted(samples):
+            calls.append(samples)
+            return extract(samples)
 
         extract = F.extract
         monkeypatch.setattr(F, "extract", counted)
@@ -453,6 +458,18 @@ class TestFrontEndCalls:
                        "--ids", str(ids), "--out", str(tmp_path / "h.txt")])
         assert rc == 2
         assert "'u9'" in capsys.readouterr().err
+
+    def test_partition_and_lm_train_read_no_features(self, tmp_path, wav_corpus,
+                                                     tiny_corpus_dir, extract_calls, monkeypatch):
+        dumps = []
+        load = F.load_feature_dump
+        monkeypatch.setattr(F, "load_feature_dump", lambda path: dumps.append(path) or load(path))
+        for data, sizes in ((wav_corpus, "2,1,1"), (tiny_corpus_dir, "20,6,4")):
+            out = tmp_path / data.name
+            assert cli.main(["partition", "--data", str(data), "--out", str(out / "part"),
+                             "--sizes", sizes]) == 0
+            assert cli.main(["lm-train", "--data", str(data), "--out", str(out / "m.lm")]) == 0
+        assert extract_calls == [] and dumps == []
 
     def test_score_reads_no_audio(self, tmp_path, wav_corpus, extract_calls, capsys):
         hyps = tmp_path / "h.txt"
@@ -496,7 +513,8 @@ class TestUndecodableText:
         for name in ("train", "val", "test"):
             (part / f"{name}.txt").write_text("")
         bad, argv = {
-            "feat": (data / "feat" / first, ["partition", "--data", str(data)]),
+            "feat": (data / "feat" / first, ["partition", "--data", str(data),
+                                             "--candidates", "2"]),
             "phn": (data / "phn" / first, ["score", "--refs", str(data), "--hyps", str(hyps)]),
             "alphabet": (data / "alphabet.txt", ["partition", "--data", str(data)]),
             "stats": (stats, ["features", "--data", str(data), "--stats-in", str(stats)]),

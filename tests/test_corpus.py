@@ -16,7 +16,7 @@ def quick_spec(n_phonemes=3, sigma=0.2, seed=200):
 class TestPartitions:
     def test_exact_cover(self):
         corp = C.generate_synthetic(quick_spec(), 10, make_rng(201))
-        parts = C.make_partitions(corp, n_partitions=1, rng=make_rng(202), sizes=(6, 2, 2))
+        parts = C.make_partitions(corp.ids(), n_partitions=1, rng=make_rng(202), sizes=(6, 2, 2))
         p = parts[0]
         assert len(p.train) == 6 and len(p.val) == 2 and len(p.test) == 2
         assert set(p.train) | set(p.val) | set(p.test) == set(corp.ids())
@@ -24,14 +24,14 @@ class TestPartitions:
 
     def test_seed_determinism(self):
         corp = C.generate_synthetic(quick_spec(), 12, make_rng(203))
-        a = C.make_partitions(corp, 3, rng=make_rng(7), sizes=(8, 2, 2))
-        b = C.make_partitions(corp, 3, rng=make_rng(7), sizes=(8, 2, 2))
+        a = C.make_partitions(corp.ids(), 3, rng=make_rng(7), sizes=(8, 2, 2))
+        b = C.make_partitions(corp.ids(), 3, rng=make_rng(7), sizes=(8, 2, 2))
         for pa, pb in zip(a, b):
             assert pa.train == pb.train and pa.val == pb.val and pa.test == pb.test
 
     def test_six_partitions_differ(self):
         corp = C.generate_synthetic(quick_spec(), 20, make_rng(204))
-        parts = C.make_partitions(corp, 6, rng=make_rng(8), sizes=(14, 4, 2))
+        parts = C.make_partitions(corp.ids(), 6, rng=make_rng(8), sizes=(14, 4, 2))
         signatures = {p.train for p in parts}
         assert len(signatures) == 6
 
@@ -44,12 +44,12 @@ class TestPartitions:
     def test_too_small_corpus_rejected(self):
         corp = C.generate_synthetic(quick_spec(), 2, make_rng(205))
         with pytest.raises(ValueError):
-            C.make_partitions(corp, 1, rng=make_rng(0))
+            C.make_partitions(corp.ids(), 1, rng=make_rng(0))
 
     def test_bad_sizes_rejected(self):
         corp = C.generate_synthetic(quick_spec(), 10, make_rng(206))
         with pytest.raises(ValueError, match="cover"):
-            C.make_partitions(corp, 1, rng=make_rng(0), sizes=(5, 2, 2))
+            C.make_partitions(corp.ids(), 1, rng=make_rng(0), sizes=(5, 2, 2))
 
 
 class TestSynthetic:
@@ -118,8 +118,7 @@ class TestLoadSave:
         rng = make_rng(213)
         (tmp_path / "wav").mkdir()
         (tmp_path / "phn").mkdir()
-        clip = F.AudioClip(rng.normal(scale=0.1, size=8000))
-        F.write_wav(tmp_path / "wav" / "u1.wav", clip)
+        F.write_wav(tmp_path / "wav" / "u1.wav", rng.normal(scale=0.1, size=8000))
         (tmp_path / "phn" / "u1.txt").write_text("aa b ch\n")
         corp = C.load_corpus(tmp_path)
         assert len(corp) == 1
@@ -160,7 +159,7 @@ class TestLoadSave:
 
     def test_partition_files_round_trip(self, tmp_path):
         corp = C.generate_synthetic(quick_spec(), 9, make_rng(217))
-        part = C.make_partitions(corp, 1, rng=make_rng(218), sizes=(5, 2, 2))[0]
+        part = C.make_partitions(corp.ids(), 1, rng=make_rng(218), sizes=(5, 2, 2))[0]
         C.save_partition(part, tmp_path / "part")
         back = C.load_partition(tmp_path / "part")
         assert back.train == part.train
@@ -171,12 +170,12 @@ class TestLoadSave:
 class TestSelectPartition:
     def test_single_partition_returned_without_training(self):
         corp = C.generate_synthetic(quick_spec(), 6, make_rng(219))
-        part = C.make_partitions(corp, 1, rng=make_rng(220), sizes=(4, 1, 1))[0]
+        part = C.make_partitions(corp.ids(), 1, rng=make_rng(220), sizes=(4, 1, 1))[0]
         assert C.select_partition([part], corp) is part
 
     def test_identical_candidates_tie_break_deterministic(self):
         corp = C.generate_synthetic(quick_spec(), 12, make_rng(221))
-        part = C.make_partitions(corp, 1, rng=make_rng(222), sizes=(8, 2, 2))[0]
+        part = C.make_partitions(corp.ids(), 1, rng=make_rng(222), sizes=(8, 2, 2))[0]
         from rcasr.trainer import TrainConfig
 
         cfg = TrainConfig(network="baseline", lr=0.005, epochs=2, batch_size=4,
@@ -197,8 +196,8 @@ class TestSelectPartition:
                            test=tuple(clean[9:] + bad_ids[1:]))
         bad = C.Partition(train=tuple(clean[:7] + [bad_ids[0]]), val=tuple(bad_ids[1:]),
                           test=tuple(clean[7:]))
-        good.check_covers(corp)
-        bad.check_covers(corp)
+        good.check_covers(ids)
+        bad.check_covers(ids)
         from rcasr.trainer import TrainConfig
 
         cfg = TrainConfig(network="baseline", lr=0.005, epochs=2, batch_size=4,

@@ -503,10 +503,3 @@ class TestBeamMemory:
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, f"peak {peak / 2**20:.1f} MB"
-
-
-def test_format_hypotheses():
-    a = C.synthetic_alphabet(3)
-    lines = C.format_hypotheses("utt1", [((0, 2), -1.5), ((), -2.0)], a)
-    assert lines[0] == "utt1 -1.500000 p0 p2"
-    assert lines[1] == "utt1 -2.000000"

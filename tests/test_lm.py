@@ -1,3 +1,4 @@
+import logging
 import math
 
 import pytest
@@ -45,7 +46,7 @@ class TestTraining:
 
     def test_bad_weights_rejected(self):
         with pytest.raises(ValueError):
-            L.train_lm([("a",)], interp_weights={2: 0.5, 3: 0.5, 4: 0.5})
+            L.NgramModel(vocab=("a",), interp_weights={2: 0.5, 3: 0.5, 4: 0.5})
 
 
 class TestDistributions:
@@ -178,6 +179,17 @@ class TestRectify:
         model = L.train_lm(small_corpus())
         with pytest.raises(ValueError):
             L.rectify(model, [], lam=0.1)
+
+    def test_out_of_vocab_warned_once_per_call(self, caplog):
+        model = L.train_lm(small_corpus())
+        hyps = [(("a", "zz", "b")[:1 + i % 3] + ("yy",), -float(i)) for i in range(16)]
+        with caplog.at_level(logging.WARNING, logger=L.__name__):
+            L.rectify(model, hyps, lam=0.5)
+            L.score(model, ("zz", "a", "yy"))
+        assert [r.getMessage() for r in caplog.records] == [
+            "rectify: mapping 26 out-of-vocabulary symbols to <unk>",
+            "score: mapping 2 out-of-vocabulary symbols to <unk>",
+        ]
 
 
 class TestMemoisedRescoring:

@@ -2,6 +2,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (_elu, _elu_slope, conv2d_grads_by_loops, fd_gradient, max_relative_error,
                      naive_matmul, recurrent_backward_by_steps, sliding_conv2d)
@@ -418,23 +420,23 @@ class TestCatalog:
         cfg = N.catalog()["RC1"]
         kinds = [s.kind for s in cfg.layers]
         assert kinds.count("recurrent") == 4
-        conv_maps = [s.feature_maps for s in cfg.layers if s.kind == "conv2d"]
+        conv_maps = [s.value for s in cfg.layers if s.kind == "conv2d"]
         assert conv_maps == [24, 24, 48, 48, 24, 24, 12, 12, 6, 6, 3, 3]
-        dense_units = [s.units for s in cfg.layers if s.kind == "dense"]
+        dense_units = [s.value for s in cfg.layers if s.kind == "dense"]
         assert dense_units == [256]
-        assert cfg.layers[-1].kind == "linear_output" and cfg.layers[-1].units == 62
-        assert all(s.hidden_units == 128 for s in cfg.layers if s.kind == "recurrent")
+        assert cfg.layers[-1].kind == "linear_output" and cfg.layers[-1].value == 62
+        assert all(s.value == 128 for s in cfg.layers if s.kind == "recurrent")
 
     def test_rc2_schedule(self):
         cfg = N.catalog()["RC2"]
-        conv_maps = [s.feature_maps for s in cfg.layers if s.kind == "conv2d"]
+        conv_maps = [s.value for s in cfg.layers if s.kind == "conv2d"]
         assert conv_maps == [16] * 6 + [8, 8, 4, 4, 2, 2]
 
     def test_res_rc2_has_four_spans_one_per_run(self):
         cfg = N.catalog()["Res-RC2"]
         assert len(cfg.residual_groups) == 4
         for a, b in cfg.residual_groups:
-            maps = {cfg.layers[i].feature_maps for i in range(a, b)
+            maps = {cfg.layers[i].value for i in range(a, b)
                     if cfg.layers[i].kind == "conv2d"}
             assert len(maps) == 1
 
@@ -477,12 +479,10 @@ class TestCatalog:
             cfg.validate()
 
     @pytest.mark.parametrize("spec, message", [
-        (N.LayerSpec(kind="conv2d", feature_maps=2, rate=0.5), "conv2d takes feature_maps=, not rate="),
-        (N.LayerSpec(kind="recurrent", units=64), "recurrent takes hidden_units=, not units="),
         (N.LayerSpec(kind="conv2d"), "conv2d needs feature_maps="),
         (N.LayerSpec(kind="dense"), "dense needs units="),
-        (N.LayerSpec(kind="pool", units=2), "unknown layer kind"),
-    ], ids=["conv2d-rate", "recurrent-units", "conv2d-no-maps", "dense-no-units", "unknown-kind"])
+        (N.LayerSpec(kind="pool", value=2), "unknown layer kind"),
+    ], ids=["conv2d-no-maps", "dense-no-units", "unknown-kind"])
     def test_layer_takes_only_its_own_key(self, spec, message):
         cfg = N.NetworkConfig(name="x", layers=[spec, N.linear_output(3)])
         with pytest.raises(ValueError, match=message):
@@ -502,6 +502,39 @@ class TestCatalog:
             assert back.name == cfg.name
             assert back.layers == cfg.layers
             assert back.residual_groups == sorted(cfg.residual_groups)
+
+
+# config text near the grammar: well-formed layer, span and name lines,
+# then at most one line with a value of any kind the parser converts, or
+# arbitrary words
+_KINDS = sorted(N.LAYER_PARAMS)
+_GOOD_LINE = st.one_of(
+    st.sampled_from(_KINDS),
+    st.builds(lambda kind, v: f"{kind} {N.LAYER_PARAMS[kind][0]}={v}",
+              st.sampled_from(_KINDS), st.integers(1, 3)),
+    st.builds("residual {}..{}".format, st.integers(-1, 10), st.integers(-1, 10)),
+    st.text(max_size=8).map("network {}".format))
+_ANY_LINE = st.one_of(
+    st.builds(lambda kind, v: f"{kind} {N.LAYER_PARAMS[kind][0]}={v}", st.sampled_from(_KINDS),
+              st.one_of(st.integers(-1, 20).map(str), st.floats().map(repr), st.text(max_size=6))),
+    st.builds(lambda head, words: " ".join([head] + words),
+              st.sampled_from(_KINDS + ["network", "residual"]), st.lists(st.text(max_size=8))),
+    st.lists(st.text(max_size=10), max_size=4).map(" ".join))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_parse_config_raises_only_value_errors(data):
+    lines = data.draw(st.lists(_GOOD_LINE, max_size=10), label="lines")
+    if data.draw(st.booleans(), label="ends in output"):
+        lines.append("linear_output")
+    if data.draw(st.booleans(), label="odd line"):
+        lines.insert(data.draw(st.integers(0, len(lines)), label="at"),
+                     data.draw(_ANY_LINE, label="odd"))
+    try:
+        N.parse_config("\n".join(lines))
+    except ValueError:
+        pass
 
 
 class TestNetworkForward:

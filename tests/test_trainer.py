@@ -20,7 +20,7 @@ def small_setup(n=12, seed=400):
     spec.duration_range = (3, 6)
     spec.sentence_length_range = (2, 4)
     corp = corpus_mod.generate_synthetic(spec, n, make_rng(seed + 1))
-    part = corpus_mod.make_partitions(corp, 1, rng=make_rng(seed + 2),
+    part = corpus_mod.make_partitions(corp.ids(), 1, rng=make_rng(seed + 2),
                                       sizes=(n - 4, 2, 2))[0]
     return corp, part
 
