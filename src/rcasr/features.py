@@ -235,13 +235,14 @@ def save_feature_dump(path, mat):
 
 
 def load_feature_dump(path):
-    """A T x D matrix; a malformed file is a ValueError naming path and line."""
+    """A T x D matrix of finite values; a malformed file is a ValueError
+    naming path and line."""
     with open_text(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or not all(v.isdecimal() for v in header):
             raise ValueError(f"{path}:1: malformed feature dump header")
         t, d = int(header[0]), int(header[1])
-        rows = []
+        rows, lines = [], []
         for i, line in enumerate(fh, start=2):
             vals = line.split()
             if not vals:
@@ -252,9 +253,14 @@ def load_feature_dump(path):
                 rows.append([float(v) for v in vals])
             except ValueError as exc:
                 raise ValueError(f"{path}:{i}: {exc}") from None
+            lines.append(i)
     if len(rows) != t:
         raise ValueError(f"{path}: header claims {t} rows, found {len(rows)}")
-    return np.asarray(rows, dtype=np.float64)
+    mat = np.asarray(rows, dtype=np.float64)
+    if not np.isfinite(mat).all():
+        first = int(np.argmin(np.isfinite(mat).all(axis=1)))
+        raise ValueError(f"{path}:{lines[first]}: non-finite feature value")
+    return mat
 
 
 def save_stats(path, stats):
@@ -265,6 +271,8 @@ def save_stats(path, stats):
 
 
 def load_stats(path):
+    """A save_stats file; a malformed one is a ValueError naming the path
+    (and the line of a non-finite value)."""
     try:
         with open(path) as fh:
             mean = np.asarray([float(v) for v in fh.readline().split()])
@@ -273,4 +281,7 @@ def load_stats(path):
         raise ValueError(f"{path}: {exc}") from None
     if mean.size != std.size or mean.size == 0:
         raise ValueError(f"{path}: malformed stats file")
+    for ln, row in enumerate((mean, std), start=1):
+        if not np.isfinite(row).all():
+            raise ValueError(f"{path}:{ln}: non-finite stats value")
     return FeatureStats(mean=mean, std=std)

@@ -222,7 +222,9 @@ def load_lm(path):
                 raise bad(ln, f"order {n} takes {width} context symbols, got {len(ctx)}")
             if not c.isdecimal():
                 raise bad(ln, f"count {c!r} is not a non-negative integer")
-            c = int(c)
-            counts.setdefault(ctx, {})[sym] = c
+            row = counts.setdefault(ctx, {})
+            if sym in row:
+                raise bad(ln, f"repeats the order-{n} {d} count of {sym!r} after {' '.join(ctx)!r}")
+            row[sym] = c = int(c)
             totals[ctx] = totals.get(ctx, 0) + c
     return model

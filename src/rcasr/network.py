@@ -20,12 +20,10 @@ import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 from .numerics import ParameterStore, glorot_init, make_rng
 
 KERNEL = 3
-PAD = 1
 
 # Each layer kind takes exactly one parameter: (config key, type, value used
 # when a config omits it or None when it is required, valid range).
@@ -132,7 +130,7 @@ class _Chunk:
     frames each, in order.
 
     Utterance i holds stacked rows spans[i] = (start, end); conv2d gives
-    each its own zero border (see _pad).  Recurrent steps run time-major
+    each its own zero border (see _tiles).  Recurrent steps run time-major
     over the utterances still active, longest first: `packed` lists the
     stacked rows of time step 0, then of step 1, ..., sizes[t] rows at step
     t, and each step's utterances are a prefix of the previous step's.
@@ -332,60 +330,81 @@ class _Recurrent:
         return da_x @ self.w_xh.value.T
 
 
-def _pad(x, chunk):
-    """A chunk's C x frames x F maps with a zero border around each
-    utterance: C x (frames + utterances + 1) x (F+2), frame t of utterance i
-    at row t + i + 1."""
-    c, t, f = x.shape
-    xp = np.zeros((c, t + len(chunk.spans) + 1, f + 2 * PAD), dtype=x.dtype)
-    for i, (s, e) in enumerate(chunk.spans):
-        xp[:, s + i + PAD:e + i + PAD, PAD:-PAD] = x[:, s:e]
-    return xp
-
-
-def _cols(xp):
-    """im2col: the 3x3 windows of a padded C x (T+2) x (F+2) stack as a
-    contiguous (C*9) x (T*F) matrix, rows ordered (c, di, dj) like
-    K.reshape(C_out, -1)."""
-    win = sliding_window_view(xp, (KERNEL, KERNEL), axis=(1, 2))   # C, T, F, 3, 3
-    cols = np.ascontiguousarray(win.transpose(0, 3, 4, 1, 2))
-    return cols.reshape(xp.shape[0] * KERNEL * KERNEL, -1)
-
-
 # Byte budget of one tile's window matrix.  A whole-utterance window matrix
-# is 9x its input (133 MB at RC1's 48-map layers for 3 s of audio); tiles keep
-# conv memory bounded in T and each GEMM operand near cache size.  On a Xeon
-# with 4 MiB of L2, RC1's convs ran as fast at 1 and 2.5 MiB and slower from
-# 4 MiB up.  2.5 MiB exceeds the largest toy window matrix (RC-small, 72 x
-# 57*64 doubles, 2.1 MB), so toy training runs each utterance's conv as one
+# is 3x its input (44 MB at RC1's 48-map layers for 3 s of audio); tiles keep
+# conv memory bounded in T and each GEMM operand near cache size.  RC1's conv
+# forward at T=300 (one BLAS thread, a 2-core host, medians of 5) took the
+# same time within 2% at 0.5 to 4 MiB, 5% more at 0.25 MiB and 20% more at
+# 8 MiB.  2.5 MiB exceeds the largest toy window matrix (RC-small, 24 x
+# 59*64 doubles, 0.7 MB), so toy training runs each utterance's conv as one
 # tile.
 _TILE_BYTES = 5 << 19
 
 
-def _tiles(xp, chunk):
-    """Split the frames of a chunk's padded stack (see _pad) into time tiles
-    of one utterance each, of at most _TILE_BYTES of window matrix (and at
-    least one frame): yields (a, b, cols), the im2col matrix of output
-    columns a:b of frames*F."""
-    c, _, fp = xp.shape
-    f = fp - 2 * PAD
-    rows = max(1, _TILE_BYTES // (c * KERNEL * KERNEL * f * xp.itemsize))
-    for i, (s, e) in enumerate(chunk.spans):
+def _kernel_rows(k):
+    """An O x C x 3 x 3 kernel as 3 x O x 3C: [di] is the O x 3C matrix of
+    kernel row di, its columns ordered (dj, c) like the rows of a window
+    matrix (see _tiles)."""
+    o, c = k.shape[:2]
+    return k.transpose(2, 0, 3, 1).reshape(KERNEL, o, KERNEL * c)
+
+
+def _tile_frames(x, chunk):
+    """(output frames per tile, frames in the chunk's largest tile) for a
+    chunk's C x frames x F maps."""
+    c, _, f = x.shape
+    rows = max(1, _TILE_BYTES // (KERNEL * c * f * x.itemsize))
+    return rows, min(rows, max(e - s for s, e in chunk.spans))
+
+
+def _tiles(x, chunk):
+    """Split the frames of a chunk's C x frames x F maps into time tiles of
+    one utterance each: at most as many output frames as _TILE_BYTES holds
+    3C x F blocks of window matrix, and at least one.  Yields (t0, t1, low):
+    low is the 3C x (t1-t0+2)*F window matrix of output frames t0:t1, whose
+    row dj*C + c holds map c over frames t0-1 ... t1 shifted by dj-1 along F.
+    Frames outside the utterance and the columns shifted in from beyond F are
+    zeros: the utterance's own zero border.  Every tile is written into one
+    buffer, so low is valid only until the next tile is drawn."""
+    c, _, f = x.shape
+    rows, widest = _tile_frames(x, chunk)
+    buf = np.empty(KERNEL * c * (widest + 2) * f, dtype=x.dtype)
+    for s, e in chunk.spans:
         for t0 in range(s, e, rows):
             t1 = min(e, t0 + rows)
-            # frame t of utterance i sits at padded row t + i + 1
-            yield t0 * f, t1 * f, _cols(xp[:, t0 + i:t1 + i + 2 * PAD])
+            low = buf[:KERNEL * c * (t1 - t0 + 2) * f].reshape(KERNEL, c, t1 - t0 + 2, f)
+            a, b = max(s, t0 - 1), min(e, t1 + 1)     # the frames the utterance has
+            ra, rb = a - t0 + 1, b - t0 + 1           # ... at these rows of low
+            low[:, :, :ra] = 0.0
+            low[:, :, rb:] = 0.0
+            src = x[:, a:b]
+            low[0, :, ra:rb, 0] = 0.0
+            low[0, :, ra:rb, 1:] = src[:, :, :-1]
+            low[1, :, ra:rb] = src
+            low[2, :, ra:rb, :-1] = src[:, :, 1:]
+            low[2, :, ra:rb, -1] = 0.0
+            yield t0, t1, low.reshape(KERNEL * c, -1)
 
 
-def _correlate(kmat, xp, chunk):
-    """kmat (O x C*9) against the 3x3 window of every frame of a chunk's
-    padded stack: an O x (frames*F) matrix, one GEMM per time tile written
-    in place."""
-    out = np.empty((kmat.shape[0], chunk.frames * (xp.shape[2] - 2 * PAD)),
-                   dtype=np.result_type(kmat, xp))
-    for a, b, cols in _tiles(xp, chunk):
-        np.matmul(kmat, cols, out=out[:, a:b])
-        del cols    # before the next tile is built
+def _correlate(kr, x, chunk, bias=None):
+    """The kernel rows kr (3 x O x 3C, see _kernel_rows) against the 3x3
+    window of every frame of a chunk's C x frames x F maps, plus bias: an O x
+    (frames*F) matrix.  A tile's output columns are the sum over di of kr[di]
+    times the window matrix's columns di*F onward: three GEMMs on slices of
+    one matrix.  The first writes in place; the other two go through one
+    buffer, sized for the largest tile, and are added."""
+    f = x.shape[2]
+    out = np.empty((kr.shape[1], chunk.frames * f), dtype=np.result_type(kr, x))
+    part = np.empty((kr.shape[1], _tile_frames(x, chunk)[1] * f), dtype=out.dtype)
+    for t0, t1, low in _tiles(x, chunk):
+        n = (t1 - t0) * f
+        y = out[:, t0 * f:t1 * f]
+        np.matmul(kr[0], low[:, :n], out=y)
+        for di in range(1, KERNEL):
+            np.matmul(kr[di], low[:, di * f:di * f + n], out=part[:, :n])
+            y += part[:, :n]
+        if bias is not None:
+            y += bias[:, None]
     return out
 
 
@@ -406,21 +425,21 @@ class _Conv2d:
         if c != self.in_maps:
             raise ValueError(f"conv2d expected {self.in_maps} input maps, got {c}")
         chunk = self.layout.chunk_of(t)
-        xp = _pad(x, chunk)
-        y = _correlate(self.k.value.reshape(self.out_maps, -1), xp, chunk)
-        y += self.b.value[:, None]
-        return y.reshape(self.out_maps, t, f), (xp, (c, t, f), chunk)
+        y = _correlate(_kernel_rows(self.k.value), x, chunk, self.b.value)
+        return y.reshape(self.out_maps, t, f), (x, (c, t, f), chunk)
 
     def backward(self, ctx, g):
-        xp, (c, t, f), chunk = ctx
-        # dX is the correlation of the padded g with the flipped, in/out-swapped
-        # kernel
-        flipped = self.k.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
-        dx = _correlate(flipped, _pad(g, chunk), chunk).reshape(c, t, f)
+        x, (c, t, f), chunk = ctx
+        # dX is the correlation of g with the flipped, in/out-swapped kernel
+        flipped = self.k.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
+        dx = _correlate(_kernel_rows(flipped), g, chunk).reshape(c, t, f)
         gm = g.reshape(self.out_maps, t * f)
-        for a, b, cols in _tiles(xp, chunk):
-            self.k.grad += (gm[:, a:b] @ cols.T).reshape(self.k.value.shape)
-            del cols
+        dk = np.zeros((KERNEL, self.out_maps, KERNEL * c))
+        for t0, t1, low in _tiles(x, chunk):
+            n = (t1 - t0) * f
+            for di in range(KERNEL):
+                dk[di] += gm[:, t0 * f:t1 * f] @ low[:, di * f:di * f + n].T
+        self.k.grad += dk.reshape(KERNEL, self.out_maps, KERNEL, c).transpose(1, 3, 0, 2)
         self.b.grad += gm.sum(axis=1)
         return dx
 
@@ -613,14 +632,21 @@ def build_network(config, input_dim=39, output_units=None, rng=None,
 # -- config text format --------------------------------------------------------
 
 def dump_config(config):
-    """One layer per line `kind key=value`; spans as `residual a..b`."""
+    """One layer per line `kind key=value`; spans as `residual a..b`.  Every
+    value reads back equal (parse_config)."""
     lines = [f"network {config.name}"]
     for spec in config.layers:
         key, typ = LAYER_PARAMS[spec.kind][:2]
         val = spec.value
         line = spec.kind
         if val is not None:
-            line += f" {key}={val:g}" if typ is float else f" {key}={val}"
+            text = str(val)
+            if typ is float:
+                # :g unless it rounds the value; repr is the shortest exact text
+                text = f"{val:g}"
+                if float(text) != val:
+                    text = repr(float(val))
+            line += f" {key}={text}"
         lines.append(line)
     for a, b in config.residual_groups:
         lines.append(f"residual {a}..{b}")

@@ -129,6 +129,23 @@ def _pad1(x):
     return np.pad(x, ((0, 0), (1, 1), (1, 1)))
 
 
+def conv2d_by_im2col(x, kernels, bias, g):
+    """The whole-utterance im2col convolution that `rcasr.network._Conv2d`
+    replaced, frozen: (y, dK, db, dX) of the 3x3 stride-1 pad-1 convolution
+    of one C x T x F utterance for the upstream gradient g, each product one
+    GEMM over a 9C x T*F window matrix."""
+    c_out = kernels.shape[0]
+    c, t, f = x.shape
+    cols = _im2col(_pad1(x))
+    y = kernels.reshape(c_out, -1) @ cols + bias[:, None]
+    gm = g.reshape(c_out, -1)
+    dk = (gm @ cols.T).reshape(kernels.shape)
+    del cols
+    flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
+    dx = flipped @ _im2col(_pad1(g))
+    return y.reshape(c_out, t, f), dk, gm.sum(axis=1), dx.reshape(c, t, f)
+
+
 def _step_forward_one(step, x):
     """(output, context) of one step of a built rcasr network on one
     utterance, by the per-utterance code the chunked steps replaced."""

@@ -275,8 +275,9 @@ class TestDecode:
         (6, "3 F p0 p1 3", "6: order 3 takes 2 context symbols, got 1"),
         (6, "2 F <s> p0 x", "6: count 'x' is not a non-negative integer"),
         (6, "2 F <s> p0 -1", "6: count '-1' is not a non-negative integer"),
+        (7, "2 F <s> p0 1", "7: repeats the order-2 F count of 'p0' after '<s>'"),
     ], ids=["header-only", "two-weights", "order-5", "direction", "short-context",
-            "non-integer-count", "negative-count"])
+            "non-integer-count", "negative-count", "repeated-count"])
     def test_malformed_lm_data_error(self, tmp_path, trained_tiny, tiny_corpus_dir, capsys,
                                      line, replace, message):
         lines = LM_TEXT.splitlines()
@@ -532,6 +533,33 @@ class TestUndecodableText:
         err = capsys.readouterr().err
         assert rc == 2
         assert f"data error: {bad}: " in err and "can't decode byte 0xff" in err
+
+
+class TestNonFiniteNumbers:
+    """A feature dump or stats file holding nan or inf is a data error naming
+    the file and line."""
+
+    @pytest.mark.parametrize("target, value", [
+        ("feat", "nan"), ("feat", "-inf"), ("stats", "inf"), ("stats", "nan")])
+    def test_names_the_line(self, tmp_path, tiny_corpus_dir, trained_tiny, capsys, target, value):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_corpus_dir, data)
+        if target == "feat":
+            bad = data / "feat" / sorted(os.listdir(data / "feat"))[0]
+            lines = bad.read_text().splitlines()
+            lines[2] = " ".join([value] + lines[2].split()[1:])
+            bad.write_text("\n".join(lines) + "\n")
+            argv, message = (["decode", "--data", str(data), "--ckpt", str(trained_tiny["ckpt"]),
+                              "--beam", "1"], f"{bad}:3: non-finite feature value")
+        else:
+            bad = tmp_path / "stats.txt"
+            bad.write_text(f"0 0\n1 {value}\n")
+            argv, message = (["features", "--data", str(data), "--stats-in", str(bad)],
+                             f"{bad}:2: non-finite stats value")
+        rc = cli.main(argv + ["--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
 
 class TestTopLevel:

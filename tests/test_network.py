@@ -2,11 +2,12 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (_elu, _elu_slope, conv2d_grads_by_loops, fd_gradient, max_relative_error,
-                     naive_matmul, recurrent_backward_by_steps, sliding_conv2d)
+from oracles import (_elu, _elu_slope, conv2d_by_im2col, conv2d_grads_by_loops, fd_gradient,
+                     max_relative_error, naive_matmul, recurrent_backward_by_steps,
+                     sliding_conv2d)
 from rcasr import ctc as ctc_mod
 from rcasr import network as N
 from rcasr.numerics import ParameterStore, make_rng
@@ -251,18 +252,19 @@ class TestConv2d:
 
     @pytest.mark.parametrize("rows", [1, 2, 3])
     def test_time_tiles_match_oracles(self, monkeypatch, rows):
-        # a budget of `rows` time rows of window matrix (c_in*9 x f doubles
-        # each): T=7 then runs every product over one-row or ragged tiles (dX
-        # tiles the 2-map gradient, so its tiles are taller than the forward's)
+        # a budget of `rows` output frames of window matrix (c_in*3 x f
+        # doubles each): T=7 then runs every product over one-row or ragged
+        # tiles (dX tiles the 2-map gradient, so its tiles are taller than the
+        # forward's)
         c_in, c_out, t, f = 3, 2, 7, 5
-        monkeypatch.setattr(N, "_TILE_BYTES", rows * c_in * 9 * f * 8)
+        monkeypatch.setattr(N, "_TILE_BYTES", rows * c_in * 3 * f * 8)
         rng = make_rng(70 + rows)
         layer, store = self.make(c_in, c_out, seed=rows)
         layer.b.value[...] = rng.normal(size=c_out)
         x = rng.normal(size=(c_in, t, f))
         g = rng.normal(size=(c_out, t, f))
         one = N._Chunk([t])
-        assert len(list(N._tiles(N._pad(x, one), one))) == -(-t // rows)
+        assert len(list(N._tiles(x, one))) == -(-t // rows)
         y, ctx = layer.forward(x, True, None)
         assert np.max(np.abs(y - sliding_conv2d(x, layer.k.value, layer.b.value))) <= 1e-12
         dx = layer.backward(ctx, g)
@@ -270,6 +272,46 @@ class TestConv2d:
         for got, ref in zip((store["c/K"].grad, store["c/b"].grad, dx), want):
             assert got.shape == ref.shape
             assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_paper_size_matches_im2col_oracle(self):
+        # RC1's 24 -> 48 layer on 3 s of audio: at the real budget the forward
+        # runs 9 tiles of 35 frames, dX (48 maps) 18 of 17
+        c_in, c_out, t, f = 24, 48, 300, 128
+        rng = make_rng(75)
+        layer, store = self.make(c_in, c_out, seed=75)
+        layer.b.value[...] = rng.normal(size=c_out)
+        x = rng.normal(size=(c_in, t, f))
+        g = rng.normal(size=(c_out, t, f))
+        assert len(list(N._tiles(x, N._Chunk([t])))) == 9
+        y, ctx = layer.forward(x, True, None)
+        dx = layer.backward(ctx, g)
+        want = conv2d_by_im2col(x, layer.k.value, layer.b.value, g)
+        for got, ref in zip((y, store["c/K"].grad, store["c/b"].grad, dx), want):
+            assert got.shape == ref.shape
+            assert np.max(np.abs(got - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("budget", [N._TILE_BYTES, 5 * 3 * 8 * 16 * 8],
+                             ids=["default-budget", "several-tiles"])
+    def test_chunk_values_equal_each_utterance_alone(self, monkeypatch, budget):
+        # the small budget holds 5 frames of an 8-map window matrix and one
+        # of a 24- or 48-map one (up to 40 tiles per utterance); the 1-map
+        # forward still runs one tile per utterance
+        monkeypatch.setattr(N, "_TILE_BYTES", budget)
+        lengths, f = [1, 23, 9, 40, 17, 2], 16
+        rng = make_rng(76)
+        for c_in, c_out in ((1, 8), (8, 8), (24, 48)):
+            layer, _ = self.make(c_in, c_out, seed=c_in)
+            layer.b.value[...] = rng.normal(size=c_out)
+            xs = [rng.normal(size=(c_in, n, f)) for n in lengths]
+            gs = [rng.normal(size=(c_out, n, f)) for n in lengths]
+            layer.layout.chunk = N._Chunk(lengths)
+            y, ctx = layer.forward(np.concatenate(xs, axis=1), True, None)
+            layer.layout.chunk = None
+            dx = layer.backward(ctx, np.concatenate(gs, axis=1))
+            for (s, e), x, g in zip(ctx[2].spans, xs, gs):
+                y1, ctx1 = layer.forward(x, True, None)
+                assert np.array_equal(y[:, s:e], y1), (c_in, s)
+                assert np.array_equal(dx[:, s:e], layer.backward(ctx1, g)), (c_in, s)
 
     def test_context_holds_only_padded_input(self):
         def arrays(obj):
@@ -537,6 +579,29 @@ def test_parse_config_raises_only_value_errors(data):
         pass
 
 
+# a layer of each kind with its value omitted or drawn from its valid range
+_LAYER_VALUES = {
+    "recurrent": st.integers(1, 256), "conv2d": st.integers(1, 64), "dense": st.integers(1, 256),
+    "elu": st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    "dropout": st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
+    "linear_output": st.integers(1, 100),
+}
+_LAYER = st.sampled_from(sorted(set(_LAYER_VALUES) - {"linear_output"})).flatmap(
+    lambda kind: st.builds(N.LayerSpec, st.just(kind),
+                           _LAYER_VALUES[kind] if N.LAYER_PARAMS[kind][2] is None
+                           else st.none() | _LAYER_VALUES[kind]))
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(layers=st.lists(_LAYER, max_size=8),
+       out=st.none() | _LAYER_VALUES["linear_output"])
+@example(layers=[N.elu(1.2345678), N.dropout(0.123456789)], out=None)
+def test_config_text_round_trips_every_value(layers, out):
+    cfg = N.NetworkConfig(name="fuzz", layers=layers + [N.LayerSpec("linear_output", out)])
+    back = N.parse_config(N.dump_config(cfg))
+    assert back.layers == cfg.layers
+
+
 class TestNetworkForward:
     def test_rc_shapes(self):
         net = N.build_network(N.catalog()["RC2-toy"], output_units=5, rng=make_rng(60))
@@ -569,7 +634,7 @@ class TestNetworkForward:
     def test_inference_memory_bounded(self, name, bound_mib):
         # 3 s of audio.  RC1: whole-utterance window matrices plus every
         # step's kept context traced 236 MiB; time tiles and no inference
-        # contexts leave about 47 MiB.  Res-RC2 traced 67 MiB while its
+        # contexts leave about 45 MiB, and the 3x window matrix 32.  Res-RC2 traced 67 MiB while its
         # blocks kept their inner steps' contexts, and 24 MiB without them
         net = N.build_network(N.catalog()[name], output_units=62, rng=make_rng(73))
         x = make_rng(74).normal(size=(300, 39))
