@@ -1,6 +1,6 @@
 """CTC from first principles on instances small enough to enumerate.
 
-Shows the path-sum definition, the scaled forward/backward trellis, the
+Shows the path-sum definition, the log-space forward/backward trellis, the
 analytic gradient, and greedy vs beam decoding.
 """
 

@@ -182,6 +182,11 @@ def cmd_features(args):
     if args.stats_in:
         _require_path(args.stats_in, "stats file")
         stats = feats.load_stats(args.stats_in)
+        for i in ids:
+            width = corp[i].features.shape[1]
+            if width != stats.mean.size:
+                raise ValueError(f"{args.stats_in}: {stats.mean.size}-wide stats, but "
+                                 f"utterance '{i}' has {width}-wide features")
     else:
         _, stats = feats.normalize_corpus([corp[i].features for i in fit_ids])
     out = corpus_mod.Corpus(

@@ -1,12 +1,11 @@
 """Connectionist temporal classification.
 
-Forward/backward dynamic program over the blank-extended label, with per-step
-normalization of both variable sets (scaled arithmetic, not log space); loss
-and analytic gradient through an internal softmax; greedy and prefix beam
+Forward/backward dynamic program over the blank-extended label in log space
+(Graves et al., ICML 2006), so no feasible labelling underflows; loss and
+analytic gradient through an internal softmax; greedy and prefix beam
 decoding.  The blank is always the LAST label index.
 """
 
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -84,17 +83,16 @@ def min_frames(labels):
 
 @dataclass
 class CtcTrellis:
-    """Scaled forward/backward variables over the extended label.
+    """Log-space forward/backward variables over the extended label.
 
-    alpha[t] and beta[t] each sum to 1; log_alpha_scale[t] holds ln C_t so
-    that the unscaled alpha_t(s) = alpha[t,s] * exp(sum_{t'<=t} ln C_t'),
-    and log_prob = sum_t ln C_t.
+    log_alpha[t, s] is ln of the probability mass of the path prefixes that
+    are in state s of l' at frame t, log_beta[t, s] that of the path
+    suffixes from state s at frame t to an end state; both count
+    y[t, l'_s].  Unreachable entries are -inf, and log_prob = ln p(l|x).
     """
 
-    alpha: np.ndarray
-    beta: np.ndarray
-    log_alpha_scale: np.ndarray
-    log_beta_scale: np.ndarray
+    log_alpha: np.ndarray
+    log_beta: np.ndarray
     log_prob: float
     l_prime: np.ndarray
     y: np.ndarray
@@ -113,7 +111,7 @@ def _check_labels(labels, n_labels):
 
 
 def ctc_forward(y, labels):
-    """Fill the scaled alpha/beta trellis for label sequence `labels`.
+    """Fill the log-space alpha/beta trellis for label sequence `labels`.
 
     y is a T x L row-stochastic matrix whose last column is the blank.
     Infeasible (or zero-probability) labellings come back with
@@ -124,43 +122,31 @@ def ctc_forward(y, labels):
     _check_rows_stochastic(y)
     labels = tuple(int(s) for s in labels)
     _check_labels(labels, L)
-    if T >= min_frames(labels):
-        tr = _trellises(y, [labels], [T])
-        if not tr.dead[0]:
-            return CtcTrellis(
-                alpha=tr.alpha[:, 0], beta=tr.beta[:, 0],
-                log_alpha_scale=tr.log_c[:, 0], log_beta_scale=tr.log_d[:, 0],
-                log_prob=float(tr.log_prob[0]), l_prime=tr.lp[0], y=y,
-            )
-    S = 2 * len(labels) + 1
-    return CtcTrellis(
-        alpha=np.zeros((T, S)), beta=np.zeros((T, S)),
-        log_alpha_scale=np.full(T, NEG_INF), log_beta_scale=np.full(T, NEG_INF),
-        log_prob=NEG_INF, l_prime=extend_label(labels, L - 1), y=y,
-    )
+    with np.errstate(divide="ignore"):
+        tr = _trellises(np.log(y), [labels], [T])
+    return CtcTrellis(log_alpha=tr.log_alpha[:, 0], log_beta=tr.log_beta[:, 0],
+                      log_prob=float(tr.log_prob[0]), l_prime=tr.lp[0], y=y)
 
 
-def _skips(lp, blank):
-    """skip[k, s - 2] = 1 where s-2 -> s is legal in row k of l': l'_s is a
-    non-blank differing from l'_{s-2}."""
-    return ((lp[:, 2:] != blank) & (lp[:, 2:] != lp[:, :-2])).astype(np.float64)
+def _log_skips(lp, blank):
+    """log_skip[k, s - 2] = 0 where s-2 -> s is legal in row k of l' (l'_s is
+    a non-blank differing from l'_{s-2}), -inf elsewhere."""
+    return np.where((lp[:, 2:] != blank) & (lp[:, 2:] != lp[:, :-2]), 0.0, NEG_INF)
 
 
-def _trellises(y, labels, lengths):
-    """The scaled alpha and beta trellises of every utterance of a chunk.
+def _trellises(log_y, labels, lengths):
+    """The log-space alpha and beta trellises of every utterance of a chunk.
 
-    y (N x L) stacks the utterances' frames, lengths[i] of them for label
-    sequence labels[i].  Arrays are time x utterance x state, utterances
-    longest first (column k is utterance order[k]), zero outside each one's
-    frames, states and window.  `dead` marks the utterances with a row that
-    sums to zero; their numbers are meaningless.
+    log_y (N x L) stacks the utterances' log emissions, lengths[i] frames
+    for label sequence labels[i].  Arrays are time x utterance x state,
+    utterances longest first (column k is utterance order[k]), -inf outside
+    each one's frames and states.
 
     beta is the alpha recursion run on each utterance's time- and
     label-reversed problem: reversing l' keeps its skip rule and its two
-    start states, and maps every frame's window onto the mirrored frame's
-    window.
+    start states, and its end states are the start states of l'.
     """
-    blank = y.shape[1] - 1
+    blank = log_y.shape[1] - 1
     lengths = np.asarray(lengths, dtype=np.intp)
     order = np.argsort(-lengths, kind="stable")
     T = lengths[order]
@@ -175,69 +161,50 @@ def _trellises(y, labels, lengths):
     s = np.arange(s_max)
     frames = t < T                                        # t_max x n
     live = frames[:, :, None] & (s < S[:, None])
-    # states outside [S - 2(T - t), 2(t + 1)) either cannot be reached from
-    # the start or cannot reach an accepting end state; excluding them makes
-    # the row sums (and hence sum_t ln C_t) equal the exact path probability
-    window = live & (s >= (S - 2 * (T - t))[:, :, None]) & (s < 2 * (t + 1))[:, None]
-    frame = np.minimum((np.cumsum(lengths) - lengths)[order] + t, max(len(y) - 1, 0))
-    emit = np.where(window, y[frame[:, :, None], lp], 0.0)
+    frame = np.minimum((np.cumsum(lengths) - lengths)[order] + t, max(len(log_y) - 1, 0))
+    emit = np.where(live, log_y[frame[:, :, None], lp], NEG_INF)
 
     # the mirror image (t, k, s) <-> (T_k - 1 - t, k, S_k - 1 - s)
     t_rev = np.maximum(T - 1 - t, 0)
     s_rev = np.maximum(S[:, None] - 1 - s, 0)
-    k = np.arange(n)[:, None]
+    idx = np.arange(n)
+    k = idx[:, None]
 
     def mirror(a):
-        return np.where(live, a[t_rev[:, :, None], k, s_rev], 0.0)
+        return np.where(live, a[t_rev[:, :, None], k, s_rev], NEG_INF)
 
     lp_rev = np.where(s < S[:, None], lp[k, s_rev], blank)
     sizes = frames.sum(axis=1).tolist()
-    with np.errstate(invalid="ignore", divide="ignore"):
-        alpha, c = _scaled_pass(emit, _skips(lp, blank), sizes)
-        beta_rev, d_rev = _scaled_pass(mirror(emit), _skips(lp_rev, blank), sizes)
-    dead = (c == 0.0).any(axis=0) | (d_rev == 0.0).any(axis=0)
-    c[:, dead] = d_rev[:, dead] = 1.0
-    log_c, log_d_rev = _log(c), _log(d_rev)
+    alpha = _log_pass(emit, _log_skips(lp, blank), sizes)
+    beta_rev = _log_pass(mirror(emit), _log_skips(lp_rev, blank), sizes)
+    # row T_k is utterance k's last frame (row 0 its start, for T_k = 0)
+    last = alpha[T, idx]
     return SimpleNamespace(
-        alpha=alpha, beta=mirror(beta_rev), log_c=log_c,
-        log_d=np.where(frames, log_d_rev[t_rev, k.T], 0.0),
-        log_prob=np.ascontiguousarray(log_c.T).sum(axis=1),
-        lp=lp, frame=frame, order=order, dead=dead,
+        log_alpha=alpha[1:], log_beta=mirror(beta_rev[1:]),
+        log_prob=np.logaddexp(last[idx, S - 1], np.where(S > 1, last[idx, S - 2], NEG_INF)),
+        lp=lp, frame=frame, order=order,
     )
 
 
-def _log(a):
-    """math.log of every entry (np.log can differ from it in the last bit)."""
-    return np.array([math.log(v) for v in a.ravel().tolist()]).reshape(a.shape)
+def _log_pass(emit, log_skip, sizes):
+    """The log-space alpha recursion over time x utterance x state log
+    emissions, -inf outside each utterance's states; the first sizes[t]
+    utterances run at time t.
 
-
-def _scaled_pass(emit, skip, sizes):
-    """The scaled alpha recursion over time x utterance x state emissions,
-    zero outside each utterance's window; the first sizes[t] utterances run
-    at time t.
-
-    Returns the rows, each normalised to sum to 1, and each row's sum C_t
-    (1 where an utterance has ended).  A row that sums to zero turns its
-    utterance's later rows into nan.
+    Returns (T + 1) x utterance x state rows: row 0 is a virtual start whose
+    successors are the two start states, row t + 1 frame t; -inf where an
+    utterance has ended.
     """
     T, n, S = emit.shape
-    rows = np.zeros((T, n, S))
-    sums = np.ones((T, n))
-    # a virtual row before t = 0 whose successors are the two start states
-    prev = np.zeros((n, S))
-    prev[:, 0] = 1.0
+    rows = np.full((T + 1, n, S), NEG_INF)
+    rows[0, :, 0] = 0.0
     for t, m in enumerate(sizes):
-        p = prev[:m]
-        acc = p.copy()
-        acc[:, 1:] += p[:, :-1]
-        acc[:, 2:] += p[:, :-2] * skip[:m]
-        row = rows[t, :m]
-        np.multiply(acc, emit[t, :m], out=row)
-        total = row.sum(axis=1)
-        row /= total[:, None]
-        sums[t, :m] = total
-        prev = row
-    return rows, sums
+        p, row = rows[t, :m], rows[t + 1, :m]
+        row[:, 0] = p[:, 0]
+        np.logaddexp(p[:, 1:], p[:, :-1], out=row[:, 1:])
+        np.logaddexp(row[:, 2:], p[:, :-2] + log_skip[:m], out=row[:, 2:])
+        row += emit[t, :m]
+    return rows
 
 
 def softmax(u):
@@ -277,7 +244,10 @@ def ctc_loss_and_grad(u, labels, lengths=None):
     if bad.size:
         raise _utterance_error(ValueError("non-finite pre-activations passed to CTC"),
                                int(np.searchsorted(ends, bad[0], side="right")))
-    y = softmax(u)
+    shifted = u - u.max(axis=1, keepdims=True)
+    e = np.exp(shifted)
+    total = e.sum(axis=1, keepdims=True)
+    y, log_y = e / total, shifted - np.log(total)
     for i, (lab, t) in enumerate(zip(labels, lengths)):
         try:
             _check_labels(lab, y.shape[1])
@@ -285,24 +255,12 @@ def ctc_loss_and_grad(u, labels, lengths=None):
                 raise InfeasibleLabel(f"infeasible label length {len(lab)} for {t} frames")
         except ValueError as exc:
             raise _utterance_error(exc, i) from None
-    tr = _trellises(y, labels, lengths)
-    if tr.dead.any():
-        raise _utterance_error(
-            ArithmeticError("CTC path probability underflowed to zero (saturated softmax?)"),
-            int(tr.order[tr.dead].min()))
-    cum_c = np.cumsum(tr.log_c, axis=0)
-    cum_d = np.cumsum(tr.log_d[::-1], axis=0)[::-1]
-    with np.errstate(over="ignore"):
-        k = np.exp(cum_c + cum_d - tr.log_prob)
-    over = ~np.isfinite(k).all(axis=0)
-    if over.any():
-        raise _utterance_error(FloatingPointError("overflow in the CTC posterior scale"),
-                               int(tr.order[over].min()))
-    w = tr.alpha * tr.beta * k[:, :, None]
-    t, kk, s = np.nonzero(w)
-    rows, cols = tr.frame[t, kk], tr.lp[kk, s]
-    gamma = np.bincount(rows * y.shape[1] + cols, w[t, kk, s] / y[rows, cols],
-                        minlength=y.size).reshape(y.shape)
+    tr = _trellises(log_y, labels, lengths)
+    log_w = tr.log_alpha + tr.log_beta
+    t, k, s = np.nonzero(np.isfinite(log_w))
+    rows, cols = tr.frame[t, k], tr.lp[k, s]
+    w = np.exp(log_w[t, k, s] - log_y[rows, cols] - tr.log_prob[k])
+    gamma = np.bincount(rows * y.shape[1] + cols, w, minlength=y.size).reshape(y.shape)
     losses = np.empty(len(labels))
     losses[tr.order] = -tr.log_prob
     return (float(losses[0]) if single else losses), y - gamma

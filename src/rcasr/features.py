@@ -256,7 +256,7 @@ def load_feature_dump(path):
             lines.append(i)
     if len(rows) != t:
         raise ValueError(f"{path}: header claims {t} rows, found {len(rows)}")
-    mat = np.asarray(rows, dtype=np.float64)
+    mat = np.asarray(rows, dtype=np.float64).reshape(t, d)
     if not np.isfinite(mat).all():
         first = int(np.argmin(np.isfinite(mat).all(axis=1)))
         raise ValueError(f"{path}:{lines[first]}: non-finite feature value")

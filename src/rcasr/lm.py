@@ -37,9 +37,12 @@ class NgramModel:
     totals: dict = field(default_factory=dict)    # (order, dir) -> {ctx: n}
 
     def __post_init__(self):
+        # written so that nan fails every test
         w = self.interp_weights
-        if any(w[n] < 0 for n in ORDERS) or abs(sum(w[n] for n in ORDERS) - 1.0) > 1e-12:
+        if not (all(w[n] >= 0 for n in ORDERS) and abs(sum(w[n] for n in ORDERS) - 1.0) <= 1e-12):
             raise ValueError(f"interpolation weights must be >= 0 and sum to 1: {w}")
+        if not 0.0 < self.smoothing_k < math.inf:
+            raise ValueError(f"smoothing k must be positive and finite, got {self.smoothing_k}")
         if not 0.0 <= self.mu <= 1.0:
             raise ValueError(f"mu must lie in [0, 1], got {self.mu}")
         for key in [(n, d) for n in ORDERS for d in "FB"]:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .features import N_FEATURES
 from .numerics import ParameterStore, glorot_init, make_rng
 
 KERNEL = 3
@@ -557,7 +558,7 @@ class Network:
         return self.store.n_params()
 
 
-def build_network(config, input_dim=39, output_units=None, rng=None,
+def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,
                   dropout_override=None):
     """Instantiate a config into a Network plus a fresh ParameterStore.
 

@@ -15,6 +15,7 @@ import numpy as np
 CHECKPOINT_MAGIC = b"RCNN1\x00"
 _DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1}
 _CODE_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class NonFiniteValue(ArithmeticError):
@@ -97,19 +98,20 @@ class ParameterStore:
             p.grad[...] = 0.0
 
 
-def adam_step(store, lr, beta1=0.9, beta2=0.999, eps=1e-8):
-    """One Adam update with bias correction; zeroes gradients afterwards."""
+def adam_step(store, lr):
+    """One Adam update with bias correction (ADAM_BETA1, ADAM_BETA2,
+    ADAM_EPS); zeroes gradients afterwards."""
     store.step_count += 1
     t = store.step_count
     for name, p in store.entries.items():
         if not np.all(np.isfinite(p.grad)):
             raise NonFiniteValue(f"non-finite gradient for parameter '{name}'")
         g = p.grad
-        p.adam_m[...] = beta1 * p.adam_m + (1.0 - beta1) * g
-        p.adam_v[...] = beta2 * p.adam_v + (1.0 - beta2) * g * g
-        m_hat = p.adam_m / (1.0 - beta1 ** t)
-        v_hat = p.adam_v / (1.0 - beta2 ** t)
-        p.value[...] = p.value - lr * m_hat / (np.sqrt(v_hat) + eps)
+        p.adam_m[...] = ADAM_BETA1 * p.adam_m + (1.0 - ADAM_BETA1) * g
+        p.adam_v[...] = ADAM_BETA2 * p.adam_v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = p.adam_m / (1.0 - ADAM_BETA1 ** t)
+        v_hat = p.adam_v / (1.0 - ADAM_BETA2 ** t)
+        p.value[...] = p.value - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         p.grad[...] = 0.0
     return store
 

@@ -106,8 +106,7 @@ def train(config, corpus, partition=None):
     A train or val utterance whose feature width is not N_FEATURES is a
     ValueError before the first epoch.  Infeasible utterances (too few
     frames for their label) are skipped with a warning.  A numeric failure
-    (non-finite logits, a CTC underflow or overflow) aborts naming the
-    epoch, batch and utterance.
+    (non-finite logits) aborts naming the epoch, batch and utterance.
     """
     net_config = _resolve_config(config.network)
     alphabet = corpus.alphabet

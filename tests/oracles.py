@@ -225,7 +225,7 @@ def _step_backward_one(step, ctx, g):
 
 def train_step_per_utterance(net, xs, labels):
     """The per-utterance training step the chunked one replaced, frozen: each
-    utterance runs forward, CTC (`ctc_loss_and_grad_by_frames`) and backward
+    utterance runs forward, CTC (`ctc_loss_and_grad_log_space`) and backward
     on its own, through a recurrent loop of vector-matrix products and one
     im2col GEMM per conv.  Adds every utterance's parameter gradients to the
     store's; returns (losses, input gradient per utterance)."""
@@ -235,7 +235,7 @@ def train_step_per_utterance(net, xs, labels):
         for step in net.steps:
             h, ctx = _step_forward_one(step, h)
             ctxs.append(ctx)
-        loss, g = ctc_loss_and_grad_by_frames(h, lab)
+        loss, g = ctc_loss_and_grad_log_space(h, lab)
         for step, ctx in zip(reversed(net.steps), reversed(ctxs)):
             g = _step_backward_one(step, ctx, g)
         losses.append(loss)
@@ -290,7 +290,9 @@ def _ctc_min_frames(labels):
 def ctc_forward_two_loops(y, labels):
     """The scaled trellis `rcasr.ctc.ctc_forward` replaced, frozen: an alpha
     loop and a mirror-image beta loop, each with its own start, window and
-    skip mask.  Returns the same fields as `rcasr.ctc.CtcTrellis`."""
+    skip mask.  Returns alpha and beta with every row normalised to sum to
+    1, their ln row sums (log_alpha_scale, log_beta_scale), log_prob,
+    l_prime and y."""
     NEG_INF = float("-inf")
     y = np.asarray(y, dtype=np.float64)
     T, L = y.shape
@@ -387,53 +389,184 @@ def ctc_forward_two_loops(y, labels):
     )
 
 
-def ctc_loss_and_grad_by_frames(u, labels):
-    """The CTC loss and gradient `rcasr.ctc.ctc_loss_and_grad` replaced,
-    frozen: `ctc_forward_two_loops`, then one scatter per frame."""
+def _ctc_extend(labels, blank):
+    lp = [blank]
+    for s in labels:
+        lp += [int(s), blank]
+    return np.asarray(lp, dtype=np.intp)
+
+
+def ctc_log_trellis_by_frames(log_y, labels):
+    """Log-space alpha and beta (Graves et al., ICML 2006): one loop over
+    frames each, vectorised over the states of l', alpha from the two start
+    states and beta back from the two end states.  Both count the frame's
+    own emission; unreachable entries are -inf."""
+    NEG_INF = float("-inf")
+    log_y = np.asarray(log_y, dtype=np.float64)
+    T, L = log_y.shape
+    blank = L - 1
+    lp = _ctc_extend(labels, blank)
+    S = lp.size
+    log_skip = np.full(S, NEG_INF)
+    for s in range(2, S):
+        if lp[s] != blank and lp[s] != lp[s - 2]:
+            log_skip[s] = 0.0
+    alpha = np.full((T, S), NEG_INF)
+    beta = np.full((T, S), NEG_INF)
+    if T == 0:
+        log_prob = 0.0 if S == 1 else NEG_INF
+        return SimpleNamespace(log_alpha=alpha, log_beta=beta, log_prob=log_prob, l_prime=lp)
+    alpha[0, :2] = log_y[0, lp[:2]]
+    for t in range(1, T):
+        prev = alpha[t - 1]
+        acc = prev.copy()
+        acc[1:] = np.logaddexp(acc[1:], prev[:-1])
+        acc[2:] = np.logaddexp(acc[2:], prev[:-2] + log_skip[2:])
+        alpha[t] = acc + log_y[t, lp]
+    beta[T - 1, max(S - 2, 0):] = log_y[T - 1, lp[max(S - 2, 0):]]
+    for t in range(T - 2, -1, -1):
+        nxt = beta[t + 1]
+        acc = nxt.copy()
+        acc[:-1] = np.logaddexp(acc[:-1], nxt[1:])
+        acc[:-2] = np.logaddexp(acc[:-2], nxt[2:] + log_skip[2:])
+        beta[t] = acc + log_y[t, lp]
+    log_prob = alpha[T - 1, -1] if S == 1 else np.logaddexp(alpha[T - 1, -1], alpha[T - 1, -2])
+    return SimpleNamespace(log_alpha=alpha, log_beta=beta, log_prob=float(log_prob), l_prime=lp)
+
+
+def ctc_loss_and_grad_log_space(u, labels):
+    """The CTC loss and gradient of one utterance from
+    `ctc_log_trellis_by_frames`: gamma by one scatter per frame of
+    exp(ln alpha + ln beta - ln y - ln p) over the reachable states."""
     u = np.asarray(u, dtype=np.float64)
+    if not np.all(np.isfinite(u)):
+        raise ValueError("non-finite pre-activations passed to CTC")
+    shifted = u - u.max(axis=1, keepdims=True)
+    log_y = shifted - np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    tr = ctc_log_trellis_by_frames(log_y, labels)
+    if tr.log_prob == float("-inf"):
+        raise ValueError(f"infeasible label length {len(tuple(labels))} for {len(u)} frames")
+    lp = tr.l_prime
+    gamma = np.zeros(u.shape)
+    for t in range(len(u)):
+        w = tr.log_alpha[t] + tr.log_beta[t]
+        mask = np.isfinite(w)
+        np.add.at(gamma[t], lp[mask], np.exp(w[mask] - log_y[t, lp[mask]] - tr.log_prob))
+    return -tr.log_prob, np.exp(log_y) - gamma
+
+
+def ctc_loss_and_grad_scaled(u, labels, lengths=None):
+    """The scaled-trellis CTC loss and gradient the log-space recursion
+    replaced, frozen: one normalised alpha pass per chunk, beta as the same
+    pass on the mirrored problem, a state window, ln of each row sum by
+    math.log, and gamma scaled by exp(cum_c + cum_d - ln p).  Raises
+    ArithmeticError where a row underflows to zero and FloatingPointError
+    where that scale overflows, both on feasible labellings too."""
+    u = np.asarray(u, dtype=np.float64)
+    single = lengths is None
+    if single:
+        labels, lengths = [labels], [len(u)]
+    labels = [tuple(int(s) for s in lab) for lab in labels]
     if not np.all(np.isfinite(u)):
         raise ValueError("non-finite pre-activations passed to CTC")
     e = np.exp(u - u.max(axis=1, keepdims=True))
     y = e / e.sum(axis=1, keepdims=True)
-    trellis = ctc_forward_two_loops(y, labels)
-    if trellis.log_prob == float("-inf"):
-        if u.shape[0] < _ctc_min_frames(labels):
-            raise ValueError(
-                f"infeasible label length {len(tuple(labels))} for {u.shape[0]} frames"
-            )
+    for lab, t in zip(labels, lengths):
+        if t < _ctc_min_frames(lab):
+            raise ValueError(f"infeasible label length {len(lab)} for {t} frames")
+
+    blank = y.shape[1] - 1
+    lengths = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    T = lengths[order]
+    rows = [_ctc_extend(labels[i], blank) for i in order]
+    S = np.array([r.size for r in rows])
+    n, t_max, s_max = len(rows), int(T.max(initial=0)), int(S.max())
+    lp = np.full((n, s_max), blank, dtype=np.intp)
+    for k, r in enumerate(rows):
+        lp[k, :r.size] = r
+    t = np.arange(t_max)[:, None]
+    s = np.arange(s_max)
+    frames = t < T
+    live = frames[:, :, None] & (s < S[:, None])
+    window = live & (s >= (S - 2 * (T - t))[:, :, None]) & (s < 2 * (t + 1))[:, None]
+    frame = np.minimum((np.cumsum(lengths) - lengths)[order] + t, max(len(y) - 1, 0))
+    emit = np.where(window, y[frame[:, :, None], lp], 0.0)
+    t_rev = np.maximum(T - 1 - t, 0)
+    s_rev = np.maximum(S[:, None] - 1 - s, 0)
+    kk = np.arange(n)[:, None]
+
+    def mirror(a):
+        return np.where(live, a[t_rev[:, :, None], kk, s_rev], 0.0)
+
+    def skips(lp):
+        return ((lp[:, 2:] != blank) & (lp[:, 2:] != lp[:, :-2])).astype(np.float64)
+
+    def scaled_pass(emit, skip):
+        rows = np.zeros(emit.shape)
+        sums = np.ones(emit.shape[:2])
+        prev = np.zeros(emit.shape[1:])
+        prev[:, 0] = 1.0
+        for t, m in enumerate(frames.sum(axis=1).tolist()):
+            p = prev[:m]
+            acc = p.copy()
+            acc[:, 1:] += p[:, :-1]
+            acc[:, 2:] += p[:, :-2] * skip[:m]
+            row = rows[t, :m]
+            np.multiply(acc, emit[t, :m], out=row)
+            total = row.sum(axis=1)
+            row /= total[:, None]
+            sums[t, :m] = total
+            prev = row
+        return rows, sums
+
+    def log(a):
+        return np.array([math.log(v) for v in a.ravel().tolist()]).reshape(a.shape)
+
+    lp_rev = np.where(s < S[:, None], lp[kk, s_rev], blank)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        alpha, c = scaled_pass(emit, skips(lp))
+        beta_rev, d_rev = scaled_pass(mirror(emit), skips(lp_rev))
+    beta = mirror(beta_rev)
+    dead = (c == 0.0).any(axis=0) | (d_rev == 0.0).any(axis=0)
+    if dead.any():
         raise ArithmeticError("CTC path probability underflowed to zero (saturated softmax?)")
-    T, L = y.shape
-    lp = trellis.l_prime
-    cum_c = np.cumsum(trellis.log_alpha_scale)
-    cum_d = np.cumsum(trellis.log_beta_scale[::-1])[::-1]
-    gamma = np.zeros((T, L))
-    for t in range(T):
-        k_t = math.exp(cum_c[t] + cum_d[t] - trellis.log_prob)
-        w = trellis.alpha[t] * trellis.beta[t] * k_t
-        mask = w != 0.0
-        if np.any(mask):
-            np.add.at(gamma[t], lp[mask], w[mask] / y[t, lp[mask]])
-    return -trellis.log_prob, y - gamma
+    log_c, log_d_rev = log(c), log(d_rev)
+    log_d = np.where(frames, log_d_rev[t_rev, kk.T], 0.0)
+    log_prob = np.ascontiguousarray(log_c.T).sum(axis=1)
+    cum_c = np.cumsum(log_c, axis=0)
+    cum_d = np.cumsum(log_d[::-1], axis=0)[::-1]
+    with np.errstate(over="ignore"):
+        scale = np.exp(cum_c + cum_d - log_prob)
+    if not np.isfinite(scale).all():
+        raise FloatingPointError("overflow in the CTC posterior scale")
+    w = alpha * beta * scale[:, :, None]
+    t, k, s = np.nonzero(w)
+    rows, cols = frame[t, k], lp[k, s]
+    gamma = np.bincount(rows * y.shape[1] + cols, w[t, k, s] / y[rows, cols],
+                        minlength=y.size).reshape(y.shape)
+    losses = np.empty(len(labels))
+    losses[order] = -log_prob
+    return (float(losses[0]) if single else losses), y - gamma
 
 
 def ctc_posterior_check(trellis):
-    """Reconstruct p(l|x) independently at every t from alpha_t and beta_t.
+    """Reconstruct p(l|x) independently at every t from log alpha_t and
+    log beta_t.
 
-    In unscaled terms sum_s alpha_t(s) beta_t(s) / y_{l'_s}^t is p(l|x) for
-    every t; returns that value per t so callers can verify it is constant.
+    sum_s alpha_t(s) beta_t(s) / y_{l'_s}^t is p(l|x) for every t; returns
+    that value per t so callers can verify it is constant.
     """
     if trellis.log_prob == float("-inf"):
         raise ValueError("posterior check undefined for infeasible trellis")
-    T, S = trellis.alpha.shape
-    cum_c = np.cumsum(trellis.log_alpha_scale)
-    cum_d = np.cumsum(trellis.log_beta_scale[::-1])[::-1]
+    T = trellis.log_alpha.shape[0]
     out = np.zeros(T)
     for t in range(T):
-        yt = trellis.y[t, trellis.l_prime]
-        prod = trellis.alpha[t] * trellis.beta[t]
-        mask = prod != 0.0
-        s = float(np.sum(prod[mask] / yt[mask]))
-        out[t] = s * math.exp(cum_c[t] + cum_d[t])
+        w = trellis.log_alpha[t] + trellis.log_beta[t]
+        mask = np.isfinite(w)
+        w = w[mask] - np.log(trellis.y[t, trellis.l_prime[mask]])
+        top = w.max()
+        out[t] = math.exp(top) * float(np.sum(np.exp(w - top)))
     return out
 
 

@@ -217,6 +217,17 @@ class TestFeaturesCmd:
         assert rc == 2
         assert f"{stats}: could not convert string to float: 'x'" in capsys.readouterr().err
 
+    def test_stats_of_another_width_data_error(self, tmp_path, tiny_corpus_dir, capsys):
+        stats = tmp_path / "stats.txt"
+        stats.write_text("0 0\n1 1\n")
+        out = tmp_path / "out"
+        rc = cli.main(["features", "--data", str(tiny_corpus_dir), "--out", str(out),
+                       "--stats-in", str(stats)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"{stats}: 2-wide stats, but utterance " in err and "has 39-wide features" in err
+        assert not out.exists()
+
 
 class TestLmTrainCmd:
     def test_model_file_written(self, tmp_path, tiny_corpus_dir):

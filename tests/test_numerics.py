@@ -49,7 +49,7 @@ class TestAdam:
         store = ParameterStore()
         store.add("w", np.array([1.0]))
         store["w"].grad[...] = 1.0
-        adam_step(store, lr=0.1, beta1=0.9, beta2=0.999, eps=1e-8)
+        adam_step(store, lr=0.1)
         expected = 1.0 - 0.1 * 1.0 / (1.0 + 1e-8)
         assert store["w"].value[0] == pytest.approx(expected, abs=1e-15)
         assert store["w"].value[0] == pytest.approx(0.9, abs=1e-7)
