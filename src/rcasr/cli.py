@@ -39,6 +39,20 @@ def _require_path(path, what):
     return path
 
 
+_TRAIN_DEFAULTS = trainer.TrainConfig()
+
+
+def _add_training_flags(p, partition_help=None):
+    """The flags train and compare share, with TrainConfig's defaults."""
+    p.add_argument("--data", required=True)
+    p.add_argument("--out", required=True)
+    p.add_argument("--partition", help=partition_help)
+    p.add_argument("--epochs", type=int, default=_TRAIN_DEFAULTS.epochs)
+    p.add_argument("--lr", type=float, default=_TRAIN_DEFAULTS.lr)
+    p.add_argument("--batch-size", type=int, default=_TRAIN_DEFAULTS.batch_size)
+    p.add_argument("--seed", type=int, default=_TRAIN_DEFAULTS.seed)
+
+
 def build_parser():
     parser = _Parser(prog="rcasr", description=__doc__)
     parser.add_argument("--dump-catalog", metavar="NAME", nargs="?", const="*",
@@ -46,7 +60,6 @@ def build_parser():
     sub = parser.add_subparsers(dest="command")
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")
-    p.add_argument("--spec", help="generator spec file (optional; defaults built in)")
     p.add_argument("--out", required=True)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--seed", type=int, default=0)
@@ -67,29 +80,16 @@ def build_parser():
     p.add_argument("--sizes", help="train,val,test counts (default: scaled 5000/1000/300)")
     p.add_argument("--candidates", type=int, default=1,
                    help="draw this many candidates and keep the best by baseline cross-validation")
-    p.add_argument("--budget-epochs", type=int, default=3)
 
     p = sub.add_parser("train", help="train a network")
     p.add_argument("--config", required=True, help="catalog name or network config file")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--partition", help="directory with train/val/test id files")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.00005)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--dropout", type=float)
-    p.add_argument("--checkpoint-every", type=int, default=0)
+    _add_training_flags(p, partition_help="directory with train/val/test id files")
+    p.add_argument("--dropout", type=float, default=_TRAIN_DEFAULTS.dropout)
+    p.add_argument("--checkpoint-every", type=int, default=_TRAIN_DEFAULTS.checkpoint_every)
 
     p = sub.add_parser("compare", help="train several models on identical data")
     p.add_argument("--models", required=True, help="comma-separated catalog names")
-    p.add_argument("--data", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--partition")
-    p.add_argument("--epochs", type=int, default=10)
-    p.add_argument("--lr", type=float, default=0.00005)
-    p.add_argument("--batch-size", type=int, default=32)
-    p.add_argument("--seed", type=int, default=0)
+    _add_training_flags(p)
 
     p = sub.add_parser("lm-train", help="train the bidirectional n-gram model")
     p.add_argument("--data", required=True, help="corpus root (phn/ transcripts)")
@@ -115,61 +115,24 @@ def build_parser():
     return parser
 
 
-def _read_ids(path):
+def _read_ids(path, known=None):
+    """The ids listed in `path`, one per line; with `known`, an id not in it
+    is a ValueError naming the file and the id."""
     with open_text(path) as fh:
-        return [line.strip() for line in fh if line.strip()]
+        ids = [line.strip() for line in fh if line.strip()]
+    unknown = [i for i in ids if known is not None and i not in known]
+    if unknown:
+        raise ValueError(f"{path}: no utterance {unknown[0]!r} in the corpus")
+    return ids
 
 
 def cmd_synth(args):
-    spec_rng = make_rng(args.seed, 10)
-    if args.spec:
-        _require_path(args.spec, "spec file")
-        spec = _load_synth_spec(args.spec)
-    else:
-        spec = corpus_mod.SyntheticSpec.default(
-            n_phonemes=args.n_phonemes, rng=spec_rng, sigma=args.sigma)
+    spec = corpus_mod.SyntheticSpec.default(
+        n_phonemes=args.n_phonemes, rng=make_rng(args.seed, 10), sigma=args.sigma)
     corp = corpus_mod.generate_synthetic(spec, args.n, make_rng(args.seed, 11))
     corpus_mod.save_corpus(corp, args.out)
     print(f"wrote {len(corp)} utterances to {args.out}")
     return EXIT_OK
-
-
-# spec file key -> (value type, number of values)
-_SPEC_KEYS = {"n_phonemes": (int, 1), "sigma": (float, 1), "duration": (int, 2),
-              "sentence": (int, 2), "seed": (int, 1)}
-
-
-def _load_synth_spec(path):
-    """Spec file: `n_phonemes N`, `sigma S`, `duration LO HI`, `sentence LO HI`,
-    `seed K` lines, each optional; means/transitions are drawn from the seed.
-    A malformed line is a ValueError naming the path and line."""
-    fields = {"n_phonemes": (10,), "sigma": (0.25,), "seed": (0,)}
-    with open_text(path) as fh:
-        for ln, line in enumerate(fh, start=1):
-            parts = line.split("#", 1)[0].split()
-            if not parts:
-                continue
-            key, values = parts[0], parts[1:]
-            try:
-                if key not in _SPEC_KEYS:
-                    raise ValueError(f"unknown key {key!r}")
-                typ, count = _SPEC_KEYS[key]
-                if len(values) != count:
-                    raise ValueError(f"{key} takes {count} value(s), got {len(values)}")
-                fields[key] = tuple(typ(v) for v in values)
-                if count == 2 and not 1 <= fields[key][0] <= fields[key][1]:
-                    raise ValueError(f"{key} range needs 1 <= lo <= hi, got {' '.join(values)}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{ln}: {exc}") from None
-    try:
-        spec = corpus_mod.SyntheticSpec.default(
-            n_phonemes=fields["n_phonemes"][0], rng=make_rng(fields["seed"][0], 10),
-            sigma=fields["sigma"][0])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    spec.duration_range = fields.get("duration", spec.duration_range)
-    spec.sentence_length_range = fields.get("sentence", spec.sentence_length_range)
-    return spec
 
 
 def cmd_features(args):
@@ -178,7 +141,7 @@ def cmd_features(args):
     if len(corp) == 0:
         raise UsageError(f"no utterances under {args.data}")
     ids = corp.ids()
-    fit_ids = _read_ids(args.train_ids) if args.train_ids else ids
+    fit_ids = _read_ids(args.train_ids, corp.utterances) if args.train_ids else ids
     if args.stats_in:
         _require_path(args.stats_in, "stats file")
         stats = feats.load_stats(args.stats_in)
@@ -206,19 +169,21 @@ def cmd_features(args):
 
 
 def cmd_partition(args):
-    _require_path(args.data, "data directory")
-    ids = list(corpus_mod.load_transcripts(args.data))
+    if args.candidates < 1:
+        raise UsageError(f"--candidates must be >= 1, got {args.candidates}")
     sizes = None
     if args.sizes:
-        sizes = tuple(int(v) for v in args.sizes.split(","))
-        if len(sizes) != 3:
+        sizes = args.sizes.split(",")
+        if len(sizes) != 3 or not all(v.strip().isdecimal() for v in sizes):
             raise UsageError("--sizes wants three comma-separated counts")
+        sizes = tuple(int(v) for v in sizes)
+    _require_path(args.data, "data directory")
+    ids = list(corpus_mod.load_transcripts(args.data))
     parts = corpus_mod.make_partitions(
         ids, n_partitions=args.candidates, rng=make_rng(args.seed, 20), sizes=sizes)
     chosen = parts[0]
     if args.candidates > 1:     # only the baselines that pick one read features
-        chosen = corpus_mod.select_partition(
-            parts, corpus_mod.load_corpus(args.data), budget_epochs=args.budget_epochs)
+        chosen = corpus_mod.select_partition(parts, corpus_mod.load_corpus(args.data))
     corpus_mod.save_partition(chosen, args.out)
     print(f"wrote partition ({len(chosen.train)}/{len(chosen.val)}/{len(chosen.test)}) to {args.out}")
     return EXIT_OK
@@ -275,7 +240,7 @@ def cmd_compare(args):
 def cmd_lm_train(args):
     _require_path(args.data, "data directory")
     transcripts = corpus_mod.load_transcripts(args.data)
-    ids = _read_ids(args.ids) if args.ids else list(transcripts)
+    ids = _read_ids(args.ids, transcripts) if args.ids else list(transcripts)
     sentences = [transcripts[i] for i in ids]
     model = lm_mod.train_lm(sentences, smoothing_k=args.k, mu=args.mu)
     lm_mod.save_lm(args.out, model)

@@ -15,12 +15,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import features as feats
-from .ctc import Alphabet, min_frames, timit_alphabet
+from .ctc import Alphabet, min_frames, synthetic_alphabet, timit_alphabet
 from .textio import open_text
+from .trainer import TrainConfig, train
 
 log = logging.getLogger(__name__)
 
 DEFAULT_SPLIT = (5000, 1000, 300)      # train / val / test at full corpus scale
+
+# the small fixed-seed baseline select_partition trains on each candidate
+SELECTION_BASELINE = TrainConfig(network="baseline", lr=0.01, epochs=3, batch_size=8,
+                                 seed=0, dropout=0.0)
 
 
 @dataclass
@@ -101,28 +106,22 @@ def make_partitions(ids, n_partitions, rng, sizes=None):
     return parts
 
 
-def select_partition(partitions, corpus, budget_epochs=3, train_config=None):
+def select_partition(partitions, corpus):
     """Pick the partition whose baseline validation cost descends best.
 
-    Trains a small fixed-seed baseline for `budget_epochs` on each candidate
-    and returns the one with the lowest final validation cost; ties break
-    toward the smoothest descent (smallest maximum epoch-to-epoch cost
-    increase), then toward the lowest index.
+    Trains SELECTION_BASELINE on each candidate and returns the one with the
+    lowest final validation cost; ties break toward the smoothest descent
+    (smallest maximum epoch-to-epoch cost increase), then toward the lowest
+    index.
     """
     if not partitions:
         raise ValueError("select_partition: no partitions given")
     if len(partitions) == 1:
         return partitions[0]
-    from .trainer import TrainConfig, train
-
-    config = train_config or TrainConfig(
-        network="baseline", lr=0.01, epochs=budget_epochs, batch_size=8,
-        seed=0, dropout=0.0,
-    )
     scored = []
     for idx, part in enumerate(partitions):
         try:
-            _, curve = train(config, corpus, part)
+            _, curve = train(SELECTION_BASELINE, corpus, part)
         except ArithmeticError as exc:
             log.warning("select_partition: candidate %d diverged (%s)", idx, exc)
             continue
@@ -183,7 +182,7 @@ class SyntheticSpec:
 
 def generate_synthetic(spec, n_utterances, rng):
     """Draw a corpus of labelled feature matrices from the generator spec."""
-    alphabet = Alphabet(non_blank=tuple(f"p{i}" for i in range(spec.n_phonemes)))
+    alphabet = synthetic_alphabet(spec.n_phonemes)
     lo_len, hi_len = spec.sentence_length_range
     lo_dur, hi_dur = spec.duration_range
     utterances = {}
@@ -201,7 +200,7 @@ def generate_synthetic(spec, n_utterances, rng):
         utt_id = f"synth_{u:0{width}d}"
         utterances[utt_id] = Utterance(
             id=utt_id,
-            labels=tuple(f"p{p}" for p in phones),
+            labels=tuple(alphabet.non_blank[p] for p in phones),
             features=np.concatenate(frames),
         )
     return Corpus(utterances=utterances, alphabet=alphabet)

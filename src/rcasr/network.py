@@ -249,8 +249,6 @@ class _Elu:
 
 class _Dropout:
     def __init__(self, rate):
-        if not 0.0 <= rate < 1.0:
-            raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = rate
 
     def forward(self, x, training, rng):
@@ -563,10 +561,12 @@ def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,
     """Instantiate a config into a Network plus a fresh ParameterStore.
 
     output_units, when given, replaces the final layer's unit count (the
-    catalog entries default to 62).  dropout_override replaces every
-    dropout rate, e.g. 0.0 to disable regularization.
+    catalog entries default to 62).  dropout_override, range-checked even
+    without a dropout layer, replaces every dropout rate (0.0 disables them).
     """
     config.validate()
+    if dropout_override is not None:
+        _layer_param(LayerSpec("dropout", dropout_override))
     store = ParameterStore()
     rng = rng if rng is not None else make_rng(0)
     spans = {a: (a, b) for a, b in sorted(config.residual_groups)}

@@ -112,7 +112,6 @@ def train(config, corpus, partition=None):
     alphabet = corpus.alphabet
     net = build_network(
         net_config,
-        input_dim=N_FEATURES,
         output_units=alphabet.size,
         rng=make_rng(config.seed, 1),
         dropout_override=config.dropout,

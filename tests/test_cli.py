@@ -47,30 +47,13 @@ class TestSynth:
         assert len(feats) == 100 and len(phns) == 100
         assert [f[:-4] for f in feats] == [p[:-4] for p in phns]
 
-    def test_spec_file(self, tmp_path):
+    def test_spec_flag_gone(self, tmp_path, capsys):
+        # the flags are the one source of the generator settings
         spec = tmp_path / "gen.spec"
-        spec.write_text("n_phonemes 4\nsigma 0.1\nduration 3 5\nsentence 2 3\nseed 9\n")
+        spec.write_text("n_phonemes 4\n")
         out = tmp_path / "c"
-        assert cli.main(["synth", "--spec", str(spec), "--out", str(out), "--n", "5"]) == 0
-        corp = corpus_mod.load_corpus(out)
-        assert len(corp.alphabet.non_blank) == 4
-        assert all(2 <= len(u.labels) <= 3 for u in corp.utterances.values())
-
-    # the message follows the spec path; a line's own check names the line
-    @pytest.mark.parametrize("line, message", [
-        ("duration 3", ":2: duration takes 2 value(s), got 1"),
-        ("n_phonemes x", ":2: invalid literal for int() with base 10: 'x'"),
-        ("sentence 5 2", ":2: sentence range needs 1 <= lo <= hi, got 5 2"),
-        ("durations 3 5", ":2: unknown key 'durations'"),
-        ("sigma -1", ": sigma must be >= 0"),
-    ], ids=["one-bound", "non-numeric", "reversed-range", "unknown-key", "negative-sigma"])
-    def test_malformed_spec_data_error(self, tmp_path, capsys, line, message):
-        spec = tmp_path / "gen.spec"
-        spec.write_text(f"sigma 0.1\n{line}\n")
-        out = tmp_path / "c"
-        rc = cli.main(["synth", "--spec", str(spec), "--out", str(out), "--n", "5"])
-        assert rc == 2
-        assert f"data error: {spec}{message}" in capsys.readouterr().err
+        assert cli.main(["synth", "--spec", str(spec), "--out", str(out), "--n", "5"]) == 1
+        assert "unrecognized arguments: --spec" in capsys.readouterr().err
         assert not out.exists()
 
 
@@ -172,6 +155,22 @@ class TestPartitionCmd:
         part = corpus_mod.load_partition(out)
         part.check_covers(tiny_corpus.ids())
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--candidates", "0"], "--candidates must be >= 1, got 0"),
+        (["--candidates", "-2"], "--candidates must be >= 1, got -2"),
+        (["--sizes", "x,y,z"], "--sizes wants three comma-separated counts"),
+        (["--sizes", "20,6"], "--sizes wants three comma-separated counts"),
+        (["--sizes", "20,-1,11"], "--sizes wants three comma-separated counts"),
+        (["--candidates", "2", "--budget-epochs", "0"], "unrecognized arguments: --budget-epochs"),
+    ], ids=["zero-candidates", "negative-candidates", "non-integer-sizes", "two-sizes",
+            "negative-size", "budget-epochs"])
+    def test_bad_flag_usage_error(self, tmp_path, tiny_corpus_dir, capsys, flags, message):
+        out = tmp_path / "part"
+        rc = cli.main(["partition", "--data", str(tiny_corpus_dir), "--out", str(out)] + flags)
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestFeaturesCmd:
     def test_wav_to_normalized_dumps(self, tmp_path):
@@ -228,6 +227,16 @@ class TestFeaturesCmd:
         assert f"{stats}: 2-wide stats, but utterance " in err and "has 39-wide features" in err
         assert not out.exists()
 
+    def test_unknown_train_id_names_the_id_file(self, tmp_path, tiny_corpus_dir, capsys):
+        ids = tmp_path / "train.txt"
+        ids.write_text("nosuch\n")
+        out = tmp_path / "out"
+        rc = cli.main(["features", "--data", str(tiny_corpus_dir), "--out", str(out),
+                       "--train-ids", str(ids)])
+        assert rc == 2
+        assert f"data error: {ids}: no utterance 'nosuch'" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestLmTrainCmd:
     def test_model_file_written(self, tmp_path, tiny_corpus_dir):
@@ -238,6 +247,16 @@ class TestLmTrainCmd:
 
         model = load_lm(out)
         assert score(model, ("p0", "p1")) < 0.0
+
+    def test_unknown_id_names_the_id_file(self, tmp_path, tiny_corpus_dir, tiny_corpus, capsys):
+        ids = tmp_path / "ids.txt"
+        ids.write_text(f"{tiny_corpus.ids()[0]}\nnosuch\n")
+        out = tmp_path / "model.lm"
+        rc = cli.main(["lm-train", "--data", str(tiny_corpus_dir), "--ids", str(ids),
+                       "--out", str(out)])
+        assert rc == 2
+        assert f"data error: {ids}: no utterance 'nosuch'" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def trained_posteriors(trained_tiny, corpus):
@@ -392,6 +411,21 @@ class TestScore:
         assert out.read_text().splitlines()[-1] == "AGGREGATE,1,3,0.333333"
 
 
+class TestTrainingFlags:
+    @pytest.mark.parametrize("argv", [["train", "--config", "baseline"],
+                                      ["compare", "--models", "baseline"]])
+    def test_defaults_are_train_config_defaults(self, argv):
+        from rcasr.trainer import TrainConfig
+
+        args = cli.build_parser().parse_args(argv + ["--data", "d", "--out", "o"])
+        want = TrainConfig()
+        assert (args.epochs, args.lr, args.batch_size, args.seed) == (
+            want.epochs, want.lr, want.batch_size, want.seed)
+        assert args.partition is None
+        if argv[0] == "train":
+            assert (args.dropout, args.checkpoint_every) == (want.dropout, want.checkpoint_every)
+
+
 class TestCompareCmd:
     def test_two_models_two_curves(self, tmp_path, tiny_corpus_dir):
         out = tmp_path / "cmp"
@@ -511,13 +545,13 @@ class TestUndecodableText:
     file."""
 
     @pytest.mark.parametrize("target", [
-        "feat", "phn", "alphabet", "stats", "lm", "hyps", "ids", "partition", "spec"])
+        "feat", "phn", "alphabet", "stats", "lm", "hyps", "ids", "partition"])
     def test_names_the_file(self, tmp_path, tiny_corpus_dir, trained_tiny, capsys, target):
         data = tmp_path / "data"
         shutil.copytree(tiny_corpus_dir, data)
         first = sorted(os.listdir(data / "feat"))[0]
-        stats, lm, hyps, ids, spec = (tmp_path / name for name in (
-            "stats.txt", "m.lm", "h.txt", "ids.txt", "gen.spec"))
+        stats, lm, hyps, ids = (tmp_path / name for name in (
+            "stats.txt", "m.lm", "h.txt", "ids.txt"))
         part = tmp_path / "part"
         # a valid text file in every input a case does not break
         hyps.write_text("")
@@ -536,7 +570,6 @@ class TestUndecodableText:
             "ids": (ids, ["lm-train", "--data", str(data), "--ids", str(ids)]),
             "partition": (part / "train.txt", ["train", "--config", "baseline",
                                                "--data", str(data), "--partition", str(part)]),
-            "spec": (spec, ["synth", "--n", "2", "--spec", str(spec)]),
         }[target]
         bad.write_bytes(b"\xff\xfe 1 2\n" if target != "lm" else
                         LM_TEXT.replace("vocab p0", "vocab p0 \xff").encode("latin-1"))

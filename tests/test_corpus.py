@@ -176,11 +176,7 @@ class TestSelectPartition:
     def test_identical_candidates_tie_break_deterministic(self):
         corp = C.generate_synthetic(quick_spec(), 12, make_rng(221))
         part = C.make_partitions(corp.ids(), 1, rng=make_rng(222), sizes=(8, 2, 2))[0]
-        from rcasr.trainer import TrainConfig
-
-        cfg = TrainConfig(network="baseline", lr=0.005, epochs=2, batch_size=4,
-                          seed=1, dropout=0.0)
-        chosen = C.select_partition([part, part, part], corp, train_config=cfg)
+        chosen = C.select_partition([part, part, part], corp)
         assert chosen is part
 
     def test_mismatched_partition_avoided(self):
@@ -198,9 +194,5 @@ class TestSelectPartition:
                           test=tuple(clean[7:]))
         good.check_covers(ids)
         bad.check_covers(ids)
-        from rcasr.trainer import TrainConfig
-
-        cfg = TrainConfig(network="baseline", lr=0.005, epochs=2, batch_size=4,
-                          seed=2, dropout=0.0)
-        chosen = C.select_partition([bad, good], corp, train_config=cfg)
+        chosen = C.select_partition([bad, good], corp)
         assert chosen is good

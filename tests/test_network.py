@@ -351,8 +351,17 @@ class TestDropout:
         assert abs(y.mean() - 1.0) < 0.02
 
     def test_invalid_rate(self):
-        with pytest.raises(ValueError):
-            N._Dropout(1.0)
+        cfg = N.NetworkConfig(name="t", layers=[N.dropout(1.0), N.linear_output(3)])
+        with pytest.raises(ValueError, match=r"dropout rate= must be in \[0, 1\), got 1.0"):
+            N.build_network(cfg, input_dim=4)
+        with pytest.raises(ValueError, match=r"dropout rate= must be in \[0, 1\), got 1.0"):
+            N.build_network(N.get_config("RC2-toy"), dropout_override=1.0)
+
+    def test_override_checked_without_a_dropout_layer(self):
+        # baseline has no dropout layer, so no _Dropout ever sees the override
+        assert not any(s.kind == "dropout" for s in N.get_config("baseline").layers)
+        with pytest.raises(ValueError, match=r"dropout rate= must be in \[0, 1\), got 1.5"):
+            N.build_network(N.get_config("baseline"), dropout_override=1.5)
 
 
 class TestResidual:
