@@ -6,6 +6,7 @@ Exit codes: 0 success, 1 usage error (bad flags, missing input paths),
 """
 
 import argparse
+import ctypes
 import os
 import sys
 
@@ -26,6 +27,32 @@ EXIT_NUMERIC = 3
 
 class UsageError(Exception):
     pass
+
+
+# Free bytes glibc's malloc keeps at the top of its heap (mallopt M_TOP_PAD).
+# By default it hands freed top pages back at once, so each training chunk's
+# temporaries came back as fresh zero-filled pages: 102k-119k minor faults
+# and 0.21-0.30 s of system time per 1.5-1.9 s train-toy round (RC-small,
+# two epochs on 238 utterances, in-process rounds of perfbench/workloads.py
+# on a 2-core Xeon), and 4.0k-4.7k per decode-paper round.  With 64 MiB, from
+# the second round on: 19-229 and 1-318.  Setting M_TOP_PAD also stops glibc
+# from raising its mmap threshold past 128 KiB, so a block the heap top
+# cannot hold is mmapped afresh: at 32 MiB RC1's 14.7 MB maps were, with
+# 8.9k-9.1k faults per decode-paper round.  Peak RSS did not move (benchmark
+# medians 52.7 and 104.6-104.7 MB): kept pages are pages a run touched.
+_HEAP_TOP_PAD = 64 << 20
+_M_TOP_PAD = -2                  # glibc's malloc.h parameter number
+
+
+def _keep_freed_heap_pages():
+    """Set _HEAP_TOP_PAD through glibc's mallopt; a no-op where libc has none.
+    Only the command-line entry calls it: importing rcasr leaves the
+    allocator alone."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None) if os.name == "posix" else None
+    if mallopt is not None:
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(_M_TOP_PAD, _HEAP_TOP_PAD)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -267,7 +294,7 @@ def cmd_decode(args):
     if args.beam < 1:
         raise UsageError(f"beam width must be >= 1, got {args.beam}")
     net_config = _resolve_decode_config(args)
-    ids = _read_ids(args.ids) if args.ids else None
+    ids = _read_ids(args.ids, corpus_mod.load_transcripts(args.data)) if args.ids else None
     corp = corpus_mod.load_corpus(args.data, ids)
     store = load_checkpoint(args.ckpt)
     net = build_network(net_config, output_units=corp.alphabet.size)
@@ -352,6 +379,7 @@ _COMMANDS = {
 
 
 def main(argv=None):
+    _keep_freed_heap_pages()
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -171,10 +171,13 @@ class _Layout:
 # estimates them: the trainer runs each mini-batch as the longest runs of
 # consecutive utterances that fit.  Bigger chunks share more per-step Python
 # work and hold more memory.  On RC-small toy training (32-utterance
-# batches, mean T 30) 2 / 3 / 4 / 6 MiB ran 1.21-1.33 / 1.32-1.45 /
-# 1.43-1.48 / 1.49x as fast as one utterance at a time, with peak RSS up
-# 1-2 / 4-5 / 7-9 / 12%.  One RC1 utterance of 3 s keeps about 145 MiB, so
-# paper-size training stays one utterance per chunk.
+# batches, mean T 30), through the CLI so that freed heap pages are kept,
+# 2 / 3 / 4 / 6 MiB ran 1.09 / 1.21 / 1.34 / 1.61x as fast as one
+# utterance at a time (medians of 6 alternating sweeps on a 2-core Xeon
+# whose speed drifted by a third: ranges 0.98-1.19 / 0.95-1.56 / 1.16-1.71
+# / 1.20-1.74), with peak RSS up 2.4-2.8 / 4.5-5.2 / 6.9-7.6 / 13.6-13.9%.
+# One RC1 utterance of 3 s keeps about 145 MiB, so paper-size training
+# stays one utterance per chunk.
 _CHUNK_BYTES = 3 << 20
 
 

@@ -24,7 +24,8 @@ import numpy as np
 from . import ctc as ctc_mod
 from . import evaluate
 from .features import N_FEATURES
-from .network import NetworkConfig, build_network, get_config, save_config
+from .network import (LayerSpec, NetworkConfig, _layer_param, build_network, get_config,
+                      save_config)
 from .numerics import adam_step, make_rng, save_checkpoint
 
 log = logging.getLogger(__name__)
@@ -55,8 +56,8 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint_every must be >= 0")
-        if self.dropout is not None and not 0.0 <= self.dropout < 1.0:
-            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.dropout is not None:
+            _layer_param(LayerSpec("dropout", self.dropout))
 
 
 @dataclass
