@@ -15,6 +15,7 @@ from . import ctc as ctc_mod
 from . import features as feats
 from . import lm as lm_mod
 from . import evaluate, trainer
+from .corpus import read_ids
 from .network import build_network, catalog, dump_config, get_config, load_config
 from .numerics import load_checkpoint, make_rng
 from .textio import open_text
@@ -142,17 +143,6 @@ def build_parser():
     return parser
 
 
-def _read_ids(path, known=None):
-    """The ids listed in `path`, one per line; with `known`, an id not in it
-    is a ValueError naming the file and the id."""
-    with open_text(path) as fh:
-        ids = [line.strip() for line in fh if line.strip()]
-    unknown = [i for i in ids if known is not None and i not in known]
-    if unknown:
-        raise ValueError(f"{path}: no utterance {unknown[0]!r} in the corpus")
-    return ids
-
-
 def cmd_synth(args):
     spec = corpus_mod.SyntheticSpec.default(
         n_phonemes=args.n_phonemes, rng=make_rng(args.seed, 10), sigma=args.sigma)
@@ -168,7 +158,7 @@ def cmd_features(args):
     if len(corp) == 0:
         raise UsageError(f"no utterances under {args.data}")
     ids = corp.ids()
-    fit_ids = _read_ids(args.train_ids, corp.utterances) if args.train_ids else ids
+    fit_ids = read_ids(args.train_ids, corp.utterances) if args.train_ids else ids
     if args.stats_in:
         _require_path(args.stats_in, "stats file")
         stats = feats.load_stats(args.stats_in)
@@ -235,11 +225,9 @@ def cmd_train(args):
     cfg = trainer.TrainConfig(
         network=net_config, lr=args.lr, batch_size=args.batch_size,
         epochs=args.epochs, seed=args.seed, dropout=args.dropout,
-        log_path=os.path.join(args.out, f"{net_config.name}_batches.log"),
-        checkpoint_dir=args.out, checkpoint_every=args.checkpoint_every,
+        out_dir=args.out, checkpoint_every=args.checkpoint_every,
     )
-    _, curve = trainer.train(cfg, corp, part)
-    curve.to_csv(os.path.join(args.out, f"{net_config.name}_curve.csv"))
+    trainer.train(cfg, corp, part)
     print(f"trained {net_config.name} for {args.epochs} epochs; outputs in {args.out}")
     return EXIT_OK
 
@@ -267,7 +255,7 @@ def cmd_compare(args):
 def cmd_lm_train(args):
     _require_path(args.data, "data directory")
     transcripts = corpus_mod.load_transcripts(args.data)
-    ids = _read_ids(args.ids, transcripts) if args.ids else list(transcripts)
+    ids = read_ids(args.ids, transcripts) if args.ids else list(transcripts)
     sentences = [transcripts[i] for i in ids]
     model = lm_mod.train_lm(sentences, smoothing_k=args.k, mu=args.mu)
     lm_mod.save_lm(args.out, model)
@@ -279,13 +267,10 @@ def _resolve_decode_config(args):
     if args.config:
         _require_path(args.config, "network config")
         return load_config(args.config)
-    stem = os.path.basename(args.ckpt)
-    name = stem.rsplit("_", 1)[0]
-    sibling = os.path.join(os.path.dirname(args.ckpt), f"{name}.netcfg")
+    sibling = trainer.config_beside(args.ckpt)
     if os.path.exists(sibling):
         return load_config(sibling)
-    raise UsageError(
-        f"no network config: pass --config or keep {name}.netcfg next to the checkpoint")
+    raise UsageError(f"no network config: pass --config or keep {sibling}")
 
 
 def cmd_decode(args):
@@ -294,7 +279,7 @@ def cmd_decode(args):
     if args.beam < 1:
         raise UsageError(f"beam width must be >= 1, got {args.beam}")
     net_config = _resolve_decode_config(args)
-    ids = _read_ids(args.ids, corpus_mod.load_transcripts(args.data)) if args.ids else None
+    ids = read_ids(args.ids, corpus_mod.load_transcripts(args.data)) if args.ids else None
     corp = corpus_mod.load_corpus(args.data, ids)
     store = load_checkpoint(args.ckpt)
     net = build_network(net_config, output_units=corp.alphabet.size)
@@ -338,6 +323,8 @@ def hypothesis_line(utt_id, score, symbols):
 
 
 def read_hypotheses(path):
+    """utt_id -> symbols of a hypothesis file; a malformed line, or a second
+    line for one id, is a ValueError naming path:line."""
     hyps = {}
     with open_text(path) as fh:
         for ln, line in enumerate(fh, start=1):
@@ -346,6 +333,8 @@ def read_hypotheses(path):
                 continue
             if len(parts) < 2:
                 raise ValueError(f"{path}:{ln}: expected `utt_id score ph...`")
+            if parts[0] in hyps:
+                raise ValueError(f"{path}:{ln}: repeated utterance id {parts[0]!r}")
             hyps[parts[0]] = tuple(parts[2:])
     return hyps
 

@@ -315,9 +315,22 @@ def save_partition(partition, out_dir):
 
 
 def load_partition(part_dir):
-    sets = {}
-    for name in ("train", "val", "test"):
-        path = os.path.join(part_dir, f"{name}.txt")
-        with open_text(path) as fh:
-            sets[name] = tuple(line.strip() for line in fh if line.strip())
-    return Partition(**sets)
+    return Partition(**{name: tuple(read_ids(os.path.join(part_dir, f"{name}.txt")))
+                        for name in ("train", "val", "test")})
+
+
+def read_ids(path, known=None):
+    """The utterance ids listed in `path`, one per line.  A repeated id, or
+    with `known` an id not in it, is a ValueError naming the file and id."""
+    ids = {}
+    with open_text(path) as fh:
+        for ln, line in enumerate(fh, start=1):
+            utt_id = line.strip()
+            if not utt_id:
+                continue
+            if utt_id in ids:
+                raise ValueError(f"{path}:{ln}: repeated utterance id {utt_id!r}")
+            if known is not None and utt_id not in known:
+                raise ValueError(f"{path}: no utterance {utt_id!r} in the corpus")
+            ids[utt_id] = None
+    return list(ids)

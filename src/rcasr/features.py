@@ -11,7 +11,7 @@ coefficients"; it is applied uniformly and recorded here on purpose.
 """
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -160,7 +160,6 @@ def extract(samples):
 class FeatureStats:
     mean: np.ndarray
     std: np.ndarray
-    clamped_dims: tuple = field(default_factory=tuple)
 
 
 def normalize_corpus(mats):
@@ -168,7 +167,7 @@ def normalize_corpus(mats):
 
     Returns the normalized matrices plus the stats, which should be reused
     verbatim on held-out data.  Zero-variance columns are clamped to
-    std = 1 and recorded.
+    std = 1 with a warning naming them.
     """
     if not mats:
         raise ValueError("normalize_corpus: need at least one matrix")
@@ -183,7 +182,7 @@ def normalize_corpus(mats):
         std[constant] = 1.0
         mean = mean.copy()
         mean[constant] = pooled[0, constant]
-    stats = FeatureStats(mean=mean, std=std, clamped_dims=clamped)
+    stats = FeatureStats(mean=mean, std=std)
     return [apply_stats(m, stats) for m in mats], stats
 
 
@@ -211,18 +210,6 @@ def read_wav(path):
             raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz audio, got {rate} Hz")
         raw = wf.readframes(wf.getnframes())
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
-
-
-def write_wav(path, samples):
-    """Write samples in [-1, 1) as 16 kHz 16-bit PCM mono WAV."""
-    import wave
-
-    pcm = np.clip(np.round(np.asarray(samples) * 32768.0), -32768, 32767).astype("<i2")
-    with wave.open(str(path), "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(SAMPLE_RATE)
-        wf.writeframes(pcm.tobytes())
 
 
 def save_feature_dump(path, mat):

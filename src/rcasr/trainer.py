@@ -43,9 +43,8 @@ class TrainConfig:
     epochs: int = 10
     seed: int = 0
     dropout: float = None              # None keeps the config's own rates
-    log_path: str = None
-    checkpoint_dir: str = None
-    checkpoint_every: int = 0          # also checkpoints the final epoch when a dir is set
+    out_dir: str = None                # the run's files (see run_path); None writes none
+    checkpoint_every: int = 0          # also checkpoints the final epoch when out_dir is set
 
     def __post_init__(self):
         if self.lr < 0:
@@ -95,6 +94,20 @@ class CostCurve:
         return cls(rows=rows)
 
 
+def run_path(out_dir, name, what):
+    """The file train writes into out_dir for the network `name`: `what` is
+    "netcfg", "batches" (the batch log), "curve" (the cost-curve CSV), or an
+    epoch number (the checkpoint after that epoch)."""
+    suffix = {"netcfg": ".netcfg", "batches": "_batches.log", "curve": "_curve.csv"}
+    return os.path.join(out_dir, name + suffix.get(what, f"_{what}.ckpt"))
+
+
+def config_beside(ckpt):
+    """The network config train wrote next to the checkpoint `ckpt`."""
+    name = os.path.basename(ckpt).rsplit("_", 1)[0]
+    return run_path(os.path.dirname(ckpt), name, "netcfg")
+
+
 def _resolve_config(network):
     if isinstance(network, NetworkConfig):
         return network
@@ -108,6 +121,10 @@ def train(config, corpus, partition=None):
     ValueError before the first epoch.  Infeasible utterances (too few
     frames for their label) are skipped with a warning.  A numeric failure
     (non-finite logits) aborts naming the epoch, batch and utterance.
+
+    With config.out_dir set, the run leaves there (see run_path) its network
+    config, a checkpoint every checkpoint_every epochs and after the last,
+    and at the end its batch log and cost curve.
     """
     net_config = _resolve_config(config.network)
     alphabet = corpus.alphabet
@@ -138,10 +155,10 @@ def train(config, corpus, partition=None):
     log_lines = []
     curve = CostCurve()
     start = time.monotonic()
-    ckpt_dir = config.checkpoint_dir
-    if ckpt_dir:
-        os.makedirs(ckpt_dir, exist_ok=True)
-        save_config(net_config, os.path.join(ckpt_dir, f"{net_config.name}.netcfg"))
+    out, name = config.out_dir, net_config.name
+    if out:
+        os.makedirs(out, exist_ok=True)
+        save_config(net_config, run_path(out, name, "netcfg"))
 
     for epoch in range(1, config.epochs + 1):
         order = [feasible[i] for i in shuffle_rng.permutation(len(feasible))]
@@ -165,15 +182,16 @@ def train(config, corpus, partition=None):
             f"epoch {epoch} train_cost {train_cost:.17g} val_cost {val_cost:.17g} "
             f"val_per {val_per:.17g}"
         )
-        if ckpt_dir and (
+        if out and (
             (config.checkpoint_every and epoch % config.checkpoint_every == 0)
             or epoch == config.epochs
         ):
-            save_checkpoint(net.store, os.path.join(ckpt_dir, f"{net_config.name}_{epoch}.ckpt"))
+            save_checkpoint(net.store, run_path(out, name, epoch))
 
-    if config.log_path:
-        with open(config.log_path, "w") as fh:
+    if out:
+        with open(run_path(out, name, "batches"), "w") as fh:
             fh.write("\n".join(log_lines) + ("\n" if log_lines else ""))
+        curve.to_csv(run_path(out, name, "curve"))
     return net.store, curve
 
 
@@ -219,29 +237,21 @@ def _validate(net, corpus, alphabet, val_ids):
 
 
 def compare_architectures(names, config, corpus, partition, out_dir):
-    """Train several catalog models on identical data/seed; one curve CSV each.
+    """Train several catalog models on identical data/seed, each writing
+    its run's files into out_dir as train does.
 
     Returns {name: curve_path} for the successes and {name: error} for the
     models that abort numerically or are not found, which never stops the
     others.  A data error (ValueError, OSError) propagates, as from train.
     """
-    os.makedirs(out_dir, exist_ok=True)
     results = {}
     errors = {}
     for name in names:
-        run_cfg = replace(
-            config,
-            network=name,
-            log_path=os.path.join(out_dir, f"{name}_batches.log"),
-            checkpoint_dir=None,
-        )
         try:
-            _, curve = train(run_cfg, corpus, partition)
+            train(replace(config, network=name, out_dir=out_dir), corpus, partition)
         except (ArithmeticError, KeyError) as exc:
             log.warning("compare: model %s failed: %s", name, exc)
             errors[name] = exc
             continue
-        path = os.path.join(out_dir, f"{name}_curve.csv")
-        curve.to_csv(path)
-        results[name] = path
+        results[name] = run_path(out_dir, name, "curve")
     return results, errors

@@ -8,7 +8,7 @@ from rcasr.numerics import make_rng
 
 
 def write_wav_at(path, samples, rate):
-    """A 16-bit mono WAV at any sample rate; rcasr itself writes only 16 kHz."""
+    """A 16-bit mono WAV at any sample rate (rcasr reads only 16 kHz)."""
     pcm = np.clip(np.round(np.asarray(samples) * 32768.0), -32768, 32767).astype("<i2")
     with wave.open(str(path), "wb") as wf:
         wf.setnchannels(1)
@@ -42,8 +42,7 @@ def trained_tiny(tmp_path_factory, tiny_corpus, tiny_partition):
     out = tmp_path_factory.mktemp("trained_tiny")
     cfg = trainer.TrainConfig(
         network="RC2-toy", lr=0.01, batch_size=8, epochs=12, seed=5,
-        dropout=0.0, checkpoint_dir=str(out),
-        log_path=str(out / "batches.log"),
+        dropout=0.0, out_dir=str(out),
     )
     store, curve = trainer.train(cfg, tiny_corpus, tiny_partition)
     return {

@@ -325,8 +325,7 @@ def run_protocol(tmpdir):
     corp, part = protocol_corpus()
     cfg = trainer.TrainConfig(
         network="RC-small", lr=5e-5, batch_size=32, epochs=PROTOCOL_EPOCHS,
-        seed=PROTOCOL_SEED, dropout=0.0, checkpoint_dir=str(tmpdir),
-        log_path=os.path.join(str(tmpdir), "batches.log"),
+        seed=PROTOCOL_SEED, dropout=0.0, out_dir=str(tmpdir),
     )
     store, curve = trainer.train(cfg, corp, part)
     return corp, part, store, curve
@@ -421,8 +420,8 @@ def test_criterion_12_protocol_determinism(protocol_run, tmp_path_factory):
     bytes_a = open(os.path.join(str(out_a), ckpt), "rb").read()
     bytes_b = open(os.path.join(str(out_b), ckpt), "rb").read()
     assert bytes_a == bytes_b
-    log_a = open(os.path.join(str(out_a), "batches.log")).read()
-    log_b = open(os.path.join(str(out_b), "batches.log")).read()
+    log_a = open(os.path.join(str(out_a), "RC-small_batches.log")).read()
+    log_b = open(os.path.join(str(out_b), "RC-small_batches.log")).read()
     assert log_a == log_b
     _pass(12, "repeated protocol run is bit-identical (cost curve, batch stream, "
               "checkpoint bytes)")

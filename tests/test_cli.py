@@ -180,7 +180,7 @@ class TestFeaturesCmd:
         (data / "wav").mkdir(parents=True)
         (data / "phn").mkdir()
         for i in range(3):
-            F.write_wav(data / "wav" / f"u{i}.wav", rng.normal(scale=0.1, size=8000))
+            write_wav_at(data / "wav" / f"u{i}.wav", rng.normal(scale=0.1, size=8000), 16000)
             (data / "phn" / f"u{i}.txt").write_text("aa b\n")
         out = tmp_path / "featcorpus"
         stats_path = tmp_path / "stats.txt"
@@ -208,7 +208,8 @@ class TestFeaturesCmd:
         data = tmp_path / "raw"
         (data / "wav").mkdir(parents=True)
         (data / "phn").mkdir()
-        F.write_wav(data / "wav" / "u0.wav", make_rng(442).normal(scale=0.1, size=8000))
+        write_wav_at(data / "wav" / "u0.wav", make_rng(442).normal(scale=0.1, size=8000),
+                     16000)
         (data / "phn" / "u0.txt").write_text("aa b\n")
         stats = tmp_path / "stats.txt"
         stats.write_text("x\n1\n")
@@ -457,6 +458,88 @@ class TestCompareCmd:
         assert rc == 1
 
 
+class TestRunDirectory:
+    """train and compare leave the same four files per model in --out."""
+
+    @staticmethod
+    def run_files(model, epochs):
+        return {f"{model}.netcfg", f"{model}_{epochs}.ckpt", f"{model}_batches.log",
+                f"{model}_curve.csv"}
+
+    def test_train_and_compare_leave_the_same_files(self, tmp_path, tiny_corpus_dir):
+        flags = ["--data", str(tiny_corpus_dir), "--epochs", "2", "--lr", "0.002",
+                 "--batch-size", "8", "--seed", "3"]
+        one, cmp = tmp_path / "one", tmp_path / "cmp"
+        assert cli.main(["train", "--config", "RC2-toy", "--out", str(one)] + flags) == 0
+        assert cli.main(["compare", "--models", "baseline,RC2-toy", "--out", str(cmp)]
+                        + flags) == 0
+        assert set(os.listdir(one)) == self.run_files("RC2-toy", 2)
+        assert set(os.listdir(cmp)) == self.run_files("RC2-toy", 2) | self.run_files("baseline", 2)
+        # the same run twice: the same bytes, but for the curve's wall-clock column
+        for name in ("RC2-toy.netcfg", "RC2-toy_2.ckpt", "RC2-toy_batches.log"):
+            assert (one / name).read_bytes() == (cmp / name).read_bytes(), name
+
+        def costs(run):
+            rows = (run / "RC2-toy_curve.csv").read_text().splitlines()
+            return [row.split(",")[:1] + row.split(",")[2:] for row in rows]
+
+        assert len(costs(one)) == 3 and costs(one) == costs(cmp)
+
+    def test_compare_model_decodes_without_config(self, tmp_path, tiny_corpus_dir, capsys):
+        cmp = tmp_path / "cmp"
+        assert cli.main(["compare", "--models", "RC2-toy", "--data", str(tiny_corpus_dir),
+                         "--out", str(cmp), "--epochs", "1"]) == 0
+        decode = ["decode", "--data", str(tiny_corpus_dir), "--beam", "1",
+                  "--out", str(tmp_path / "h.txt")]
+        assert cli.main(decode + ["--ckpt", str(cmp / "RC2-toy_1.ckpt")]) == 0
+        assert len(cli.read_hypotheses(tmp_path / "h.txt")) == 30
+        # without its config beside it, the checkpoint names the file it needs
+        lone = tmp_path / "lone"
+        lone.mkdir()
+        shutil.copy(cmp / "RC2-toy_1.ckpt", lone)
+        assert cli.main(decode + ["--ckpt", str(lone / "RC2-toy_1.ckpt")]) == 1
+        assert f"keep {lone / 'RC2-toy.netcfg'}" in capsys.readouterr().err
+
+    def test_compare_invalid_schedule_leaves_no_directory(self, tmp_path, tiny_corpus_dir):
+        # train's case is TestTrain::test_negative_schedule_data_error
+        out = tmp_path / "D"
+        assert cli.main(["compare", "--models", "baseline", "--data", str(tiny_corpus_dir),
+                         "--out", str(out), "--epochs", "-2"]) == 2
+        assert not out.exists()
+
+
+class TestRepeatedIds:
+    """An id listed twice, or a second hypothesis line for one id, is a data
+    error naming path:line and the id."""
+
+    @pytest.mark.parametrize("command", ["decode", "lm-train", "features", "train", "score"])
+    def test_names_the_line(self, tmp_path, tiny_corpus_dir, tiny_corpus, trained_tiny,
+                            capsys, command):
+        ids, data = tiny_corpus.ids(), str(tiny_corpus_dir)
+        listed = tmp_path / "ids.txt"
+        listed.write_text(f"{ids[0]}\n{ids[1]}\n\n{ids[1]}\n")
+        hyps = tmp_path / "h.txt"
+        hyps.write_text(f"{ids[0]} 0.0 p0\n{ids[1]} 0.0 p1\n\n{ids[1]} 0.0 p2\n")
+        part = tmp_path / "part"
+        corpus_mod.save_partition(corpus_mod.Partition(
+            train=tuple(ids[:20]) + (ids[1],), val=tuple(ids[20:26]), test=tuple(ids[26:])),
+            part)
+        bad, line, argv = {
+            "decode": (listed, 4, ["decode", "--ckpt", str(trained_tiny["ckpt"]),
+                                   "--data", data, "--ids", str(listed)]),
+            "lm-train": (listed, 4, ["lm-train", "--data", data, "--ids", str(listed)]),
+            "features": (listed, 4, ["features", "--data", data, "--train-ids", str(listed)]),
+            "train": (part / "train.txt", 21, ["train", "--config", "baseline", "--data", data,
+                                               "--partition", str(part)]),
+            "score": (hyps, 4, ["score", "--refs", data, "--hyps", str(hyps)]),
+        }[command]
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert f"data error: {bad}:{line}: repeated utterance id {ids[1]!r}" in err
+        assert not out.exists()
+
+
 class TestFrontEndCalls:
     """decode runs the front end only for the clips it decodes; score,
     partition and lm-train never read features."""
@@ -469,7 +552,7 @@ class TestFrontEndCalls:
         (data / "alphabet.txt").write_text("p0 p1 p2\n")
         rng = make_rng(443)
         for i in range(4):
-            F.write_wav(data / "wav" / f"u{i}.wav", rng.normal(scale=0.1, size=8000))
+            write_wav_at(data / "wav" / f"u{i}.wav", rng.normal(scale=0.1, size=8000), 16000)
             (data / "phn" / f"u{i}.txt").write_text(f"p{i % 3} p{(i + 1) % 3}\n")
         return data
 

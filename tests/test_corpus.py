@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
+from conftest import write_wav_at
 from rcasr import corpus as C
-from rcasr import features as F
 from rcasr.numerics import make_rng
 
 
@@ -118,7 +118,7 @@ class TestLoadSave:
         rng = make_rng(213)
         (tmp_path / "wav").mkdir()
         (tmp_path / "phn").mkdir()
-        F.write_wav(tmp_path / "wav" / "u1.wav", rng.normal(scale=0.1, size=8000))
+        write_wav_at(tmp_path / "wav" / "u1.wav", rng.normal(scale=0.1, size=8000), 16000)
         (tmp_path / "phn" / "u1.txt").write_text("aa b ch\n")
         corp = C.load_corpus(tmp_path)
         assert len(corp) == 1

@@ -135,13 +135,15 @@ class TestNormalize:
         twice, _ = F.normalize_corpus(normed)
         assert np.allclose(twice[0], normed[0], atol=1e-12)
 
-    def test_constant_column_clamped(self):
+    def test_constant_column_clamped(self, caplog):
         rng = make_rng(28)
         mat = rng.normal(size=(10, 39))
         mat[:, 7] = 4.2
-        normed, stats = F.normalize_corpus([mat])
-        assert stats.clamped_dims == (7,)
+        with caplog.at_level("WARNING", logger="rcasr.features"):
+            normed, stats = F.normalize_corpus([mat])
+        assert stats.std[7] == 1.0
         assert np.all(normed[0][:, 7] == 0.0)
+        assert "zero variance in dims (7,)" in caplog.text
 
 
 class TestFileFormats:
@@ -149,7 +151,7 @@ class TestFileFormats:
         rng = make_rng(32)
         samples = np.round(rng.uniform(-0.5, 0.5, size=2000) * 32768) / 32768
         path = tmp_path / "x.wav"
-        F.write_wav(path, samples)
+        write_wav_at(path, samples, 16000)
         back = F.read_wav(path)
         with wave.open(str(path), "rb") as wf:
             assert wf.getframerate() == 16000

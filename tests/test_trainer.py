@@ -1,4 +1,5 @@
 import importlib.util
+import os
 import tracemalloc
 from pathlib import Path
 
@@ -218,8 +219,7 @@ class TestDeterminism:
 
         def run(out):
             cfg = T.TrainConfig(network="RC2-toy", lr=0.005, epochs=2, batch_size=4,
-                                seed=8, checkpoint_dir=str(out),
-                                log_path=str(out / "b.log"))
+                                seed=8, out_dir=str(out))
             return T.train(cfg, corp, part)
 
         s1, c1 = run(tmp_path / "a")
@@ -230,7 +230,8 @@ class TestDeterminism:
             assert r1.val_per == r2.val_per
         assert (tmp_path / "a" / "RC2-toy_2.ckpt").read_bytes() == \
                (tmp_path / "b" / "RC2-toy_2.ckpt").read_bytes()
-        assert (tmp_path / "a" / "b.log").read_text() == (tmp_path / "b" / "b.log").read_text()
+        log = "RC2-toy_batches.log"
+        assert (tmp_path / "a" / log).read_text() == (tmp_path / "b" / log).read_text()
 
     def test_different_seed_differs(self):
         corp, part = small_setup()
@@ -324,7 +325,7 @@ class TestCurveCsv:
     def test_checkpoint_cadence(self, tmp_path):
         corp, part = small_setup(n=12, seed=433)
         cfg = T.TrainConfig(network="baseline", lr=0.005, epochs=4, batch_size=4,
-                            seed=14, dropout=0.0, checkpoint_dir=str(tmp_path),
+                            seed=14, dropout=0.0, out_dir=str(tmp_path),
                             checkpoint_every=2)
         T.train(cfg, corp, part)
         names = sorted(p.name for p in tmp_path.glob("*.ckpt"))
@@ -332,3 +333,16 @@ class TestCurveCsv:
         assert (tmp_path / "baseline.netcfg").exists()
         loaded = load_checkpoint(tmp_path / "baseline_4.ckpt")
         assert loaded.n_params() > 0
+
+    def test_without_out_dir_writes_nothing(self, tmp_path, monkeypatch):
+        corp, part = small_setup(n=12, seed=433)
+        monkeypatch.chdir(tmp_path)
+        T.train(T.TrainConfig(network="baseline", lr=0.005, epochs=1, batch_size=4, seed=14),
+                corp, part)
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("name", ["RC2-toy", "my_net_2"])
+    def test_config_beside_any_checkpoint(self, name):
+        for epoch in (1, 12):
+            ckpt = T.run_path(os.path.join("runs", "a"), name, epoch)
+            assert T.config_beside(ckpt) == T.run_path(os.path.join("runs", "a"), name, "netcfg")
