@@ -212,7 +212,8 @@ def _load_training_inputs(args):
     part = None
     if args.partition:
         _require_path(args.partition, "partition directory")
-        part = corpus_mod.load_partition(args.partition).check_covers(corp.ids())
+        part = corpus_mod.load_partition(args.partition).check_covers(corp.ids(),
+                                                                      args.partition)
     return corp, part
 
 
@@ -333,6 +334,11 @@ def read_hypotheses(path):
                 continue
             if len(parts) < 2:
                 raise ValueError(f"{path}:{ln}: expected `utt_id score ph...`")
+            try:
+                float(parts[1])
+            except ValueError:
+                raise ValueError(f"{path}:{ln}: score {parts[1]!r} is not a number "
+                                 "(expected `utt_id score ph...`)") from None
             if parts[0] in hyps:
                 raise ValueError(f"{path}:{ln}: repeated utterance id {parts[0]!r}")
             hyps[parts[0]] = tuple(parts[2:])

@@ -64,13 +64,24 @@ class Partition:
     val: tuple
     test: tuple
 
-    def check_covers(self, ids):
-        groups = [set(self.train), set(self.val), set(self.test)]
-        union = set().union(*groups)
-        if sum(len(g) for g in groups) != len(union):
-            raise ValueError("partition sets overlap")
-        if union != set(ids):
-            raise ValueError("partition does not cover the corpus exactly")
+    def check_covers(self, ids, where="partition"):
+        """self, if each corpus id is in exactly one set and no set lists
+        another id; else a ValueError naming `where` (the partition
+        directory) and one offending id."""
+        sets = {}
+        for name in ("train", "val", "test"):
+            for utt_id in getattr(self, name):
+                if utt_id in sets:
+                    raise ValueError(
+                        f"{where}: utterance {utt_id!r} is in {sets[utt_id]} and again in {name}")
+                sets[utt_id] = name
+        known = set(ids)
+        for utt_id, name in sets.items():
+            if utt_id not in known:
+                raise ValueError(f"{where}: {name} lists {utt_id!r}, which the corpus lacks")
+        for utt_id in ids:
+            if utt_id not in sets:
+                raise ValueError(f"{where}: corpus utterance {utt_id!r} is in no set")
         return self
 
 

@@ -167,17 +167,37 @@ class _Layout:
         return self.chunk if self.chunk is not None else _Chunk([frames])
 
 
+class _Frame:
+    """One frame of an array a training forward makes, as the steps'
+    frame_context methods describe it to Network.frame_bytes: the per-frame
+    shape, and the _Frame whose memory it is (itself unless it is a view)."""
+
+    def __init__(self, *shape, base=None):
+        self.shape = shape
+        self.base = self if base is None else base
+
+
+def _frame_contexts(steps, x):
+    """(output, kept) of steps run in order on input frame x: the _Frame of
+    the output and every _Frame the steps' training contexts keep."""
+    kept = []
+    for step in steps:
+        x, k = step.frame_context(x)
+        kept += k
+    return x, kept
+
+
 # Byte budget of one chunk's training contexts, as Network.frame_bytes
-# estimates them: the trainer runs each mini-batch as the longest runs of
-# consecutive utterances that fit.  Bigger chunks share more per-step Python
-# work and hold more memory.  On RC-small toy training (32-utterance
-# batches, mean T 30), through the CLI so that freed heap pages are kept,
-# 2 / 3 / 4 / 6 MiB ran 1.09 / 1.21 / 1.34 / 1.61x as fast as one
-# utterance at a time (medians of 6 alternating sweeps on a 2-core Xeon
-# whose speed drifted by a third: ranges 0.98-1.19 / 0.95-1.56 / 1.16-1.71
-# / 1.20-1.74), with peak RSS up 2.4-2.8 / 4.5-5.2 / 6.9-7.6 / 13.6-13.9%.
-# One RC1 utterance of 3 s keeps about 145 MiB, so paper-size training
-# stays one utterance per chunk.
+# counts them (each kept array once): the trainer runs each mini-batch as the
+# longest runs of consecutive utterances that fit.  Bigger chunks share more
+# per-step Python work and hold more memory.  On RC-small toy training
+# (32-utterance batches, mean T 30, 15416 B/frame), through the CLI so that
+# freed heap pages are kept, 2 / 3 / 4 / 6 MiB ran 1.46 / 1.62 / 1.59 /
+# 1.70x as fast as one utterance at a time (medians of 12 alternating sweeps
+# on a 2-core Xeon whose speed drifted by half: quartiles 1.29-1.59 /
+# 1.36-2.07 / 1.38-1.93 / 1.49-1.97), with peak RSS up 3.0-3.5 / 5.8-6.3 /
+# 8.5-9.1 / 15.8-16.3%.  One RC1 utterance of 3 s keeps 74.8 MiB, so
+# paper-size training stays one utterance per chunk.
 _CHUNK_BYTES = 3 << 20
 
 
@@ -218,19 +238,19 @@ def _elu_fwd(x, alpha, out=None):
     return y
 
 
-def _elu_grad(x, alpha):
-    """The ELU slope, 1 where x > 0 and alpha * exp(x) elsewhere: d =
-    alpha * exp(min(x, 0)), then with h the 0/1 floats of x > 0, d -= d * h
-    and d += h."""
-    d = np.empty(x.shape, dtype=x.dtype)
-    blocks = _blocks(x, d)
+def _elu_slope_from_output(y, alpha):
+    """The ELU slope from the ELU's output y: 1 where y > 0 and y + alpha
+    (alpha * exp(x)) elsewhere.  d = min(y, 0) + alpha, then with h the 0/1
+    floats of y > 0, d -= d * h and d += h; d = y + alpha would be inf, and
+    d - d * h nan, at y = +inf."""
+    d = np.empty(y.shape, dtype=y.dtype)
+    blocks = _blocks(y, d)
     h, dh = np.empty((2,) + blocks[0][1].shape, dtype=d.dtype)
-    for xb, db in blocks:
-        hb, dhb = h[:len(xb)], dh[:len(xb)]
-        np.minimum(xb, 0.0, out=db)
-        np.exp(db, out=db)
-        db *= alpha
-        np.greater(xb, 0.0, out=hb)
+    for yb, db in blocks:
+        hb, dhb = h[:len(yb)], dh[:len(yb)]
+        np.minimum(yb, 0.0, out=db)
+        db += alpha
+        np.greater(yb, 0.0, out=hb)
         np.multiply(db, hb, out=dhb)
         db -= dhb
         db += hb
@@ -238,16 +258,25 @@ def _elu_grad(x, alpha):
 
 
 class _Elu:
+    """Keeps its output, not its input, for the slope: the next step's
+    context is then the same array, and the output of the step before is
+    freed once the ELU has run."""
+
     def __init__(self, alpha):
         self.alpha = alpha
 
     def forward(self, x, training, rng):
-        return _elu_fwd(x, self.alpha), x
+        y = _elu_fwd(x, self.alpha)
+        return y, y
 
     def backward(self, ctx, g):
-        d = _elu_grad(ctx, self.alpha)
+        d = _elu_slope_from_output(ctx, self.alpha)
         d *= g
         return d
+
+    def frame_context(self, x):
+        y = _Frame(*x.shape)
+        return y, [y]
 
 
 class _Dropout:
@@ -265,6 +294,11 @@ class _Dropout:
     def backward(self, ctx, g):
         return g if ctx is None else g * ctx
 
+    def frame_context(self, x):
+        if self.rate == 0.0:
+            return x, []
+        return _Frame(*x.shape), [_Frame(*x.shape)]
+
 
 class _Affine:
     """Per-time-step x @ W + b; used for dense and linear_output layers."""
@@ -281,11 +315,15 @@ class _Affine:
         self.b.grad += g.sum(axis=0)
         return g @ self.w.value.T
 
+    def frame_context(self, x):
+        return _Frame(self.b.value.size), [x]
+
 
 class _Recurrent:
     """h_t = elu(W_xh x_t + W_hh h_{t-1} + b) with alpha 1, h_0 = 0, in each
     utterance of the chunk; backward is full BPTT.  Each time step is one
-    GEMM over the utterances still running (see _Chunk)."""
+    GEMM over the utterances still running (see _Chunk).  The context keeps
+    h, whose ELU slope backward derives, and not the pre-activations."""
 
     def __init__(self, store, name, in_dim, hidden, rng, layout=None):
         self.alpha = 1.0
@@ -309,16 +347,16 @@ class _Recurrent:
             a, last = a + n, n
         out = np.empty_like(h)
         out[chunk.packed] = h
-        return out, (x, pre, h, chunk)
+        return out, (x, h, chunk)
 
     def backward(self, ctx, g):
         # only the carry is sequential; every gradient is one GEMM over all steps
-        x, pre, h, chunk = ctx
-        slope = _elu_grad(pre, self.alpha)
+        x, h, chunk = ctx
+        slope = _elu_slope_from_output(h, self.alpha)
         g = g[chunk.packed]
-        da = np.empty_like(pre)
-        carry = np.zeros((chunk.first, self.hidden), dtype=pre.dtype)
-        b = len(pre)    # one past step t's last packed row
+        da = np.empty_like(h)
+        carry = np.zeros((chunk.first, self.hidden), dtype=h.dtype)
+        b = len(h)      # one past step t's last packed row
         for t, n in reversed(list(enumerate(chunk.sizes))):
             da[b - n:b] = (g[b - n:b] + carry[:n]) * slope[b - n:b]
             if t:
@@ -330,6 +368,9 @@ class _Recurrent:
         self.w_xh.grad += x.T @ da_x
         self.b.grad += da_x.sum(axis=0)
         return da_x @ self.w_xh.value.T
+
+    def frame_context(self, x):
+        return _Frame(self.hidden), [x, _Frame(self.hidden)]
 
 
 # Byte budget of one tile's window matrix.  A whole-utterance window matrix
@@ -445,6 +486,9 @@ class _Conv2d:
         self.b.grad += gm.sum(axis=1)
         return dx
 
+    def frame_context(self, x):
+        return _Frame(self.out_maps, x.shape[1]), [x]
+
 
 class _SeqToMaps:
     def forward(self, x, training, rng):
@@ -452,6 +496,9 @@ class _SeqToMaps:
 
     def backward(self, ctx, g):
         return g[0]
+
+    def frame_context(self, x):
+        return _Frame(1, *x.shape, base=x.base), []
 
 
 class _MapsToSeq:
@@ -462,6 +509,11 @@ class _MapsToSeq:
     def backward(self, ctx, g):
         c, t, f = ctx
         return g.reshape(t, c, f).transpose(1, 0, 2)
+
+    def frame_context(self, x):
+        # one map's reshape is a view; more maps are copied
+        c, f = x.shape
+        return _Frame(c * f, base=x.base if c == 1 else None), []
 
 
 def _run_forward(steps, h, training, rng):
@@ -487,7 +539,8 @@ def _run_backward(steps, ctxs, g):
 
 
 class _ResidualBlock:
-    """elu(x + F(x)) with an identity shortcut; F is a conv/elu run."""
+    """elu(x + F(x)) with an identity shortcut; F is a conv/elu run.  Like
+    _Elu, the block keeps its output for the closing ELU's slope."""
 
     def __init__(self, inner, alpha):
         self.inner = inner
@@ -499,28 +552,34 @@ class _ResidualBlock:
             raise ValueError(
                 f"residual branch changed shape {x.shape} -> {h.shape}; identity shortcut impossible"
             )
-        pre = x + h
-        return _elu_fwd(pre, self.alpha), (inner_ctx, pre) if training else None
+        y = _elu_fwd(x + h, self.alpha)
+        return y, (inner_ctx, y) if training else None
 
     def backward(self, ctx, g):
-        inner_ctx, pre = ctx
-        da = g * _elu_grad(pre, self.alpha)
+        inner_ctx, y = ctx
+        da = g * _elu_slope_from_output(y, self.alpha)
         return da + _run_backward(self.inner, inner_ctx, da)
+
+    def frame_context(self, x):
+        _, kept = _frame_contexts(self.inner, x)
+        y = _Frame(*x.shape)
+        return y, kept + [y]
 
 
 class Network:
     """A built, runnable stack bound to its ParameterStore."""
 
-    def __init__(self, config, store, steps, input_dim, output_units, layout, frame_bytes):
+    def __init__(self, config, store, steps, input_dim, output_units, layout):
         self.config = config
         self.store = store
         self.steps = steps
         self.input_dim = input_dim
         self.output_units = output_units
         self.layout = layout
-        # about what one frame keeps for backward: every layer's output, in
-        # 8-byte floats
-        self.frame_bytes = frame_bytes
+        # the bytes per frame of the float64 arrays a training forward's
+        # contexts keep, each array counted once however many steps keep it
+        _, kept = _frame_contexts(steps, _Frame(input_dim))
+        self.frame_bytes = sum(8 * math.prod(f.shape) for f in {k.base for k in kept})
 
     def forward(self, x, training=False, rng=None):
         """(logits, contexts) of one utterance, a T x D matrix, or of a chunk,
@@ -579,10 +638,9 @@ def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,
     # the current stage: `maps` feature maps of T x `width`, or (maps None) a
     # T x `width` sequence; conv stages keep T x width intact
     maps, width = None, input_dim
-    frame_width = 0     # summed per-frame output widths of the layers
 
     def make_step(i, spec):
-        nonlocal maps, width, frame_width
+        nonlocal maps, width
         name = f"L{i:02d}_{spec.kind}"
         value = _layer_param(spec)
         if spec.kind == "elu":
@@ -600,7 +658,6 @@ def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,
         else:
             step = _Conv2d(store, name, maps, value, rng, layout=layout)
             maps = value
-        frame_width += (maps or 1) * width
         return step
 
     i = 0
@@ -624,13 +681,12 @@ def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,
                     )
             inner = [make_step(j, config.layers[j]) for j in range(a, b - 1)]
             steps.append(_ResidualBlock(inner, _layer_param(config.layers[b - 1])))
-            frame_width += maps * width
             i = b
         else:
             steps.append(make_step(i, config.layers[i]))
             i += 1
 
-    return Network(config, store, steps, input_dim, width, layout, frame_width * 8)
+    return Network(config, store, steps, input_dim, width, layout)
 
 
 # -- config text format --------------------------------------------------------

@@ -412,6 +412,20 @@ class TestScore:
                          "--out", str(out)]) == 0
         assert out.read_text().splitlines()[-1] == "AGGREGATE,1,3,0.333333"
 
+    def test_line_without_score_names_the_line(self, tmp_path, tiny_corpus_dir, tiny_corpus,
+                                               capsys):
+        # `u1 p0 p1 p2` would read as the hypothesis p1 p2 if the score were not parsed
+        utt_id = tiny_corpus.ids()[0]
+        hyp_path = tmp_path / "h.txt"
+        hyp_path.write_text(f"{utt_id} {' '.join(tiny_corpus[utt_id].labels)}\n")
+        out = tmp_path / "per.csv"
+        assert cli.main(["score", "--refs", str(tiny_corpus_dir), "--hyps", str(hyp_path),
+                         "--out", str(out)]) == 2
+        first = tiny_corpus[utt_id].labels[0]
+        assert f"data error: {hyp_path}:1: score {first!r} is not a number" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestTrainingFlags:
     @pytest.mark.parametrize("argv", [["train", "--config", "baseline"],
@@ -537,6 +551,33 @@ class TestRepeatedIds:
         assert cli.main(argv + ["--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert f"data error: {bad}:{line}: repeated utterance id {ids[1]!r}" in err
+        assert not out.exists()
+
+
+class TestPartitionCover:
+    """A partition that lists an id twice, misses a corpus id or lists one
+    the corpus lacks is a data error naming the partition directory and the
+    id."""
+
+    @pytest.mark.parametrize("case", ["overlap", "missing", "extra"])
+    def test_names_directory_and_id(self, tmp_path, tiny_corpus_dir, tiny_corpus, capsys, case):
+        ids = tiny_corpus.ids()
+        train, val, test = list(ids[:20]), list(ids[20:26]), list(ids[26:])
+        if case == "overlap":
+            test.append(val[0])
+            want = f"utterance {val[0]!r} is in val and again in test"
+        elif case == "missing":
+            want = f"corpus utterance {test.pop()!r} is in no set"
+        else:
+            test.append("nosuch")
+            want = "test lists 'nosuch', which the corpus lacks"
+        part = tmp_path / "part"
+        corpus_mod.save_partition(corpus_mod.Partition(tuple(train), tuple(val), tuple(test)),
+                                  part)
+        out = tmp_path / "run"
+        assert cli.main(["train", "--config", "baseline", "--data", str(tiny_corpus_dir),
+                         "--partition", str(part), "--out", str(out)]) == 2
+        assert f"data error: {part}: {want}" in capsys.readouterr().err
         assert not out.exists()
 
 

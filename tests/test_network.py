@@ -5,9 +5,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import (_elu, _elu_slope, conv2d_by_im2col, conv2d_grads_by_loops, fd_gradient,
-                     max_relative_error, naive_matmul, recurrent_backward_by_steps,
-                     sliding_conv2d)
+from oracles import (_elu, _elu_grad, _elu_slope, _step_forward_one, conv2d_by_im2col,
+                     conv2d_grads_by_loops, fd_gradient, max_relative_error, naive_matmul,
+                     recurrent_backward_by_steps, sliding_conv2d)
 from rcasr import ctc as ctc_mod
 from rcasr import network as N
 from rcasr.numerics import ParameterStore, make_rng
@@ -31,8 +31,8 @@ class TestElu:
 
     def test_derivative_continuous_at_zero(self):
         e = N._Elu(1.0)
-        left = e.backward(np.array([-1e-12]), np.ones(1))[0]
-        right = e.backward(np.array([1e-12]), np.ones(1))[0]
+        left = e.backward(e.forward(np.array([-1e-12]), True, None)[1], np.ones(1))[0]
+        right = e.backward(e.forward(np.array([1e-12]), True, None)[1], np.ones(1))[0]
         assert left == pytest.approx(1.0, abs=1e-11)
         assert right == 1.0
 
@@ -54,6 +54,10 @@ def elu_inputs(n, seed):
     return x
 
 
+def slope_from_output(x, alpha):
+    return N._elu_slope_from_output(N._elu_fwd(x, alpha), alpha)
+
+
 class TestBlockedElu:
     """The mask-free blocked forms against the np.where oracles, across the
     block edges."""
@@ -66,16 +70,31 @@ class TestBlockedElu:
     def test_bytes_equal_oracle(self, n, alpha):
         x = elu_inputs(n, n)
         assert N._elu_fwd(x, alpha).tobytes() == _elu(x, alpha).tobytes()
-        assert N._elu_grad(x, alpha).tobytes() == _elu_slope(x, alpha).tobytes()
+        assert _elu_grad(x, alpha).tobytes() == _elu_slope(x, alpha).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_slope_from_output_matches_input_form(self, n, alpha):
+        # y + alpha = alpha * (exp(x) - 1) + alpha rounds twice where alpha *
+        # exp(x) rounds once; both are exactly 1 where y > 0
+        x = elu_inputs(n, n)
+        got, want = slope_from_output(x, alpha), _elu_grad(x, alpha)
+        pos = N._elu_fwd(x, alpha) > 0
+        assert got[pos].tobytes() == want[pos].tobytes()
+        assert np.array_equal(np.isnan(got), np.isnan(want))
+        rest = ~pos & ~np.isnan(want)
+        assert np.all(np.abs(got[rest] - want[rest]) <= alpha * 2.0 ** -52)
 
     @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
     def test_non_contiguous_input(self, alpha):
         x = elu_inputs(2 * (self.B + 5), 3).reshape(2, -1)[:, ::2]
         assert not x.flags.c_contiguous
-        for fast, oracle in ((N._elu_fwd, _elu), (N._elu_grad, _elu_slope)):
-            y = fast(x, alpha)
-            assert y.shape == x.shape
-            assert y.tobytes() == oracle(x, alpha).tobytes()
+        y = N._elu_fwd(x, alpha)
+        assert y.shape == x.shape
+        assert y.tobytes() == _elu(x, alpha).tobytes()
+        d = N._elu_slope_from_output(y[:, ::-1], alpha)
+        assert d.shape == x.shape
+        assert d.tobytes() == slope_from_output(np.ascontiguousarray(x[:, ::-1]), alpha).tobytes()
 
     def test_out_writes_the_given_rows(self):
         x = elu_inputs(self.B + 3, 4).reshape(-1, 1)
@@ -89,7 +108,7 @@ class TestBlockedElu:
         # 0 * (exp(x) - 1) is -0.0 in the oracle where the blocked form adds +0.0
         x = elu_inputs(n, n)
         assert np.array_equal(N._elu_fwd(x, 0.0), _elu(x, 0.0), equal_nan=True)
-        assert np.array_equal(N._elu_grad(x, 0.0), _elu_slope(x, 0.0), equal_nan=True)
+        assert np.array_equal(slope_from_output(x, 0.0), _elu_slope(x, 0.0), equal_nan=True)
 
 
 class TestRecurrent:
@@ -151,7 +170,7 @@ class TestRecurrent:
             g = rng.normal(size=(t, hid))
             _, ctx = layer.forward(x, True, None)
             dx = layer.backward(ctx, g)
-            pre, h = ctx[1], ctx[2]
+            h, (_, pre, _) = _step_forward_one(layer, x)
             want = recurrent_backward_by_steps(x, pre, h, g, layer.w_xh.value, layer.w_hh.value)
             for got, ref in zip((store["r/W_xh"].grad, store["r/W_hh"].grad, store["r/b"].grad, dx),
                                 want):

@@ -98,6 +98,24 @@ class TestTrainBasics:
             T.train(cfg, corp, part)
 
 
+def context_bytes(ctxs):
+    """Bytes of the distinct base arrays in a training forward's contexts;
+    a chunk's index arrays (_Chunk) are not counted."""
+    bases = {}
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            while obj.base is not None:
+                obj = obj.base
+            bases[id(obj)] = obj.nbytes
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+
+    walk(ctxs)
+    return sum(bases.values())
+
+
 class TestChunks:
     def test_chunks_cut_consecutive_runs_within_the_budget(self, monkeypatch):
         net = build_network(catalog()["RC-small"], output_units=4)
@@ -105,6 +123,33 @@ class TestChunks:
         lengths = [3, 4, 3, 12, 1, 2, 9, 9]
         assert list(net.chunks(lengths)) == [(0, 3), (3, 4), (4, 6), (6, 7), (7, 8)]
         assert list(net.chunks([])) == []
+
+    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_frame_bytes_count_each_kept_array_once(self, name, dropout):
+        net = build_network(catalog()[name], dropout_override=dropout)
+        lengths = [7, 1, 4]
+        _, ctxs = net.forward([np.ones((t, 39)) for t in lengths], training=True,
+                              rng=make_rng(84))
+        assert context_bytes(ctxs) == net.frame_bytes * sum(lengths)
+
+    @pytest.mark.parametrize("name", sorted(catalog()))
+    def test_multi_utterance_chunks_keep_at_most_the_budget(self, name):
+        rng = make_rng(85)
+        lengths = [1, 2, 3, 2] + [int(t) for t in rng.integers(1, 60, size=30)]
+        net = build_network(catalog()[name], dropout_override=0.1)
+        multi = [(a, b) for a, b in net.chunks(lengths) if b - a > 1]
+        assert multi
+        for a, b in multi:
+            _, ctxs = net.forward([rng.normal(size=(t, 39)) for t in lengths[a:b]],
+                                  training=True, rng=rng)
+            assert context_bytes(ctxs) <= N._CHUNK_BYTES
+
+    def test_paper_size_forward_keeps_under_80_mib(self):
+        net = build_network(catalog()["RC1"])
+        _, ctxs = net.forward(make_rng(86).normal(size=(300, 39)), training=True,
+                              rng=make_rng(87))
+        assert context_bytes(ctxs) <= 80 << 20
 
     @pytest.mark.parametrize("name", ["RC-small", "CR2-toy", "Res-RC2-toy"])
     def test_chunk_matches_per_utterance_oracle(self, name):
@@ -155,7 +200,7 @@ class TestTrainingMemoryBounded:
         assert _traced_peak(lambda: T.train(cfg, corp)) > bound
 
     def test_paper_size_utterances_run_one_at_a_time(self):
-        # one RC1 utterance of 3 s keeps about 145 MiB of contexts, far over
+        # one RC1 utterance of 3 s keeps 74.8 MiB of contexts, far over
         # the budget: a batch of two peaks no higher than one utterance plus
         # the logits of the other
         alphabet = ctc_mod.timit_alphabet()
