@@ -282,9 +282,8 @@ def cmd_decode(args):
     net_config = _resolve_decode_config(args)
     ids = read_ids(args.ids, corpus_mod.load_transcripts(args.data)) if args.ids else None
     corp = corpus_mod.load_corpus(args.data, ids)
-    store = load_checkpoint(args.ckpt)
     net = build_network(net_config, output_units=corp.alphabet.size)
-    _adopt_values(net.store, store)
+    _adopt_values(net.store, load_checkpoint(args.ckpt))
     model = None
     if args.lm:
         _require_path(args.lm, "language model")

@@ -144,7 +144,8 @@ def _trellises(log_y, labels, lengths):
 
     beta is the alpha recursion run on each utterance's time- and
     label-reversed problem: reversing l' keeps its skip rule and its two
-    start states, and its end states are the start states of l'.
+    start states, and its end states are the start states of l'.  Both
+    directions run in one pass, stacked on a direction axis.
     """
     blank = log_y.shape[1] - 1
     lengths = np.asarray(lengths, dtype=np.intp)
@@ -175,8 +176,10 @@ def _trellises(log_y, labels, lengths):
 
     lp_rev = np.where(s < S[:, None], lp[k, s_rev], blank)
     sizes = frames.sum(axis=1).tolist()
-    alpha = _log_pass(emit, _log_skips(lp, blank), sizes)
-    beta_rev = _log_pass(mirror(emit), _log_skips(lp_rev, blank), sizes)
+    both = _log_pass(np.stack([emit, mirror(emit)], axis=2),
+                     np.stack([_log_skips(lp, blank), _log_skips(lp_rev, blank)], axis=1),
+                     sizes)
+    alpha, beta_rev = both[:, :, 0], both[:, :, 1]
     # row T_k is utterance k's last frame (row 0 its start, for T_k = 0)
     last = alpha[T, idx]
     return SimpleNamespace(
@@ -187,22 +190,21 @@ def _trellises(log_y, labels, lengths):
 
 
 def _log_pass(emit, log_skip, sizes):
-    """The log-space alpha recursion over time x utterance x state log
+    """The log-space alpha recursion over time x utterance x ... x state log
     emissions, -inf outside each utterance's states; the first sizes[t]
-    utterances run at time t.
+    utterances run at time t.  log_skip is utterance x ... x (state - 2).
 
-    Returns (T + 1) x utterance x state rows: row 0 is a virtual start whose
-    successors are the two start states, row t + 1 frame t; -inf where an
-    utterance has ended.
+    Returns (T + 1) x utterance x ... x state rows: row 0 is a virtual start
+    whose successors are the two start states, row t + 1 frame t; -inf where
+    an utterance has ended.
     """
-    T, n, S = emit.shape
-    rows = np.full((T + 1, n, S), NEG_INF)
-    rows[0, :, 0] = 0.0
+    rows = np.full((len(emit) + 1,) + emit.shape[1:], NEG_INF)
+    rows[0, ..., 0] = 0.0
     for t, m in enumerate(sizes):
         p, row = rows[t, :m], rows[t + 1, :m]
-        row[:, 0] = p[:, 0]
-        np.logaddexp(p[:, 1:], p[:, :-1], out=row[:, 1:])
-        np.logaddexp(row[:, 2:], p[:, :-2] + log_skip[:m], out=row[:, 2:])
+        row[..., 0] = p[..., 0]
+        np.logaddexp(p[..., 1:], p[..., :-1], out=row[..., 1:])
+        np.logaddexp(row[..., 2:], p[..., :-2] + log_skip[:m], out=row[..., 2:])
         row += emit[t, :m]
     return rows
 

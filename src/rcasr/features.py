@@ -215,10 +215,10 @@ def read_wav(path):
 def save_feature_dump(path, mat):
     """Plain-text dump: header "T 39", then T whitespace-separated rows."""
     mat = np.asarray(mat, dtype=np.float64)
+    t, d = mat.shape
+    row = " ".join(["%.17g"] * d) + "\n"
     with open(path, "w") as fh:
-        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
-        for row in mat:
-            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+        fh.write(f"{t} {d}\n" + row * t % tuple(mat.ravel().tolist()))
 
 
 def load_feature_dump(path):

@@ -9,6 +9,7 @@ import math
 import os
 import struct
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -56,15 +57,29 @@ def glorot_init(shape, rng):
 
 @dataclass
 class Param:
+    """A parameter's value.  Its gradient and Adam moments are zero arrays
+    made on first read, so a network that only runs inference never holds
+    them."""
+
     value: np.ndarray
-    grad: np.ndarray
-    adam_m: np.ndarray
-    adam_v: np.ndarray
+
+    @cached_property
+    def grad(self):
+        return np.zeros_like(self.value)
+
+    @cached_property
+    def adam_m(self):
+        return np.zeros_like(self.value)
+
+    @cached_property
+    def adam_v(self):
+        return np.zeros_like(self.value)
 
 
 @dataclass
 class ParameterStore:
-    """Named parameters with their gradients and Adam moment estimates."""
+    """Named parameters; gradients and Adam moments are made when training
+    first reads them (see Param)."""
 
     entries: dict = field(default_factory=dict)
     step_count: int = 0
@@ -72,13 +87,7 @@ class ParameterStore:
     def add(self, name, value):
         if name in self.entries:
             raise ValueError(f"duplicate parameter name '{name}'")
-        value = np.asarray(value)
-        self.entries[name] = Param(
-            value=value,
-            grad=np.zeros_like(value),
-            adam_m=np.zeros_like(value),
-            adam_v=np.zeros_like(value),
-        )
+        self.entries[name] = Param(np.asarray(value))
         return self.entries[name]
 
     def __getitem__(self, name):
@@ -142,7 +151,8 @@ def save_checkpoint(store, path):
 
 
 def load_checkpoint(path):
-    """Read a checkpoint back into a fresh ParameterStore (moments zeroed).
+    """Read a checkpoint back into a fresh ParameterStore of values alone
+    (a checkpoint keeps no gradients or moments; they start at zero).
 
     A malformed file raises ValueError naming `path`.
     """

@@ -134,6 +134,9 @@ def train(config, corpus, partition=None):
         rng=make_rng(config.seed, 1),
         dropout_override=config.dropout,
     )
+    # gradients are made on first read: make them before the first backward,
+    # so that every chunk's backward runs with them already held
+    net.store.zero_grads()
     shuffle_rng = make_rng(config.seed, 2)
     dropout_rng = make_rng(config.seed, 3)
 

@@ -49,6 +49,16 @@ def naive_dct2_ortho(x):
     return out
 
 
+def save_feature_dump_by_rows(path, mat):
+    """The feature dump writer `save_feature_dump` replaced, frozen: one
+    f-string per value and one write per row."""
+    mat = np.asarray(mat, dtype=np.float64)
+    with open(path, "w") as fh:
+        fh.write(f"{mat.shape[0]} {mat.shape[1]}\n")
+        for row in mat:
+            fh.write(" ".join(f"{v:.17g}" for v in row) + "\n")
+
+
 def sliding_conv2d(x, kernels, bias):
     """Brute-force 3x3 stride-1 pad-1 convolution over C x T x F maps."""
     c_out, c_in, kh, kw = kernels.shape
@@ -560,6 +570,60 @@ def ctc_loss_and_grad_scaled(u, labels, lengths=None):
     losses = np.empty(len(labels))
     losses[order] = -log_prob
     return (float(losses[0]) if single else losses), y - gamma
+
+
+def ctc_trellises_two_passes(log_y, labels, lengths):
+    """The chunk trellises as two log-space passes, frozen: alpha over the
+    emissions, then beta as a second call of the same pass on the mirrored
+    problem.  Returns what `rcasr.ctc._trellises` returns."""
+    NEG_INF = float("-inf")
+    blank = log_y.shape[1] - 1
+    lengths = np.asarray(lengths, dtype=np.intp)
+    order = np.argsort(-lengths, kind="stable")
+    T = lengths[order]
+    rows = [_ctc_extend(labels[i], blank) for i in order]
+    S = np.array([r.size for r in rows])
+    n, t_max, s_max = len(rows), int(T.max(initial=0)), int(S.max())
+    lp = np.full((n, s_max), blank, dtype=np.intp)
+    for k, r in enumerate(rows):
+        lp[k, :r.size] = r
+    t = np.arange(t_max)[:, None]
+    s = np.arange(s_max)
+    frames = t < T
+    live = frames[:, :, None] & (s < S[:, None])
+    frame = np.minimum((np.cumsum(lengths) - lengths)[order] + t, max(len(log_y) - 1, 0))
+    emit = np.where(live, log_y[frame[:, :, None], lp], NEG_INF)
+    t_rev = np.maximum(T - 1 - t, 0)
+    s_rev = np.maximum(S[:, None] - 1 - s, 0)
+    idx = np.arange(n)
+    kk = idx[:, None]
+
+    def mirror(a):
+        return np.where(live, a[t_rev[:, :, None], kk, s_rev], NEG_INF)
+
+    def log_skips(lp):
+        return np.where((lp[:, 2:] != blank) & (lp[:, 2:] != lp[:, :-2]), 0.0, NEG_INF)
+
+    def log_pass(emit, log_skip):
+        out = np.full((emit.shape[0] + 1,) + emit.shape[1:], NEG_INF)
+        out[0, :, 0] = 0.0
+        for t, m in enumerate(frames.sum(axis=1).tolist()):
+            p, row = out[t, :m], out[t + 1, :m]
+            row[:, 0] = p[:, 0]
+            np.logaddexp(p[:, 1:], p[:, :-1], out=row[:, 1:])
+            np.logaddexp(row[:, 2:], p[:, :-2] + log_skip[:m], out=row[:, 2:])
+            row += emit[t, :m]
+        return out
+
+    lp_rev = np.where(s < S[:, None], lp[kk, s_rev], blank)
+    alpha = log_pass(emit, log_skips(lp))
+    beta_rev = log_pass(mirror(emit), log_skips(lp_rev))
+    last = alpha[T, idx]
+    return SimpleNamespace(
+        log_alpha=alpha[1:], log_beta=mirror(beta_rev[1:]),
+        log_prob=np.logaddexp(last[idx, S - 1], np.where(S > 1, last[idx, S - 2], NEG_INF)),
+        lp=lp, frame=frame, order=order,
+    )
 
 
 def ctc_posterior_check(trellis):

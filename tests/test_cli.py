@@ -3,6 +3,7 @@ import os
 import shutil
 import subprocess
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -13,8 +14,8 @@ from rcasr import corpus as corpus_mod
 from rcasr import ctc as ctc_mod
 from rcasr import features as F
 from rcasr import lm as lm_mod
-from rcasr.network import build_network, load_config
-from rcasr.numerics import load_checkpoint, make_rng
+from rcasr.network import build_network, catalog, load_config
+from rcasr.numerics import load_checkpoint, make_rng, save_checkpoint
 
 
 def tree_bytes(root):
@@ -372,6 +373,25 @@ class TestDecode:
                        "--data", str(tiny_corpus_dir), "--beam", "0",
                        "--out", str(tmp_path / "x.txt")])
         assert rc == 1
+
+    def test_inference_creates_no_training_state(self, tmp_path):
+        # decode builds RC1 and adopts a checkpoint's values.  With every
+        # parameter's gradient and Adam moments made up front, that traced
+        # 8.0x the weight bytes at its peak; values alone trace 2.0x
+        ckpt = tmp_path / "RC1.ckpt"
+        save_checkpoint(build_network(catalog()["RC1"], rng=make_rng(90)).store, ckpt)
+        tracemalloc.start()
+        try:
+            net = build_network(catalog()["RC1"])
+            cli._adopt_values(net.store, load_checkpoint(ckpt))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        weights = sum(p.value.nbytes for p in net.store.entries.values())
+        assert peak <= 3 * weights
+        net.forward(make_rng(91).normal(size=(20, 39)), training=False)
+        for name, p in net.store.entries.items():
+            assert not {"grad", "adam_m", "adam_v"} & set(vars(p)), name
 
 
 class TestScore:

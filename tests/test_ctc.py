@@ -7,8 +7,8 @@ import pytest
 from oracles import (beam_decode_by_dicts, best_labelling_by_enumeration,
                      ctc_forward_two_loops, ctc_log_trellis_by_frames,
                      ctc_loss_and_grad_log_space, ctc_loss_and_grad_scaled,
-                     ctc_posterior_check, ctc_prob_by_enumeration, fd_gradient,
-                     max_relative_error)
+                     ctc_posterior_check, ctc_prob_by_enumeration,
+                     ctc_trellises_two_passes, fd_gradient, max_relative_error)
 from rcasr import ctc as C
 from rcasr.numerics import make_rng
 
@@ -395,6 +395,26 @@ class TestChunkMatchesOneUtterancePath:
                     assert np.max(np.abs(got_g - g)) <= 1e-12
                     compared += 1
         assert compared > 600 and failed == 0, (compared, failed)
+
+    def test_one_pass_equals_two_passes(self):
+        """alpha and beta stacked in one recursion are bit for bit the two
+        separate passes, on chunks of up to 7 utterances, infeasible and
+        empty labellings and exact zeros included."""
+        by_width = {}
+        for y, labels in trellis_cases(make_rng(96)):
+            with np.errstate(divide="ignore"):
+                by_width.setdefault(y.shape[1], []).append((np.log(y), labels))
+        chunks = 0
+        for cases in by_width.values():
+            for c0 in range(0, len(cases), 7):
+                chunk = cases[c0:c0 + 7]
+                args = (np.concatenate([ly for ly, _ in chunk]), [lab for _, lab in chunk],
+                        [len(ly) for ly, _ in chunk])
+                got, want = C._trellises(*args), ctc_trellises_two_passes(*args)
+                for key in ("log_alpha", "log_beta", "log_prob", "lp", "frame", "order"):
+                    assert np.array_equal(getattr(got, key), getattr(want, key)), (c0, key)
+                chunks += 1
+        assert chunks > 90, chunks
 
     def test_empty_utterance_and_errors_name_the_utterance(self):
         u = make_rng(95).normal(size=(9, 4))

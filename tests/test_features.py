@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import write_wav_at
-from oracles import naive_dct2_ortho, naive_dft
+from oracles import naive_dct2_ortho, naive_dft, save_feature_dump_by_rows
 from rcasr import features as F
 from rcasr.numerics import make_rng
 
@@ -171,6 +171,21 @@ class TestFileFormats:
         assert np.array_equal(F.load_feature_dump(path), mat)
         header = path.read_text().splitlines()[0]
         assert header == "7 39"
+
+    @pytest.mark.parametrize("shape", [(7, 39), (0, 39), (3, 1), (2, 0)])
+    def test_feature_dump_bytes_match_row_writer(self, tmp_path, shape):
+        # signed zeros, subnormals, the largest and smallest doubles and
+        # values that need all 17 digits
+        mat = make_rng(37).normal(size=shape) * 10.0 ** make_rng(38).integers(
+            -300, 300, size=shape)
+        special = [-0.0, 0.0, 5e-324, -2.2250738585072009e-308, 1e308, -1e308,
+                   1.7976931348623157e308, 0.1, 1 / 3, -123456789.0]
+        flat = mat.reshape(-1)
+        flat[:len(special)] = special[:flat.size]
+        got, want = tmp_path / "got.txt", tmp_path / "want.txt"
+        F.save_feature_dump(got, mat)
+        save_feature_dump_by_rows(want, mat)
+        assert got.read_bytes() == want.read_bytes()
 
     def test_dump_malformed_row_reports_line(self, tmp_path):
         path = tmp_path / "bad.txt"
