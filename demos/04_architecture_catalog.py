@@ -14,7 +14,7 @@ for name, cfg in cat.items():
     kinds = [s.kind for s in cfg.layers]
     shape = f"{kinds.count('recurrent')} rec / {kinds.count('conv2d')} conv"
     spans = f", {len(cfg.residual_groups)} residual spans" if cfg.residual_groups else ""
-    print(f"  {name:12s} {net.n_params():>8,d} params  ({shape}{spans})")
+    print(f"  {name:12s} {net.store.n_params():>8,d} params  ({shape}{spans})")
 
 print("\n== RC2 feature-map schedule ==")
 print([s.value for s in cat["RC2"].layers if s.kind == "conv2d"])

@@ -235,11 +235,19 @@ def cmd_train(args):
 
 def cmd_compare(args):
     names = [n.strip() for n in args.models.split(",") if n.strip()]
+    if not names:
+        raise UsageError(f"--models names no model: {args.models!r}")
+    given = {}      # network name -> the --models entry that names it
     for name in names:
         try:
-            get_config(name)
+            net_name = get_config(name).name
         except KeyError as exc:
             raise UsageError(exc.args[0]) from None
+        if net_name in given:
+            # a run's files in --out are named after its network
+            raise UsageError(f"--models names network {net_name!r} twice "
+                             f"({given[net_name]!r} and {name!r})")
+        given[net_name] = name
     corp, part = _load_training_inputs(args)
     cfg = trainer.TrainConfig(
         network=names[0], lr=args.lr, batch_size=args.batch_size,

@@ -167,26 +167,6 @@ class _Layout:
         return self.chunk if self.chunk is not None else _Chunk([frames])
 
 
-class _Frame:
-    """One frame of an array a training forward makes, as the steps'
-    frame_context methods describe it to Network.frame_bytes: the per-frame
-    shape, and the _Frame whose memory it is (itself unless it is a view)."""
-
-    def __init__(self, *shape, base=None):
-        self.shape = shape
-        self.base = self if base is None else base
-
-
-def _frame_contexts(steps, x):
-    """(output, kept) of steps run in order on input frame x: the _Frame of
-    the output and every _Frame the steps' training contexts keep."""
-    kept = []
-    for step in steps:
-        x, k = step.frame_context(x)
-        kept += k
-    return x, kept
-
-
 # Byte budget of one chunk's training contexts, as Network.frame_bytes
 # counts them (each kept array once): the trainer runs each mini-batch as the
 # longest runs of consecutive utterances that fit.  Bigger chunks share more
@@ -274,10 +254,6 @@ class _Elu:
         d *= g
         return d
 
-    def frame_context(self, x):
-        y = _Frame(*x.shape)
-        return y, [y]
-
 
 class _Dropout:
     def __init__(self, rate):
@@ -294,11 +270,6 @@ class _Dropout:
     def backward(self, ctx, g):
         return g if ctx is None else g * ctx
 
-    def frame_context(self, x):
-        if self.rate == 0.0:
-            return x, []
-        return _Frame(*x.shape), [_Frame(*x.shape)]
-
 
 class _Affine:
     """Per-time-step x @ W + b; used for dense and linear_output layers."""
@@ -314,9 +285,6 @@ class _Affine:
         self.w.grad += ctx.T @ g
         self.b.grad += g.sum(axis=0)
         return g @ self.w.value.T
-
-    def frame_context(self, x):
-        return _Frame(self.b.value.size), [x]
 
 
 class _Recurrent:
@@ -368,9 +336,6 @@ class _Recurrent:
         self.w_xh.grad += x.T @ da_x
         self.b.grad += da_x.sum(axis=0)
         return da_x @ self.w_xh.value.T
-
-    def frame_context(self, x):
-        return _Frame(self.hidden), [x, _Frame(self.hidden)]
 
 
 # Byte budget of one tile's window matrix.  A whole-utterance window matrix
@@ -486,9 +451,6 @@ class _Conv2d:
         self.b.grad += gm.sum(axis=1)
         return dx
 
-    def frame_context(self, x):
-        return _Frame(self.out_maps, x.shape[1]), [x]
-
 
 class _SeqToMaps:
     def forward(self, x, training, rng):
@@ -496,9 +458,6 @@ class _SeqToMaps:
 
     def backward(self, ctx, g):
         return g[0]
-
-    def frame_context(self, x):
-        return _Frame(1, *x.shape, base=x.base), []
 
 
 class _MapsToSeq:
@@ -509,11 +468,6 @@ class _MapsToSeq:
     def backward(self, ctx, g):
         c, t, f = ctx
         return g.reshape(t, c, f).transpose(1, 0, 2)
-
-    def frame_context(self, x):
-        # one map's reshape is a view; more maps are copied
-        c, f = x.shape
-        return _Frame(c * f, base=x.base if c == 1 else None), []
 
 
 def _run_forward(steps, h, training, rng):
@@ -538,6 +492,25 @@ def _run_backward(steps, ctxs, g):
     return g
 
 
+def _kept_bytes(ctxs):
+    """Bytes of the distinct arrays in a training forward's contexts: a view
+    counts as the array that owns its memory, and an array kept by two steps
+    counts once.  A _Chunk's index arrays are not counted."""
+    owners = {}
+
+    def walk(obj):
+        if isinstance(obj, np.ndarray):
+            while isinstance(obj.base, np.ndarray):
+                obj = obj.base
+            owners[id(obj)] = obj.nbytes
+        elif isinstance(obj, (list, tuple)):
+            for item in obj:
+                walk(item)
+
+    walk(ctxs)
+    return sum(owners.values())
+
+
 class _ResidualBlock:
     """elu(x + F(x)) with an identity shortcut; F is a conv/elu run.  Like
     _Elu, the block keeps its output for the closing ELU's slope."""
@@ -560,11 +533,6 @@ class _ResidualBlock:
         da = g * _elu_slope_from_output(y, self.alpha)
         return da + _run_backward(self.inner, inner_ctx, da)
 
-    def frame_context(self, x):
-        _, kept = _frame_contexts(self.inner, x)
-        y = _Frame(*x.shape)
-        return y, kept + [y]
-
 
 class Network:
     """A built, runnable stack bound to its ParameterStore."""
@@ -576,10 +544,11 @@ class Network:
         self.input_dim = input_dim
         self.output_units = output_units
         self.layout = layout
-        # the bytes per frame of the float64 arrays a training forward's
-        # contexts keep, each array counted once however many steps keep it
-        _, kept = _frame_contexts(steps, _Frame(input_dim))
-        self.frame_bytes = sum(8 * math.prod(f.shape) for f in {k.base for k in kept})
+        # the bytes per frame a training forward's contexts keep, measured on
+        # two frames: at one, _MapsToSeq's reshape of one frame is a view
+        # and not the copy it is at every longer input
+        _, ctxs = _run_forward(steps, np.zeros((2, input_dim)), True, make_rng(0))
+        self.frame_bytes = _kept_bytes(ctxs) // 2
 
     def forward(self, x, training=False, rng=None):
         """(logits, contexts) of one utterance, a T x D matrix, or of a chunk,
@@ -613,9 +582,6 @@ class Network:
             used += n * self.frame_bytes
         if a < len(lengths):
             yield a, len(lengths)
-
-    def n_params(self):
-        return self.store.n_params()
 
 
 def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,

@@ -93,9 +93,6 @@ class ParameterStore:
     def __getitem__(self, name):
         return self.entries[name]
 
-    def __contains__(self, name):
-        return name in self.entries
-
     def names(self):
         return list(self.entries)
 

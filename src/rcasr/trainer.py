@@ -256,5 +256,5 @@ def compare_architectures(names, config, corpus, partition, out_dir):
             log.warning("compare: model %s failed: %s", name, exc)
             errors[name] = exc
             continue
-        results[name] = run_path(out_dir, name, "curve")
+        results[name] = run_path(out_dir, _resolve_config(name).name, "curve")
     return results, errors

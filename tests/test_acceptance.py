@@ -163,7 +163,7 @@ def test_criterion_03_gradient_suite():
     w = 0.0
     for i in range(100):
         net = N.build_network(cfg, input_dim=2, rng=make_rng(2000 + i))
-        assert net.n_params() <= 500
+        assert net.store.n_params() <= 500
         x = rng.normal(size=(int(rng.integers(3, 6)), 2))
         labels = (0, 1) if x.shape[0] >= 2 else (0,)
 

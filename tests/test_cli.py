@@ -472,6 +472,16 @@ class TestCompareCmd:
         assert (out / "baseline_curve.csv").exists()
         assert (out / "RC2-toy_curve.csv").exists()
 
+    def test_config_file_curve_named_after_its_network(self, tmp_path, tiny_corpus_dir,
+                                                       capsys):
+        cfg = tmp_path / "small.netcfg"
+        cfg.write_text("network mynet\ndense units=8\nelu\nlinear_output units=4\n")
+        out = tmp_path / "cmp"
+        assert cli.main(["compare", "--models", str(cfg), "--data", str(tiny_corpus_dir),
+                         "--out", str(out), "--epochs", "1"]) == 0
+        assert capsys.readouterr().out == f"{cfg}: {out / 'mynet_curve.csv'}\n"
+        assert (out / "mynet_curve.csv").exists()
+
     def test_feature_width_mismatch_data_error(self, tmp_path, tiny_corpus, capsys):
         # a data error concerns the corpus, not one model: exit 2 as in train
         narrow = corpus_mod.Corpus(
@@ -490,6 +500,27 @@ class TestCompareCmd:
                        "--data", str(tiny_corpus_dir), "--out", str(tmp_path / "x"),
                        "--epochs", "1"])
         assert rc == 1
+
+    @pytest.mark.parametrize("models, message", [
+        (",", "--models names no model: ','"),
+        ("", "--models names no model: ''"),
+        ("RC2-toy,RC2-toy", "--models names network 'RC2-toy' twice ('RC2-toy' and 'RC2-toy')"),
+        ("baseline, RC2-toy,baseline",
+         "--models names network 'baseline' twice ('baseline' and 'baseline')"),
+        ("RC2-toy,{cfg}", "--models names network 'RC2-toy' twice ('RC2-toy' and '{cfg}')"),
+    ], ids=["comma", "empty", "twice", "twice-apart", "name-and-file"])
+    def test_empty_or_repeated_models_usage_error(self, tmp_path, tiny_corpus_dir, capsys,
+                                                  models, message):
+        # a config file whose network has a catalog model's name
+        cfg = tmp_path / "rc2.netcfg"
+        cfg.write_text("network RC2-toy\ndense units=8\nelu\nlinear_output units=4\n")
+        models, message = models.format(cfg=cfg), message.format(cfg=cfg)
+        out = tmp_path / "x"
+        rc = cli.main(["compare", "--models", models, "--data", str(tiny_corpus_dir),
+                       "--out", str(out), "--epochs", "1"])
+        assert rc == 1
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestRunDirectory:

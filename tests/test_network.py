@@ -517,13 +517,13 @@ class TestCatalog:
         cat = N.catalog()
         for name, expected in EXPECTED_PARAMS.items():
             net = N.build_network(cat[name], rng=make_rng(0))
-            assert net.n_params() == expected, name
+            assert net.store.n_params() == expected, name
 
     def test_representative_counts_within_15_percent(self):
         cat = N.catalog()
         for name, target in PARAM_TARGETS.items():
             net = N.build_network(cat[name], rng=make_rng(0))
-            assert abs(net.n_params() - target) <= 0.15 * target, name
+            assert abs(net.store.n_params() - target) <= 0.15 * target, name
 
     def test_empty_config_rejected(self):
         with pytest.raises(ValueError, match="no layers"):
@@ -688,7 +688,7 @@ def test_full_tiny_network_gradient():
         N.dense(4), N.elu(), N.linear_output(4),
     ], residual_groups=[(3, 5)])
     net = N.build_network(cfg, input_dim=2, rng=make_rng(67))
-    assert net.n_params() <= 500
+    assert net.store.n_params() <= 500
     x = make_rng(68).normal(size=(5, 2))
     labels = (0, 1)
 

@@ -116,6 +116,43 @@ def context_bytes(ctxs):
     return sum(bases.values())
 
 
+# Bytes per frame of every catalog model's training contexts at dropout None
+# (each config's own rate, 0.1), 0 and 0.1.  They set the chunk boundaries,
+# and so which random numbers each utterance's dropout masks get.
+DROPOUTS = (None, 0.0, 0.1)
+FRAME_BYTES = {
+    "CR1": (19896, 17848, 19896),
+    "CR2": (24264, 22216, 24264),
+    "CR2-toy": (12888, 11096, 12888),
+    "CR3": (15240, 12808, 15240),
+    "CR4": (12408, 10360, 12408),
+    "RC-small": (17976, 15416, 17976),
+    "RC1": (261432, 253240, 261432),
+    "RC2": (147768, 139576, 147768),
+    "RC2-toy": (17976, 16184, 17976),
+    "RC3": (255288, 249144, 255288),
+    "RC4": (141624, 135480, 141624),
+    "RC5": (23864, 22328, 23864),
+    "RC6": (21304, 19768, 21304),
+    "Res-CR2": (24264, 22216, 24264),
+    "Res-CR2-toy": (12888, 11096, 12888),
+    "Res-RC2": (147768, 139576, 147768),
+    "Res-RC2-toy": (17976, 16184, 17976),
+    "baseline": (824, 824, 824),
+}
+
+
+class _KeepsScaledInput:
+    """A test-only step with no byte description: it passes its input on and
+    keeps a new array of its shape."""
+
+    def forward(self, x, training, rng):
+        return x, 2.0 * x
+
+    def backward(self, ctx, g):
+        return g
+
+
 class TestChunks:
     def test_chunks_cut_consecutive_runs_within_the_budget(self, monkeypatch):
         net = build_network(catalog()["RC-small"], output_units=4)
@@ -124,14 +161,26 @@ class TestChunks:
         assert list(net.chunks(lengths)) == [(0, 3), (3, 4), (4, 6), (6, 7), (7, 8)]
         assert list(net.chunks([])) == []
 
-    @pytest.mark.parametrize("dropout", [0.0, 0.1])
+    @pytest.mark.parametrize("dropout", DROPOUTS)
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_frame_bytes_count_each_kept_array_once(self, name, dropout):
         net = build_network(catalog()[name], dropout_override=dropout)
+        assert net.frame_bytes == FRAME_BYTES[name][DROPOUTS.index(dropout)]
         lengths = [7, 1, 4]
         _, ctxs = net.forward([np.ones((t, 39)) for t in lengths], training=True,
                               rng=make_rng(84))
         assert context_bytes(ctxs) == net.frame_bytes * sum(lengths)
+        # one frame alone may keep less: its one-map reshape is a view
+        _, ctxs = net.forward(np.ones((1, 39)), training=True, rng=make_rng(84))
+        assert context_bytes(ctxs) <= net.frame_bytes
+
+    def test_frame_bytes_count_a_step_without_a_byte_description(self):
+        base = build_network(catalog()["baseline"])
+        net = N.Network(base.config, base.store, [_KeepsScaledInput()] + base.steps,
+                        base.input_dim, base.output_units, base.layout)
+        assert net.frame_bytes == base.frame_bytes + 39 * 8
+        _, ctxs = net.forward(np.ones((5, 39)), training=True)
+        assert context_bytes(ctxs) == net.frame_bytes * 5
 
     @pytest.mark.parametrize("name", sorted(catalog()))
     def test_multi_utterance_chunks_keep_at_most_the_budget(self, name):
