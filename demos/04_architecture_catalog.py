@@ -25,7 +25,7 @@ print(dump_config(cat["Res-RC2"]))
 print("== a residual block with zeroed branch is exactly the identity ==")
 import numpy as np
 
-from rcasr.network import _Conv2d, _ResidualBlock
+from rcasr.network import _Chunk, _Conv2d, _ResidualBlock
 from rcasr.numerics import ParameterStore
 
 store = ParameterStore()
@@ -34,5 +34,5 @@ for p in store.entries.values():
     p.value[...] = 0.0
 block = _ResidualBlock(inner, alpha=1.0)
 x = np.abs(make_rng(2).normal(size=(2, 3, 4)))
-out, _ = block.forward(x, False, None)
+out, _ = block.forward(x, False, _Chunk([3]))
 print("elu(x + 0) == x for x >= 0:", np.array_equal(out, x))

@@ -300,7 +300,11 @@ def load_corpus(root, ids=None):
         if kind == "feat":
             mat = feats.load_feature_dump(path)
         else:
-            mat = feats.extract(feats.read_wav(path))
+            samples = feats.read_wav(path)
+            try:
+                mat = feats.extract(samples)
+            except ValueError as exc:     # a clip shorter than one frame
+                raise ValueError(f"{path}: {exc}") from None
         utterances[utt_id] = Utterance(id=utt_id, labels=labels, features=mat)
 
     corpus = Corpus(utterances=utterances, alphabet=alphabet)

@@ -259,7 +259,7 @@ def save_stats(path, stats):
 
 def load_stats(path):
     """A save_stats file; a malformed one is a ValueError naming the path
-    (and the line of a non-finite value)."""
+    (and the line of a non-finite value or of a std not all > 0)."""
     try:
         with open(path) as fh:
             mean = np.asarray([float(v) for v in fh.readline().split()])
@@ -271,4 +271,6 @@ def load_stats(path):
     for ln, row in enumerate((mean, std), start=1):
         if not np.isfinite(row).all():
             raise ValueError(f"{path}:{ln}: non-finite stats value")
+    if not (std > 0).all():
+        raise ValueError(f"{path}:2: std values must be > 0")
     return FeatureStats(mean=mean, std=std)

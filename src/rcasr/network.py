@@ -14,6 +14,8 @@ recurrent or dense stage is flattened per time step to T x (C*F).
 A forward runs one utterance or a chunk of them with their frames stacked
 along T (see _Chunk): per-frame steps run once over the stack, the recurrent
 steps keep one state per utterance and conv2d one zero border per utterance.
+Every step's forward(x, training, chunk) is given the forward's chunk, which
+also carries the dropout generator, so a step keeps nothing between forwards.
 """
 
 import math
@@ -136,9 +138,11 @@ class _Chunk:
     stacked rows of time step 0, then of step 1, ..., sizes[t] rows at step
     t, and each step's utterances are a prefix of the previous step's.
     prev[k] is the packed row one time step before packed row first + k.
+    rng draws the dropout masks of a training forward.
     """
 
-    def __init__(self, lengths):
+    def __init__(self, lengths, rng=None):
+        self.rng = rng
         lengths = np.asarray(lengths, dtype=np.intp)
         starts = np.cumsum(lengths) - lengths
         frames = int(lengths.sum())
@@ -152,19 +156,6 @@ class _Chunk:
         self.sizes = sizes.tolist()
         self.first = self.sizes[0] if self.sizes else 0
         self.prev = np.arange(self.first, frames) - np.repeat(sizes[:-1], sizes[1:])
-
-
-class _Layout:
-    """The chunk of the forward a network is running.  Network.forward sets
-    it for the length of the forward; the network's conv2d and recurrent
-    steps share this one instance.  A step called on its own sees its input
-    as one utterance."""
-
-    def __init__(self):
-        self.chunk = None
-
-    def chunk_of(self, frames):
-        return self.chunk if self.chunk is not None else _Chunk([frames])
 
 
 # Byte budget of one chunk's training contexts, as Network.frame_bytes
@@ -245,7 +236,7 @@ class _Elu:
     def __init__(self, alpha):
         self.alpha = alpha
 
-    def forward(self, x, training, rng):
+    def forward(self, x, training, chunk):
         y = _elu_fwd(x, self.alpha)
         return y, y
 
@@ -259,12 +250,12 @@ class _Dropout:
     def __init__(self, rate):
         self.rate = rate
 
-    def forward(self, x, training, rng):
+    def forward(self, x, training, chunk):
         if not training or self.rate == 0.0:
             return x, None
-        if rng is None:
+        if chunk.rng is None:
             raise ValueError("training-mode dropout needs an rng")
-        mask = (rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
+        mask = (chunk.rng.random(x.shape) >= self.rate) / (1.0 - self.rate)
         return x * mask, mask
 
     def backward(self, ctx, g):
@@ -278,7 +269,7 @@ class _Affine:
         self.w = store.add(f"{name}/W", glorot_init((in_dim, units), rng))
         self.b = store.add(f"{name}/b", np.zeros(units))
 
-    def forward(self, x, training, rng):
+    def forward(self, x, training, chunk):
         return x @ self.w.value + self.b.value, x
 
     def backward(self, ctx, g):
@@ -293,16 +284,14 @@ class _Recurrent:
     GEMM over the utterances still running (see _Chunk).  The context keeps
     h, whose ELU slope backward derives, and not the pre-activations."""
 
-    def __init__(self, store, name, in_dim, hidden, rng, layout=None):
+    def __init__(self, store, name, in_dim, hidden, rng):
         self.alpha = 1.0
         self.hidden = hidden
-        self.layout = layout if layout is not None else _Layout()
         self.w_xh = store.add(f"{name}/W_xh", glorot_init((in_dim, hidden), rng))
         self.w_hh = store.add(f"{name}/W_hh", glorot_init((hidden, hidden), rng))
         self.b = store.add(f"{name}/b", np.zeros(hidden))
 
-    def forward(self, x, training, rng):
-        chunk = self.layout.chunk_of(len(x))
+    def forward(self, x, training, chunk):
         # pre and h are time-major: step t's rows follow step t-1's, and the
         # first sizes[t] rows of step t-1 are the same utterances' previous step
         pre = (x @ self.w_xh.value + self.b.value)[chunk.packed]
@@ -421,18 +410,16 @@ class _Conv2d:
     utterance of a chunk has its own zero border and its own GEMMs, so none
     reads another's frames and its values do not depend on the chunk."""
 
-    def __init__(self, store, name, in_maps, out_maps, rng, layout=None):
+    def __init__(self, store, name, in_maps, out_maps, rng):
         self.in_maps = in_maps
         self.out_maps = out_maps
-        self.layout = layout if layout is not None else _Layout()
         self.k = store.add(f"{name}/K", glorot_init((out_maps, in_maps, KERNEL, KERNEL), rng))
         self.b = store.add(f"{name}/b", np.zeros(out_maps))
 
-    def forward(self, x, training, rng):
+    def forward(self, x, training, chunk):
         c, t, f = x.shape
         if c != self.in_maps:
             raise ValueError(f"conv2d expected {self.in_maps} input maps, got {c}")
-        chunk = self.layout.chunk_of(t)
         y = _correlate(_kernel_rows(self.k.value), x, chunk, self.b.value)
         return y.reshape(self.out_maps, t, f), (x, (c, t, f), chunk)
 
@@ -453,7 +440,7 @@ class _Conv2d:
 
 
 class _SeqToMaps:
-    def forward(self, x, training, rng):
+    def forward(self, x, training, chunk):
         return x[None, :, :], None
 
     def backward(self, ctx, g):
@@ -461,7 +448,7 @@ class _SeqToMaps:
 
 
 class _MapsToSeq:
-    def forward(self, x, training, rng):
+    def forward(self, x, training, chunk):
         c, t, f = x.shape
         return x.transpose(1, 0, 2).reshape(t, c * f), (c, t, f)
 
@@ -470,13 +457,13 @@ class _MapsToSeq:
         return g.reshape(t, c, f).transpose(1, 0, 2)
 
 
-def _run_forward(steps, h, training, rng):
+def _run_forward(steps, h, training, chunk):
     """Run steps in order: (output, contexts).  Only a training-mode forward
     keeps the contexts backward needs; an inference forward returns None for
     them and frees each context as soon as its step returns."""
     ctxs = [] if training else None
     for step in steps:
-        h, ctx = step.forward(h, training, rng)
+        h, ctx = step.forward(h, training, chunk)
         if training:
             ctxs.append(ctx)
         del ctx
@@ -519,8 +506,8 @@ class _ResidualBlock:
         self.inner = inner
         self.alpha = alpha
 
-    def forward(self, x, training, rng):
-        h, inner_ctx = _run_forward(self.inner, x, training, rng)
+    def forward(self, x, training, chunk):
+        h, inner_ctx = _run_forward(self.inner, x, training, chunk)
         if h.shape != x.shape:
             raise ValueError(
                 f"residual branch changed shape {x.shape} -> {h.shape}; identity shortcut impossible"
@@ -537,17 +524,16 @@ class _ResidualBlock:
 class Network:
     """A built, runnable stack bound to its ParameterStore."""
 
-    def __init__(self, config, store, steps, input_dim, output_units, layout):
+    def __init__(self, config, store, steps, input_dim, output_units):
         self.config = config
         self.store = store
         self.steps = steps
         self.input_dim = input_dim
         self.output_units = output_units
-        self.layout = layout
         # the bytes per frame a training forward's contexts keep, measured on
         # two frames: at one, _MapsToSeq's reshape of one frame is a view
         # and not the copy it is at every longer input
-        _, ctxs = _run_forward(steps, np.zeros((2, input_dim)), True, make_rng(0))
+        _, ctxs = _run_forward(steps, np.zeros((2, input_dim)), True, _Chunk([2], make_rng(0)))
         self.frame_bytes = _kept_bytes(ctxs) // 2
 
     def forward(self, x, training=False, rng=None):
@@ -558,11 +544,8 @@ class Network:
         for u in xs:
             if u.ndim != 2 or u.shape[1] != self.input_dim:
                 raise ValueError(f"expected T x {self.input_dim} input, got {u.shape}")
-        self.layout.chunk = _Chunk([len(u) for u in xs])
-        try:
-            return _run_forward(self.steps, np.concatenate(xs), training, rng)
-        finally:
-            self.layout.chunk = None
+        chunk = _Chunk([len(u) for u in xs], rng)
+        return _run_forward(self.steps, np.concatenate(xs), training, chunk)
 
     def backward(self, ctxs, g):
         if ctxs is None:
@@ -600,7 +583,6 @@ def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,
     spans = {a: (a, b) for a, b in sorted(config.residual_groups)}
 
     steps = []
-    layout = _Layout()
     # the current stage: `maps` feature maps of T x `width`, or (maps None) a
     # T x `width` sequence; conv stages keep T x width intact
     maps, width = None, input_dim
@@ -614,7 +596,7 @@ def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,
         elif spec.kind == "dropout":
             step = _Dropout(value if dropout_override is None else dropout_override)
         elif spec.kind == "recurrent":
-            step = _Recurrent(store, name, width, value, rng, layout=layout)
+            step = _Recurrent(store, name, width, value, rng)
             width = value
         elif spec.kind in ("dense", "linear_output"):
             if spec.kind == "linear_output" and output_units is not None:
@@ -622,7 +604,7 @@ def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,
             step = _Affine(store, name, width, value, rng)
             width = value
         else:
-            step = _Conv2d(store, name, maps, value, rng, layout=layout)
+            step = _Conv2d(store, name, maps, value, rng)
             maps = value
         return step
 
@@ -652,7 +634,7 @@ def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,
             steps.append(make_step(i, config.layers[i]))
             i += 1
 
-    return Network(config, store, steps, input_dim, width, layout)
+    return Network(config, store, steps, input_dim, width)
 
 
 # -- config text format --------------------------------------------------------

@@ -15,6 +15,7 @@ machine-dependent column.
 """
 
 import logging
+import math
 import os
 import time
 from dataclasses import dataclass, field, replace
@@ -47,8 +48,8 @@ class TrainConfig:
     checkpoint_every: int = 0          # also checkpoints the final epoch when out_dir is set
 
     def __post_init__(self):
-        if self.lr < 0:
-            raise ValueError("learning rate must be >= 0")
+        if not 0.0 <= self.lr < math.inf:     # written so that nan fails
+            raise ValueError(f"learning rate must be in [0, inf), got {self.lr}")
         if self.batch_size < 1:
             raise ValueError("batch size must be >= 1")
         if self.epochs < 0:
@@ -120,7 +121,8 @@ def train(config, corpus, partition=None):
     A train or val utterance whose feature width is not N_FEATURES is a
     ValueError before the first epoch.  Infeasible utterances (too few
     frames for their label) are skipped with a warning.  A numeric failure
-    (non-finite logits) aborts naming the epoch, batch and utterance.
+    (non-finite logits) aborts naming the epoch, the batch or validation, and
+    the utterance.
 
     With config.out_dir set, the run leaves there (see run_path) its network
     config, a checkpoint every checkpoint_every epochs and after the last,
@@ -178,7 +180,8 @@ def train(config, corpus, partition=None):
             adam_step(net.store, config.lr)
 
         train_cost = float(np.mean(epoch_losses)) if epoch_losses else float("nan")
-        val_cost, val_per = _validate(net, corpus, alphabet, val_ids)
+        val_cost, val_per = _validate(net, corpus, alphabet, val_ids,
+                                      f"epoch {epoch}, validation")
         minutes = (time.monotonic() - start) / 60.0
         curve.rows.append(CurveRow(epoch, minutes, train_cost, val_cost, val_per))
         log_lines.append(
@@ -198,13 +201,12 @@ def train(config, corpus, partition=None):
     return net.store, curve
 
 
-def _train_chunk(net, chunk, alphabet, rng, scale, where):
-    """One forward, CTC loss and backward over the utterances of a chunk:
-    adds scale times their gradients to the store's and returns their
-    losses.  A numeric failure is a TrainingAborted naming `where` and the
-    utterance."""
+def _chunk_loss(net, chunk, alphabet, where, training=False, rng=None):
+    """Forward and CTC loss over the utterances of a chunk: (logits,
+    contexts, losses, dlogits).  A numeric failure is a TrainingAborted
+    naming `where` and the utterance."""
     try:
-        logits, ctxs = net.forward([u.features for u in chunk], training=True, rng=rng)
+        logits, ctxs = net.forward([u.features for u in chunk], training=training, rng=rng)
         losses, dlogits = ctc_mod.ctc_loss_and_grad(
             logits, [alphabet.encode(u.labels) for u in chunk], [u.n_frames for u in chunk])
     except (ValueError, ArithmeticError) as exc:
@@ -212,13 +214,22 @@ def _train_chunk(net, chunk, alphabet, rng, scale, where):
         who = (f"utterance '{chunk[i].id}'" if i is not None
                else "utterances " + ", ".join(f"'{u.id}'" for u in chunk))
         raise TrainingAborted(f"numeric failure at {where}, {who}: {exc}") from exc
+    return logits, ctxs, losses, dlogits
+
+
+def _train_chunk(net, chunk, alphabet, rng, scale, where):
+    """One training forward, CTC loss and backward over the utterances of a
+    chunk (see _chunk_loss): adds scale times their gradients to the store's
+    and returns their losses."""
+    _, ctxs, losses, dlogits = _chunk_loss(net, chunk, alphabet, where, True, rng)
     dlogits *= scale
     net.backward(ctxs, dlogits)
     return losses.tolist()
 
 
-def _validate(net, corpus, alphabet, val_ids):
-    """Mean CTC loss and greedy PER of the val utterances, run in chunks."""
+def _validate(net, corpus, alphabet, val_ids, where):
+    """Mean CTC loss and greedy PER of the val utterances, run in chunks; a
+    numeric failure aborts naming `where` (see _chunk_loss)."""
     if not val_ids:
         return float("nan"), float("nan")
     refs = {i: corpus[i].labels for i in val_ids}
@@ -227,13 +238,10 @@ def _validate(net, corpus, alphabet, val_ids):
     losses = []
     for a, b in net.chunks([u.n_frames for u in utts]):
         chunk = utts[a:b]
-        lengths = [u.n_frames for u in chunk]
-        logits, _ = net.forward([u.features for u in chunk], training=False)
-        loss, _ = ctc_mod.ctc_loss_and_grad(
-            logits, [alphabet.encode(u.labels) for u in chunk], lengths)
+        logits, _, loss, _ = _chunk_loss(net, chunk, alphabet, where)
         losses.extend(loss.tolist())
         y = ctc_mod.softmax(logits)
-        for u, y_u in zip(chunk, np.split(y, np.cumsum(lengths)[:-1])):
+        for u, y_u in zip(chunk, np.split(y, np.cumsum([u.n_frames for u in chunk])[:-1])):
             hyps[u.id] = alphabet.decode(ctc_mod.greedy_decode(y_u))
     val_cost = float(np.mean(losses)) if losses else float("nan")
     return val_cost, evaluate.per(refs, hyps).aggregate

@@ -1,7 +1,8 @@
 """Independent reference implementations the test suite checks against.
 
-Everything here is deliberately naive (loops, enumeration, recursion) and
-shares no code with the library paths it verifies.
+Everything here but run_alone, which calls one network step on its own, is
+deliberately naive (loops, enumeration, recursion) and shares no code with
+the library paths it verifies.
 """
 
 import itertools
@@ -10,6 +11,8 @@ from functools import lru_cache
 from types import SimpleNamespace
 
 import numpy as np
+
+from rcasr.network import _Chunk
 
 
 def naive_matmul(a, b):
@@ -166,6 +169,13 @@ def conv2d_by_im2col(x, kernels, bias, g):
     flipped = kernels[:, :, ::-1, ::-1].transpose(1, 0, 2, 3).reshape(c, -1)
     dx = flipped @ _im2col(_pad1(g))
     return y.reshape(c_out, t, f), dk, gm.sum(axis=1), dx.reshape(c, t, f)
+
+
+def run_alone(step, x, training, rng=None):
+    """step.forward with x as a chunk of one utterance, whose frames are the
+    rows of a sequence or the second axis of C x T x F maps."""
+    frames = x.shape[1] if x.ndim == 3 else len(x)
+    return step.forward(x, training, _Chunk([frames], rng))
 
 
 def _step_forward_one(step, x):

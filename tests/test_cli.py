@@ -125,7 +125,9 @@ class TestTrain:
         ("--checkpoint-every", "-1", "checkpoint_every must be >= 0"),
         ("--batch-size", "0", "batch size must be >= 1"),
         ("--dropout", "1.5", "dropout rate= must be in [0, 1), got 1.5"),
-    ], ids=["epochs", "checkpoint-every", "batch-size", "dropout"])
+        ("--lr", "nan", "learning rate must be in [0, inf), got nan"),
+        ("--lr", "inf", "learning rate must be in [0, inf), got inf"),
+    ], ids=["epochs", "checkpoint-every", "batch-size", "dropout", "lr-nan", "lr-inf"])
     def test_negative_schedule_data_error(self, tmp_path, tiny_corpus_dir, capsys,
                                           flag, value, message):
         out = tmp_path / "run"
@@ -134,6 +136,24 @@ class TestTrain:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_divergence_seen_by_validation_numeric_abort(self, tmp_path, capsys):
+        # lr 1e300 leaves the first epoch's training forwards finite and
+        # blows up the weights before its validation
+        data, part = tmp_path / "data", tmp_path / "part"
+        assert cli.main(["synth", "--out", str(data), "--n", "6", "--seed", "1"]) == 0
+        assert cli.main(["partition", "--data", str(data), "--out", str(part),
+                         "--sizes", "4,1,1"]) == 0
+        capsys.readouterr()
+        rc = cli.main(["train", "--config", "baseline", "--data", str(data), "--partition",
+                       str(part), "--out", str(tmp_path / "run"), "--epochs", "2",
+                       "--lr", "1e300", "--batch-size", "8"])
+        assert rc == 3
+        (val_id,) = (part / "val.txt").read_text().split()
+        assert (f"numeric abort: numeric failure at epoch 1, validation, utterance '{val_id}': "
+                "non-finite pre-activations passed to CTC") in capsys.readouterr().err
 
     def test_non_numeric_feature_dump_data_error(self, tmp_path, tiny_corpus, capsys):
         data = tmp_path / "data"
@@ -204,6 +224,30 @@ class TestFeaturesCmd:
         rc = cli.main(["features", "--data", str(data), "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "u0.wav" in capsys.readouterr().err
+
+    def test_clip_shorter_than_one_frame_names_the_wav(self, tmp_path, capsys):
+        data = tmp_path / "raw"
+        (data / "wav").mkdir(parents=True)
+        (data / "phn").mkdir()
+        wav = data / "wav" / "u0.wav"
+        write_wav_at(wav, make_rng(443).normal(scale=0.1, size=300), 16000)
+        (data / "phn" / "u0.txt").write_text("aa b\n")
+        rc = cli.main(["features", "--data", str(data), "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert (f"data error: {wav}: clip of 300 samples is shorter than one 400-sample frame"
+                in capsys.readouterr().err)
+
+    @pytest.mark.parametrize("std", ["0", "-1"], ids=["zero", "negative"])
+    def test_stats_std_not_positive_data_error(self, tmp_path, tiny_corpus_dir, capsys, std):
+        # normalize_corpus clamps a zero std to 1, so only a foreign file has one
+        stats = tmp_path / "stats.txt"
+        stats.write_text(" ".join(["0"] * 39) + "\n" + " ".join(["1"] * 38 + [std]) + "\n")
+        out = tmp_path / "out"
+        rc = cli.main(["features", "--data", str(tiny_corpus_dir), "--out", str(out),
+                       "--stats-in", str(stats)])
+        assert rc == 2
+        assert f"data error: {stats}:2: std values must be > 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_non_numeric_stats_data_error(self, tmp_path, capsys):
         data = tmp_path / "raw"

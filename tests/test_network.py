@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from oracles import (_elu, _elu_grad, _elu_slope, _step_forward_one, conv2d_by_im2col,
                      conv2d_grads_by_loops, fd_gradient, max_relative_error, naive_matmul,
-                     recurrent_backward_by_steps, sliding_conv2d)
+                     recurrent_backward_by_steps, run_alone, sliding_conv2d)
 from rcasr import ctc as ctc_mod
 from rcasr import network as N
 from rcasr.numerics import ParameterStore, make_rng
@@ -24,21 +24,21 @@ def single_layer_net(spec, input_dim, spans=(), seed=0):
 class TestElu:
     def test_values(self):
         e = N._Elu(1.0)
-        y, _ = e.forward(np.array([0.0, 2.0, -1.0]), False, None)
+        y, _ = run_alone(e, np.array([0.0, 2.0, -1.0]), False)
         assert y[0] == 0.0
         assert y[1] == 2.0
         assert y[2] == pytest.approx(np.exp(-1) - 1, abs=1e-15)
 
     def test_derivative_continuous_at_zero(self):
         e = N._Elu(1.0)
-        left = e.backward(e.forward(np.array([-1e-12]), True, None)[1], np.ones(1))[0]
-        right = e.backward(e.forward(np.array([1e-12]), True, None)[1], np.ones(1))[0]
+        left = e.backward(run_alone(e, np.array([-1e-12]), True)[1], np.ones(1))[0]
+        right = e.backward(run_alone(e, np.array([1e-12]), True)[1], np.ones(1))[0]
         assert left == pytest.approx(1.0, abs=1e-11)
         assert right == 1.0
 
     def test_alpha_scales_negative_branch(self):
         e = N._Elu(0.5)
-        y, _ = e.forward(np.array([-2.0]), False, None)
+        y, _ = run_alone(e, np.array([-2.0]), False)
         assert y[0] == pytest.approx(0.5 * (np.exp(-2) - 1), abs=1e-15)
 
 
@@ -120,13 +120,13 @@ class TestRecurrent:
         layer, store = self.make(3, 4)
         for p in store.entries.values():
             p.value[...] = 0.0
-        y, _ = layer.forward(RNG.normal(size=(6, 3)), False, None)
+        y, _ = run_alone(layer, RNG.normal(size=(6, 3)), False)
         assert np.all(y == 0.0)
 
     def test_single_step_has_no_recurrence(self):
         layer, store = self.make(2, 3)
         x = RNG.normal(size=(1, 2))
-        y, _ = layer.forward(x, False, None)
+        y, _ = run_alone(layer, x, False)
         expected = N._elu_fwd(x[0] @ layer.w_xh.value + layer.b.value, 1.0)
         assert np.allclose(y[0], expected, atol=1e-15)
 
@@ -139,7 +139,7 @@ class TestRecurrent:
         h1 = np.where(0.7 * 0.5 + 0.1 > 0, 0.7 * 0.5 + 0.1, np.expm1(0.7 * 0.5 + 0.1))
         a2 = 0.7 * -1.2 + -0.4 * h1 + 0.1
         h2 = a2 if a2 > 0 else np.expm1(a2)
-        y, _ = layer.forward(x, False, None)
+        y, _ = run_alone(layer, x, False)
         assert y[0, 0] == pytest.approx(h1, abs=1e-15)
         assert y[1, 0] == pytest.approx(float(h2), abs=1e-15)
 
@@ -149,10 +149,10 @@ class TestRecurrent:
         target = make_rng(4).normal(size=(4, 4))
 
         def loss():
-            y, _ = layer.forward(x, False, None)
+            y, _ = run_alone(layer, x, False)
             return float(np.sum(y * target))
 
-        y, ctx = layer.forward(x, False, None)
+        y, ctx = run_alone(layer, x, False)
         dx = layer.backward(ctx, target)
         for name in ("r/W_xh", "r/W_hh", "r/b"):
             num = fd_gradient(loss, store[name].value)
@@ -168,7 +168,7 @@ class TestRecurrent:
             layer.b.value[...] = rng.normal(size=hid)
             x = rng.normal(size=(t, d))
             g = rng.normal(size=(t, hid))
-            _, ctx = layer.forward(x, True, None)
+            _, ctx = run_alone(layer, x, True)
             dx = layer.backward(ctx, g)
             h, (_, pre, _) = _step_forward_one(layer, x)
             want = recurrent_backward_by_steps(x, pre, h, g, layer.w_xh.value, layer.w_hh.value)
@@ -176,6 +176,24 @@ class TestRecurrent:
                                 want):
                 assert got.shape == ref.shape
                 assert np.max(np.abs(got - ref)) <= 1e-12
+
+    def test_chunk_values_equal_each_utterance_alone(self):
+        lengths, d, hid = [1, 23, 9, 40, 17, 2], 5, 6
+        rng = make_rng(77)
+        layer, store = self.make(d, hid, seed=77)
+        layer.b.value[...] = rng.normal(size=hid)
+        xs = [rng.normal(size=(n, d)) for n in lengths]
+        gs = [rng.normal(size=(n, hid)) for n in lengths]
+        y, ctx = layer.forward(np.concatenate(xs), True, N._Chunk(lengths))
+        dx = layer.backward(ctx, np.concatenate(gs))
+        chunked = {name: p.grad.copy() for name, p in store.entries.items()}
+        store.zero_grads()
+        for (s, e), x, g in zip(ctx[2].spans, xs, gs):
+            y1, ctx1 = run_alone(layer, x, True)
+            assert np.max(np.abs(y[s:e] - y1)) <= 1e-12, s
+            assert np.max(np.abs(dx[s:e] - layer.backward(ctx1, g))) <= 1e-12, s
+        for name, p in store.entries.items():
+            assert np.max(np.abs(chunked[name] - p.grad)) <= 1e-12, name
 
 
 class TestConv2d:
@@ -189,14 +207,14 @@ class TestConv2d:
         layer.k.value[0, 0, 1, 1] = 1.0
         layer.b.value[...] = 0.0
         x = RNG.normal(size=(1, 4, 5))
-        y, _ = layer.forward(x, False, None)
+        y, _ = run_alone(layer, x, False)
         assert np.allclose(y, x, atol=1e-15)
 
     def test_all_ones_kernel_edge_counts(self):
         layer, _ = self.make(1, 1)
         layer.k.value[...] = 1.0
         layer.b.value[...] = 0.0
-        y, _ = layer.forward(np.ones((1, 5, 5)), False, None)
+        y, _ = run_alone(layer, np.ones((1, 5, 5)), False)
         assert y[0, 2, 2] == 9.0
         assert y[0, 0, 2] == 6.0
         assert y[0, 2, 0] == 6.0
@@ -207,7 +225,7 @@ class TestConv2d:
         # 3x3 input zero-padded to 5x5, kernel slid over every 3x3 region
         layer, _ = self.make(1, 1, seed=6)
         x = RNG.normal(size=(1, 3, 3))
-        y, _ = layer.forward(x, False, None)
+        y, _ = run_alone(layer, x, False)
         assert y.shape == (1, 3, 3)
         xp = np.zeros((5, 5))
         xp[1:4, 1:4] = x[0]
@@ -221,7 +239,7 @@ class TestConv2d:
             c_in, c_out = int(rng.integers(1, 4)), int(rng.integers(1, 4))
             layer, _ = self.make(c_in, c_out, seed=seed)
             x = rng.normal(size=(c_in, int(rng.integers(2, 6)), int(rng.integers(2, 6))))
-            y, _ = layer.forward(x, False, None)
+            y, _ = run_alone(layer, x, False)
             ref = sliding_conv2d(x, layer.k.value, layer.b.value)
             assert np.max(np.abs(y - ref)) <= 1e-12
 
@@ -230,13 +248,13 @@ class TestConv2d:
         layer, _ = self.make(2, 3)
         for _ in range(50):
             t, f = int(rng.integers(1, 12)), int(rng.integers(1, 12))
-            y, _ = layer.forward(rng.normal(size=(2, t, f)), False, None)
+            y, _ = run_alone(layer, rng.normal(size=(2, t, f)), False)
             assert y.shape == (3, t, f)
 
     def test_channel_mismatch_rejected(self):
         layer, _ = self.make(2, 3)
         with pytest.raises(ValueError, match="maps"):
-            layer.forward(np.zeros((4, 3, 3)), False, None)
+            run_alone(layer, np.zeros((4, 3, 3)), False)
 
     def test_backward_matches_finite_differences(self):
         layer, store = self.make(2, 3, seed=7)
@@ -244,10 +262,10 @@ class TestConv2d:
         target = make_rng(9).normal(size=(3, 3, 4))
 
         def loss():
-            y, _ = layer.forward(x, False, None)
+            y, _ = run_alone(layer, x, False)
             return float(np.sum(y * target))
 
-        _, ctx = layer.forward(x, False, None)
+        _, ctx = run_alone(layer, x, False)
         dx = layer.backward(ctx, target)
         assert max_relative_error(store["c/K"].grad, fd_gradient(loss, store["c/K"].value)) <= 1e-6
         assert max_relative_error(store["c/b"].grad, fd_gradient(loss, store["c/b"].value)) <= 1e-6
@@ -262,7 +280,7 @@ class TestConv2d:
             layer, store = self.make(c_in, c_out, seed=seed)
             x = rng.normal(size=(c_in, t, f))
             g = rng.normal(size=(c_out, t, f))
-            _, ctx = layer.forward(x, True, None)
+            _, ctx = run_alone(layer, x, True)
             dx = layer.backward(ctx, g)
             want = conv2d_grads_by_loops(x, layer.k.value, g)
             for got, ref in zip((store["c/K"].grad, store["c/b"].grad, dx), want):
@@ -284,7 +302,7 @@ class TestConv2d:
         g = rng.normal(size=(c_out, t, f))
         one = N._Chunk([t])
         assert len(list(N._tiles(x, one))) == -(-t // rows)
-        y, ctx = layer.forward(x, True, None)
+        y, ctx = run_alone(layer, x, True)
         assert np.max(np.abs(y - sliding_conv2d(x, layer.k.value, layer.b.value))) <= 1e-12
         dx = layer.backward(ctx, g)
         want = conv2d_grads_by_loops(x, layer.k.value, g)
@@ -302,7 +320,7 @@ class TestConv2d:
         x = rng.normal(size=(c_in, t, f))
         g = rng.normal(size=(c_out, t, f))
         assert len(list(N._tiles(x, N._Chunk([t])))) == 9
-        y, ctx = layer.forward(x, True, None)
+        y, ctx = run_alone(layer, x, True)
         dx = layer.backward(ctx, g)
         want = conv2d_by_im2col(x, layer.k.value, layer.b.value, g)
         for got, ref in zip((y, store["c/K"].grad, store["c/b"].grad, dx), want):
@@ -323,12 +341,10 @@ class TestConv2d:
             layer.b.value[...] = rng.normal(size=c_out)
             xs = [rng.normal(size=(c_in, n, f)) for n in lengths]
             gs = [rng.normal(size=(c_out, n, f)) for n in lengths]
-            layer.layout.chunk = N._Chunk(lengths)
-            y, ctx = layer.forward(np.concatenate(xs, axis=1), True, None)
-            layer.layout.chunk = None
+            y, ctx = layer.forward(np.concatenate(xs, axis=1), True, N._Chunk(lengths))
             dx = layer.backward(ctx, np.concatenate(gs, axis=1))
             for (s, e), x, g in zip(ctx[2].spans, xs, gs):
-                y1, ctx1 = layer.forward(x, True, None)
+                y1, ctx1 = run_alone(layer, x, True)
                 assert np.array_equal(y[:, s:e], y1), (c_in, s)
                 assert np.array_equal(dx[:, s:e], layer.backward(ctx1, g)), (c_in, s)
 
@@ -342,7 +358,7 @@ class TestConv2d:
 
         layer, _ = self.make(3, 4)
         x = RNG.normal(size=(3, 7, 5))
-        _, ctx = layer.forward(x, True, None)
+        _, ctx = run_alone(layer, x, True)
         assert ctx[1] == (3, 7, 5)
         assert max(a.size for a in arrays(ctx)) <= 3 * (7 + 2) * (5 + 2)
 
@@ -351,19 +367,19 @@ class TestDropout:
     def test_rate_zero_identity(self):
         d = N._Dropout(0.0)
         x = RNG.normal(size=(4, 4))
-        y, _ = d.forward(x, True, make_rng(1))
+        y, _ = run_alone(d, x, True, make_rng(1))
         assert np.array_equal(y, x)
 
     def test_inference_identity(self):
         d = N._Dropout(0.9)
         x = RNG.normal(size=(4, 4))
-        y, _ = d.forward(x, False, None)
+        y, _ = run_alone(d, x, False)
         assert np.array_equal(y, x)
 
     def test_kept_fraction(self):
         d = N._Dropout(0.5)
         x = np.ones(100_000)
-        y, _ = d.forward(x, True, make_rng(2))
+        y, _ = run_alone(d, x, True, make_rng(2))
         kept = np.count_nonzero(y) / x.size
         assert abs(kept - 0.5) < 0.01
         # inverted scaling keeps the expectation
@@ -398,7 +414,7 @@ class TestResidual:
         net = self.residual_net(zero_f=True)
         block = next(s for s in net.steps if isinstance(s, N._ResidualBlock))
         x = np.abs(RNG.normal(size=(2, 3, 4)))
-        y, ctx = block.forward(x, False, None)
+        y, ctx = run_alone(block, x, False)
         assert np.array_equal(y, x)
         assert ctx is None
 
@@ -406,7 +422,7 @@ class TestResidual:
         net = self.residual_net(zero_f=True)
         block = next(s for s in net.steps if isinstance(s, N._ResidualBlock))
         x = np.abs(RNG.normal(size=(2, 3, 4))) + 0.1
-        _, ctx = block.forward(x, True, None)
+        _, ctx = run_alone(block, x, True)
         g = RNG.normal(size=x.shape)
         dx = block.backward(ctx, g)
         assert np.array_equal(dx, g)
@@ -419,7 +435,7 @@ class TestResidual:
         block = net.steps[1]   # steps: seq->maps, block, maps->seq, affine
         assert isinstance(block, N._ResidualBlock)
         x = make_rng(52).normal(size=(1, 3, 3))
-        y, _ = block.forward(x, False, None)
+        y, _ = run_alone(block, x, False)
         k = net.store["L00_conv2d/K"].value
         b = net.store["L00_conv2d/b"].value
         expected = N._elu_fwd(x + sliding_conv2d(x, k, b), 1.0)
@@ -432,10 +448,10 @@ class TestResidual:
         target = make_rng(54).normal(size=(2, 3, 4))
 
         def loss():
-            y, _ = block.forward(x, False, None)
+            y, _ = run_alone(block, x, False)
             return float(np.sum(y * target))
 
-        _, ctx = block.forward(x, True, None)
+        _, ctx = run_alone(block, x, True)
         net.store.zero_grads()
         dx = block.backward(ctx, target)
         assert max_relative_error(dx, fd_gradient(loss, x)) <= 1e-6
@@ -451,10 +467,10 @@ class TestDense:
         target = make_rng(57).normal(size=(4, 5))
 
         def loss():
-            y, _ = layer.forward(x, False, None)
+            y, _ = run_alone(layer, x, False)
             return float(np.sum(y * target))
 
-        _, ctx = layer.forward(x, False, None)
+        _, ctx = run_alone(layer, x, False)
         dx = layer.backward(ctx, target)
         assert max_relative_error(store["d/W"].grad, fd_gradient(loss, store["d/W"].value)) <= 1e-6
         assert max_relative_error(store["d/b"].grad, fd_gradient(loss, store["d/b"].value)) <= 1e-6
@@ -467,7 +483,7 @@ class TestDense:
             layer = N._Affine(ParameterStore(), "d", d, units, make_rng(seed))
             layer.b.value[...] = rng.normal(size=units)
             x = rng.normal(size=(t, d))
-            y, _ = layer.forward(x, False, None)
+            y, _ = run_alone(layer, x, False)
             ref = naive_matmul(x, layer.w.value) + layer.b.value
             assert np.max(np.abs(y - ref)) <= 1e-12
 
@@ -650,6 +666,16 @@ class TestNetworkForward:
         net = N.build_network(N.catalog()["RC2-toy"], output_units=4, rng=make_rng(65))
         with pytest.raises(ValueError, match="rng"):
             net.forward(np.zeros((4, 39)), training=True)
+
+    def test_steps_run_in_another_network(self):
+        # a step keeps nothing between forwards, so a Network built around
+        # another network's steps computes the same logits
+        base = N.build_network(N.catalog()["Res-CR2-toy"], output_units=5, rng=make_rng(69))
+        net = N.Network(base.config, base.store, base.steps, base.input_dim, base.output_units)
+        xs = [make_rng(70 + i).normal(size=(t, 39)) for i, t in enumerate((7, 1, 12))]
+        assert np.array_equal(net.forward(xs)[0], base.forward(xs)[0])
+        assert np.array_equal(net.forward(xs, True, make_rng(3))[0],
+                              base.forward(xs, True, make_rng(3))[0])
 
     def test_inference_keeps_no_contexts(self):
         net = N.build_network(N.catalog()["RC-small"], output_units=4, rng=make_rng(71))

@@ -49,8 +49,9 @@ class TestTrainBasics:
         assert len(curve.rows) == 2
 
     def test_invalid_config_rejected(self):
-        with pytest.raises(ValueError):
-            T.TrainConfig(lr=-1.0)
+        for lr in (-1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match=r"learning rate must be in \[0, inf\)"):
+                T.TrainConfig(lr=lr)
         with pytest.raises(ValueError):
             T.TrainConfig(batch_size=0)
         with pytest.raises(ValueError, match="epochs"):
@@ -146,7 +147,7 @@ class _KeepsScaledInput:
     """A test-only step with no byte description: it passes its input on and
     keeps a new array of its shape."""
 
-    def forward(self, x, training, rng):
+    def forward(self, x, training, chunk):
         return x, 2.0 * x
 
     def backward(self, ctx, g):
@@ -177,7 +178,7 @@ class TestChunks:
     def test_frame_bytes_count_a_step_without_a_byte_description(self):
         base = build_network(catalog()["baseline"])
         net = N.Network(base.config, base.store, [_KeepsScaledInput()] + base.steps,
-                        base.input_dim, base.output_units, base.layout)
+                        base.input_dim, base.output_units)
         assert net.frame_bytes == base.frame_bytes + 39 * 8
         _, ctxs = net.forward(np.ones((5, 39)), training=True)
         assert context_bytes(ctxs) == net.frame_bytes * 5
