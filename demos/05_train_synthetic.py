@@ -33,12 +33,12 @@ for name, p in store.entries.items():
 
 print("\n== greedy decoding the test split ==")
 refs, hyps = {}, {}
-for utt_id in part.test:
-    logits, _ = net.forward(corp[utt_id].features)
-    decoded = corp.alphabet.decode(ctc_mod.greedy_decode(ctc_mod.softmax(logits)))
-    refs[utt_id], hyps[utt_id] = corp[utt_id].labels, decoded
-    mark = "ok " if decoded == corp[utt_id].labels else "ERR"
-    print(f"  {mark} {utt_id}: {' '.join(decoded)}")
+for chunk, _, ys in trainer.infer(net, [corp[i] for i in part.test], "the test split"):
+    for utt, y in zip(chunk, ys):
+        decoded = corp.alphabet.decode(ctc_mod.greedy_decode(y))
+        refs[utt.id], hyps[utt.id] = utt.labels, decoded
+        mark = "ok " if decoded == utt.labels else "ERR"
+        print(f"  {mark} {utt.id}: {' '.join(decoded)}")
 report = evaluate.per(refs, hyps)
 print(f"test PER = {report.aggregate:.4f} "
       f"({report.total_distance} edits / {report.total_ref_length} reference labels)")

@@ -1,8 +1,9 @@
 """Command-line pipeline: synth, features, partition, train, compare,
 lm-train, decode, score.
 
-Exit codes: 0 success, 1 usage error (bad flags, missing input paths),
-2 data error (malformed files), 3 numeric abort (diverged training).
+Exit codes: 0 success, 1 usage error (bad flags or flag values, missing
+input paths), 2 data error (malformed files), 3 numeric abort (diverged
+training, or non-finite logits in decoding).
 """
 
 import argparse
@@ -217,17 +218,25 @@ def _load_training_inputs(args):
     return corp, part
 
 
+def _train_config(**flags):
+    """The TrainConfig of these flag values; a value it refuses is a usage error."""
+    try:
+        return trainer.TrainConfig(**flags)
+    except ValueError as exc:
+        raise UsageError(exc) from None
+
+
 def cmd_train(args):
     try:
         net_config = get_config(args.config)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
-    corp, part = _load_training_inputs(args)
-    cfg = trainer.TrainConfig(
+    cfg = _train_config(
         network=net_config, lr=args.lr, batch_size=args.batch_size,
         epochs=args.epochs, seed=args.seed, dropout=args.dropout,
         out_dir=args.out, checkpoint_every=args.checkpoint_every,
     )
+    corp, part = _load_training_inputs(args)
     trainer.train(cfg, corp, part)
     print(f"trained {net_config.name} for {args.epochs} epochs; outputs in {args.out}")
     return EXIT_OK
@@ -248,11 +257,9 @@ def cmd_compare(args):
             raise UsageError(f"--models names network {net_name!r} twice "
                              f"({given[net_name]!r} and {name!r})")
         given[net_name] = name
+    cfg = _train_config(network=names[0], lr=args.lr, batch_size=args.batch_size,
+                        epochs=args.epochs, seed=args.seed)
     corp, part = _load_training_inputs(args)
-    cfg = trainer.TrainConfig(
-        network=names[0], lr=args.lr, batch_size=args.batch_size,
-        epochs=args.epochs, seed=args.seed,
-    )
     results, errors = trainer.compare_architectures(names, cfg, corp, part, args.out)
     for name, path in results.items():
         print(f"{name}: {path}")
@@ -299,13 +306,11 @@ def cmd_decode(args):
     if ids is None:
         ids = corp.ids()
     lines = []
-    for utt_id in ids:
-        utt = corp[utt_id]
-        logits, _ = net.forward(utt.features, training=False)
-        y = ctc_mod.softmax(logits)
-        hyps = [(corp.alphabet.decode(h), s) for h, s in ctc_mod.beam_decode(y, width=args.beam)]
-        best_seq, best_score = hyps[0] if model is None else lm_mod.rectify(model, hyps, args.lam)
-        lines.append(hypothesis_line(utt_id, best_score, best_seq))
+    for chunk, _, ys in trainer.infer(net, [corp[i] for i in ids], "decoding"):
+        for utt, y in zip(chunk, ys):
+            hyps = [(corp.alphabet.decode(h), s) for h, s in ctc_mod.beam_decode(y, args.beam)]
+            seq, score = hyps[0] if model is None else lm_mod.rectify(model, hyps, args.lam)
+            lines.append(hypothesis_line(utt.id, score, seq))
     with open(args.out, "w") as fh:
         fh.write("\n".join(lines) + ("\n" if lines else ""))
     print(f"decoded {len(ids)} utterances -> {args.out}")

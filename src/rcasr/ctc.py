@@ -216,12 +216,6 @@ def softmax(u):
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _utterance_error(exc, i):
-    """exc, naming the chunk utterance it is about in `exc.utterance`."""
-    exc.utterance = i
-    return exc
-
-
 def ctc_loss_and_grad(u, labels, lengths=None):
     """Negative log likelihood and its gradient w.r.t. pre-activations u.
 
@@ -230,33 +224,26 @@ def ctc_loss_and_grad(u, labels, lengths=None):
     the result is (loss, grad).  Otherwise u stacks the frames of a chunk,
     lengths[i] of them with label sequence labels[i], and the result is
     (per-utterance losses, stacked grad) from one recursion over the whole
-    chunk.  An error about one utterance carries its chunk index in
-    `exc.utterance`.
+    chunk.
     """
     u = np.asarray(u, dtype=np.float64)
     single = lengths is None
     if single:
         labels, lengths = [labels], [len(u)]
     labels = [tuple(int(s) for s in lab) for lab in labels]
-    ends = np.cumsum(lengths)
-    if ends[-1] != len(u) or len(labels) != len(lengths):
+    if sum(lengths) != len(u) or len(labels) != len(lengths):
         raise ValueError(f"{len(u)} frames and {len(labels)} labels do not match "
                          f"lengths {list(lengths)}")
-    bad = np.flatnonzero(~np.isfinite(u).all(axis=1))
-    if bad.size:
-        raise _utterance_error(ValueError("non-finite pre-activations passed to CTC"),
-                               int(np.searchsorted(ends, bad[0], side="right")))
+    if not np.isfinite(u).all():
+        raise ValueError("non-finite pre-activations passed to CTC")
     shifted = u - u.max(axis=1, keepdims=True)
     e = np.exp(shifted)
     total = e.sum(axis=1, keepdims=True)
     y, log_y = e / total, shifted - np.log(total)
-    for i, (lab, t) in enumerate(zip(labels, lengths)):
-        try:
-            _check_labels(lab, y.shape[1])
-            if t < min_frames(lab):
-                raise InfeasibleLabel(f"infeasible label length {len(lab)} for {t} frames")
-        except ValueError as exc:
-            raise _utterance_error(exc, i) from None
+    for lab, t in zip(labels, lengths):
+        _check_labels(lab, y.shape[1])
+        if t < min_frames(lab):
+            raise InfeasibleLabel(f"infeasible label length {len(lab)} for {t} frames")
     tr = _trellises(log_y, labels, lengths)
     log_w = tr.log_alpha + tr.log_beta
     t, k, s = np.nonzero(np.isfinite(log_w))

@@ -7,7 +7,8 @@ of consecutive utterances whose training contexts fit the network's chunk
 budget (`Network.chunks`).  A chunk is one forward, one CTC loss and one
 backward over its utterances' frames stacked along time; no frame is padded
 or computed twice, and each utterance keeps its own recurrent state, conv
-border and CTC trellis.  Validation runs in chunks the same way.
+border and CTC trellis.  Inference (validation here, `rcasr decode`) runs
+in chunks the same way, through `infer`.
 
 The same (seed, config, corpus) always reproduces the same batch stream,
 cost values and checkpoint bytes; wall-clock stamps are the one
@@ -201,48 +202,55 @@ def train(config, corpus, partition=None):
     return net.store, curve
 
 
-def _chunk_loss(net, chunk, alphabet, where, training=False, rng=None):
-    """Forward and CTC loss over the utterances of a chunk: (logits,
-    contexts, losses, dlogits).  A numeric failure is a TrainingAborted
-    naming `where` and the utterance."""
-    try:
+def _forward(net, chunk, where, training=False, rng=None):
+    """Network.forward over a chunk's utterances, (logits, contexts): the one
+    guard of every forward.  Non-finite logits are a TrainingAborted naming
+    `where` and the first utterance they reach, with no numpy warnings."""
+    with np.errstate(over="ignore", invalid="ignore"):
         logits, ctxs = net.forward([u.features for u in chunk], training=training, rng=rng)
-        losses, dlogits = ctc_mod.ctc_loss_and_grad(
-            logits, [alphabet.encode(u.labels) for u in chunk], [u.n_frames for u in chunk])
-    except (ValueError, ArithmeticError) as exc:
-        i = getattr(exc, "utterance", None)
-        who = (f"utterance '{chunk[i].id}'" if i is not None
-               else "utterances " + ", ".join(f"'{u.id}'" for u in chunk))
-        raise TrainingAborted(f"numeric failure at {where}, {who}: {exc}") from exc
-    return logits, ctxs, losses, dlogits
+    bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
+    if bad.size:
+        i = int(np.searchsorted(np.cumsum([u.n_frames for u in chunk]), bad[0], side="right"))
+        raise TrainingAborted(f"numeric failure at {where}, utterance '{chunk[i].id}': "
+                              "non-finite pre-activations passed to CTC")
+    return logits, ctxs
+
+
+def infer(net, utts, where):
+    """Inference forwards over the Utterances `utts` in chunks (Network.chunks),
+    guarded as _forward: yields each chunk, its stacked logits and a list of
+    its utterances' softmax posteriors."""
+    lengths = [u.n_frames for u in utts]
+    for a, b in net.chunks(lengths):
+        logits, _ = _forward(net, utts[a:b], where)
+        yield utts[a:b], logits, np.split(ctc_mod.softmax(logits), np.cumsum(lengths[a:b - 1]))
 
 
 def _train_chunk(net, chunk, alphabet, rng, scale, where):
-    """One training forward, CTC loss and backward over the utterances of a
-    chunk (see _chunk_loss): adds scale times their gradients to the store's
-    and returns their losses."""
-    _, ctxs, losses, dlogits = _chunk_loss(net, chunk, alphabet, where, True, rng)
+    """One training forward, CTC loss and backward over a chunk's utterances:
+    adds scale times their gradients to the store's and returns their losses."""
+    logits, ctxs = _forward(net, chunk, where, True, rng)
+    losses, dlogits = ctc_mod.ctc_loss_and_grad(
+        logits, [alphabet.encode(u.labels) for u in chunk], [u.n_frames for u in chunk])
     dlogits *= scale
     net.backward(ctxs, dlogits)
     return losses.tolist()
 
 
 def _validate(net, corpus, alphabet, val_ids, where):
-    """Mean CTC loss and greedy PER of the val utterances, run in chunks; a
-    numeric failure aborts naming `where` (see _chunk_loss)."""
+    """Mean CTC loss and greedy PER of the val utterances, run through infer."""
     if not val_ids:
         return float("nan"), float("nan")
     refs = {i: corpus[i].labels for i in val_ids}
     hyps = dict.fromkeys(val_ids, ())       # an infeasible utterance decodes to nothing
     utts = [corpus[i] for i in val_ids if corpus[i].ctc_feasible]
     losses = []
-    for a, b in net.chunks([u.n_frames for u in utts]):
-        chunk = utts[a:b]
-        logits, _, loss, _ = _chunk_loss(net, chunk, alphabet, where)
+    for chunk, logits, ys in infer(net, utts, where):
+        loss, _ = ctc_mod.ctc_loss_and_grad(
+            logits, [alphabet.encode(u.labels) for u in chunk], [u.n_frames for u in chunk])
         losses.extend(loss.tolist())
-        y = ctc_mod.softmax(logits)
-        for u, y_u in zip(chunk, np.split(y, np.cumsum([u.n_frames for u in chunk])[:-1])):
-            hyps[u.id] = alphabet.decode(ctc_mod.greedy_decode(y_u))
+        for u, y in zip(chunk, ys):
+            hyps[u.id] = alphabet.decode(ctc_mod.greedy_decode(y))
     val_cost = float(np.mean(losses)) if losses else float("nan")
     return val_cost, evaluate.per(refs, hyps).aggregate
 

@@ -18,6 +18,15 @@ from rcasr.network import build_network, catalog, load_config
 from rcasr.numerics import load_checkpoint, make_rng, save_checkpoint
 
 
+def run_rcasr(*argv):
+    """`python -m rcasr argv...` in a process of its own, whose stderr holds
+    all it prints, numpy warnings included."""
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-m", "rcasr", *map(str, argv)],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 def tree_bytes(root):
     out = {}
     for dirpath, _, files in os.walk(root):
@@ -128,32 +137,31 @@ class TestTrain:
         ("--lr", "nan", "learning rate must be in [0, inf), got nan"),
         ("--lr", "inf", "learning rate must be in [0, inf), got inf"),
     ], ids=["epochs", "checkpoint-every", "batch-size", "dropout", "lr-nan", "lr-inf"])
-    def test_negative_schedule_data_error(self, tmp_path, tiny_corpus_dir, capsys,
-                                          flag, value, message):
+    def test_negative_schedule_usage_error(self, tmp_path, tiny_corpus_dir, capsys,
+                                           flag, value, message):
         out = tmp_path / "run"
         rc = cli.main(["train", "--config", "baseline", "--data", str(tiny_corpus_dir),
                        "--out", str(out), flag, value])
-        assert rc == 2
+        assert rc == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
-                                "ignore:invalid value encountered:RuntimeWarning")
-    def test_divergence_seen_by_validation_numeric_abort(self, tmp_path, capsys):
+    def test_divergence_seen_by_validation_numeric_abort(self, tmp_path):
         # lr 1e300 leaves the first epoch's training forwards finite and
         # blows up the weights before its validation
         data, part = tmp_path / "data", tmp_path / "part"
         assert cli.main(["synth", "--out", str(data), "--n", "6", "--seed", "1"]) == 0
         assert cli.main(["partition", "--data", str(data), "--out", str(part),
                          "--sizes", "4,1,1"]) == 0
-        capsys.readouterr()
-        rc = cli.main(["train", "--config", "baseline", "--data", str(data), "--partition",
-                       str(part), "--out", str(tmp_path / "run"), "--epochs", "2",
-                       "--lr", "1e300", "--batch-size", "8"])
-        assert rc == 3
+        proc = run_rcasr("train", "--config", "baseline", "--data", data, "--partition", part,
+                         "--out", tmp_path / "run", "--epochs", "2", "--lr", "1e300",
+                         "--batch-size", "8")
+        assert proc.returncode == 3
         (val_id,) = (part / "val.txt").read_text().split()
-        assert (f"numeric abort: numeric failure at epoch 1, validation, utterance '{val_id}': "
-                "non-finite pre-activations passed to CTC") in capsys.readouterr().err
+        # the one line, with no numpy overflow warnings before it
+        assert proc.stderr.splitlines() == [
+            f"numeric abort: numeric failure at epoch 1, validation, utterance '{val_id}': "
+            "non-finite pre-activations passed to CTC"]
 
     def test_non_numeric_feature_dump_data_error(self, tmp_path, tiny_corpus, capsys):
         data = tmp_path / "data"
@@ -311,6 +319,8 @@ def trained_posteriors(trained_tiny, corpus):
     net = build_network(load_config(trained_tiny["netcfg"]), output_units=corpus.alphabet.size)
     for name, p in load_checkpoint(trained_tiny["ckpt"]).entries.items():
         net.store[name].value[...] = p.value
+    # decode runs chunks of several utterances; these are each one's alone
+    assert len(list(net.chunks([corpus[i].n_frames for i in corpus.ids()]))) < len(corpus)
     return {i: ctc_mod.softmax(net.forward(corpus[i].features)[0]) for i in corpus.ids()}
 
 
@@ -411,6 +421,22 @@ class TestDecode:
         assert cli.hypothesis_line("utt1", -1.5, ("p0", "p2")) == "utt1 -1.500000 p0 p2"
         # an empty hypothesis leaves no trailing space
         assert cli.hypothesis_line("utt1", -2.0, ()) == "utt1 -2.000000"
+
+    def test_diverged_checkpoint_numeric_abort(self, tmp_path, trained_tiny, tiny_corpus_dir):
+        # non-finite posteriors left the beam empty: an IndexError traceback
+        store = load_checkpoint(trained_tiny["ckpt"])
+        for p in store.entries.values():
+            p.value *= 1e200
+        ckpt, out = tmp_path / "RC2-toy_1.ckpt", tmp_path / "hyp.txt"
+        save_checkpoint(store, ckpt)
+        proc = run_rcasr("decode", "--ckpt", ckpt, "--config", trained_tiny["netcfg"],
+                         "--data", tiny_corpus_dir, "--out", out)
+        assert proc.returncode == 3
+        first = corpus_mod.load_corpus(tiny_corpus_dir).ids()[0]
+        assert proc.stderr.splitlines() == [
+            f"numeric abort: numeric failure at decoding, utterance '{first}': "
+            "non-finite pre-activations passed to CTC"]
+        assert not out.exists()
 
     def test_invalid_beam_usage_error(self, tmp_path, trained_tiny, tiny_corpus_dir):
         rc = cli.main(["decode", "--ckpt", str(trained_tiny["ckpt"]),
@@ -610,10 +636,10 @@ class TestRunDirectory:
         assert f"keep {lone / 'RC2-toy.netcfg'}" in capsys.readouterr().err
 
     def test_compare_invalid_schedule_leaves_no_directory(self, tmp_path, tiny_corpus_dir):
-        # train's case is TestTrain::test_negative_schedule_data_error
+        # train's case is TestTrain::test_negative_schedule_usage_error
         out = tmp_path / "D"
         assert cli.main(["compare", "--models", "baseline", "--data", str(tiny_corpus_dir),
-                         "--out", str(out), "--epochs", "-2"]) == 2
+                         "--out", str(out), "--epochs", "-2"]) == 1
         assert not out.exists()
 
 

@@ -423,13 +423,11 @@ class TestChunkMatchesOneUtterancePath:
         assert losses[1] == 0.0 and grad.shape == u.shape
         want, _ = C.ctc_loss_and_grad(u[5:], (2,))
         assert abs(losses[3] - want) <= 1e-12
-        with pytest.raises(C.InfeasibleLabel) as info:
+        with pytest.raises(C.InfeasibleLabel):
             C.ctc_loss_and_grad(u, [(0,), (), (1, 1, 1), (2,)], lengths)
-        assert info.value.utterance == 2
         u[6, 0] = np.nan
-        with pytest.raises(ValueError, match="non-finite") as info:
+        with pytest.raises(ValueError, match="non-finite"):
             C.ctc_loss_and_grad(u, [(0,), (), (1, 2), (2,)], lengths)
-        assert info.value.utterance == 3
 
 
 class TestGreedy:

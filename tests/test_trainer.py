@@ -73,8 +73,6 @@ class TestTrainBasics:
             T.train(cfg, corp, part)
         assert any("infeasible" in rec.message for rec in caplog.records)
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_nonfinite_abort_carries_context(self):
         corp, part = small_setup()
         bad = corp[part.train[0]]
@@ -87,7 +85,6 @@ class TestTrainBasics:
             T.train(cfg, corp, part)
 
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     def test_abort_names_the_failing_utterance(self):
         corp, part = small_setup()
         bad = corp[part.train[3]]
