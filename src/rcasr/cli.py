@@ -406,7 +406,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         parser.print_usage(sys.stderr)
         return EXIT_USAGE
-    except (trainer.TrainingAborted, ArithmeticError) as exc:
+    except ArithmeticError as exc:
         print(f"numeric abort: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
     except (ValueError, KeyError, OSError) as exc:

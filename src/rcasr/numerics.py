@@ -14,21 +14,16 @@ from functools import cached_property
 import numpy as np
 
 CHECKPOINT_MAGIC = b"RCNN1\x00"
-_DTYPE_CODES = {np.dtype("float64"): 0, np.dtype("float32"): 1}
-_CODE_DTYPES = {0: np.dtype("<f8"), 1: np.dtype("<f4")}
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
-
-
-class NonFiniteValue(ArithmeticError):
-    pass
 
 
 def make_rng(seed, *stream):
     """Deterministic PCG64 generator.
 
     Extra integers select independent, reproducible substreams of the same
-    seed (e.g. ``make_rng(7, 1)`` for shuffling, ``make_rng(7, 2)`` for
-    dropout).
+    seed.  The streams in use: training takes 1 for initialisation, 2 for
+    shuffling and 3 for dropout; `rcasr synth` takes 10 for the phoneme
+    spec and 11 for the utterances; `rcasr partition` takes 20.
     """
     entropy = (int(seed),) + tuple(int(s) for s in stream)
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
@@ -111,7 +106,7 @@ def adam_step(store, lr):
     t = store.step_count
     for name, p in store.entries.items():
         if not np.all(np.isfinite(p.grad)):
-            raise NonFiniteValue(f"non-finite gradient for parameter '{name}'")
+            raise FloatingPointError(f"non-finite gradient for parameter '{name}'")
         g = p.grad
         p.adam_m[...] = ADAM_BETA1 * p.adam_m + (1.0 - ADAM_BETA1) * g
         p.adam_v[...] = ADAM_BETA2 * p.adam_v + (1.0 - ADAM_BETA2) * g * g
@@ -125,26 +120,23 @@ def adam_step(store, lr):
 # -- checkpoint format --------------------------------------------------------
 #
 # Binary layout: magic "RCNN1\0", little-endian u32 entry count, then per
-# entry: u32 name length, UTF-8 name, u8 dtype code (0=f64, 1=f32),
-# u32 rank, u32 per dimension, raw little-endian array data.
+# entry: u32 name length, UTF-8 name, u8 dtype code (always 0: float64),
+# u32 rank, u32 per dimension, raw little-endian float64 data.
 
 def save_checkpoint(store, path):
+    """Write the store's values to `path`; a value that is not float64 is a
+    ValueError naming its parameter."""
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
         fh.write(struct.pack("<I", len(store.entries)))
         for name, p in store.entries.items():
-            raw = name.encode("utf-8")
-            arr = p.value
-            code = _DTYPE_CODES.get(arr.dtype)
-            if code is None:
-                raise ValueError(f"unsupported dtype {arr.dtype} for '{name}'")
-            fh.write(struct.pack("<I", len(raw)))
-            fh.write(raw)
-            fh.write(struct.pack("<B", code))
-            fh.write(struct.pack("<I", arr.ndim))
-            for d in arr.shape:
-                fh.write(struct.pack("<I", d))
-            fh.write(np.ascontiguousarray(arr, dtype=_CODE_DTYPES[code]).tobytes())
+            arr, raw = p.value, name.encode("utf-8")
+            if arr.dtype != np.float64:
+                raise ValueError(f"parameter '{name}' is {arr.dtype}; "
+                                 "checkpoints hold float64 only")
+            fh.write(struct.pack(f"<I{len(raw)}sBI{arr.ndim}I",
+                                 len(raw), raw, 0, arr.ndim, *arr.shape))
+            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
 
 
 def load_checkpoint(path):
@@ -183,12 +175,11 @@ def _read_checkpoint(path):
         for _ in range(count):
             (name_len,) = unpack("<I")
             name = read(name_len).decode("utf-8")
-            (code,) = unpack("<B")
-            if code not in _CODE_DTYPES:
-                raise ValueError(f"unknown dtype code {code}")
-            (rank,) = unpack("<I")
+            code, rank = unpack("<BI")
+            if code != 0:
+                raise ValueError(f"parameter '{name}' has dtype code {code}; "
+                                 "checkpoints hold float64 (code 0) only")
             dims = unpack(f"<{rank}I")
-            raw = read(math.prod(dims) * _CODE_DTYPES[code].itemsize)
-            value = np.frombuffer(raw, dtype=_CODE_DTYPES[code]).reshape(dims)
-            store.add(name, value.astype(_CODE_DTYPES[code].newbyteorder("=")))
+            value = np.frombuffer(read(math.prod(dims) * 8), dtype="<f8").reshape(dims)
+            store.add(name, value.astype(np.float64))
     return store

@@ -33,10 +33,6 @@ from .numerics import adam_step, make_rng, save_checkpoint
 log = logging.getLogger(__name__)
 
 
-class TrainingAborted(ArithmeticError):
-    pass
-
-
 @dataclass
 class TrainConfig:
     network: object = "RC2-toy"        # catalog name, config path, or NetworkConfig
@@ -122,8 +118,8 @@ def train(config, corpus, partition=None):
     A train or val utterance whose feature width is not N_FEATURES is a
     ValueError before the first epoch.  Infeasible utterances (too few
     frames for their label) are skipped with a warning.  A numeric failure
-    (non-finite logits) aborts naming the epoch, the batch or validation, and
-    the utterance.
+    is a FloatingPointError: non-finite logits name the epoch, the batch or
+    validation, and the utterance (see _forward).
 
     With config.out_dir set, the run leaves there (see run_path) its network
     config, a checkpoint every checkpoint_every epochs and after the last,
@@ -204,15 +200,15 @@ def train(config, corpus, partition=None):
 
 def _forward(net, chunk, where, training=False, rng=None):
     """Network.forward over a chunk's utterances, (logits, contexts): the one
-    guard of every forward.  Non-finite logits are a TrainingAborted naming
+    guard of every forward.  Non-finite logits are a FloatingPointError naming
     `where` and the first utterance they reach, with no numpy warnings."""
     with np.errstate(over="ignore", invalid="ignore"):
         logits, ctxs = net.forward([u.features for u in chunk], training=training, rng=rng)
     bad = np.flatnonzero(~np.isfinite(logits).all(axis=1))
     if bad.size:
         i = int(np.searchsorted(np.cumsum([u.n_frames for u in chunk]), bad[0], side="right"))
-        raise TrainingAborted(f"numeric failure at {where}, utterance '{chunk[i].id}': "
-                              "non-finite pre-activations passed to CTC")
+        raise FloatingPointError(f"numeric failure at {where}, utterance '{chunk[i].id}': "
+                                 "non-finite logits")
     return logits, ctxs
 
 

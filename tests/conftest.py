@@ -1,3 +1,4 @@
+import struct
 import wave
 
 import numpy as np
@@ -15,6 +16,18 @@ def write_wav_at(path, samples, rate):
         wf.setsampwidth(2)
         wf.setframerate(rate)
         wf.writeframes(pcm.tobytes())
+
+
+def write_float32_checkpoint(store, path):
+    """The store in the checkpoint layout with float32 entries (dtype code 1),
+    which rcasr no longer reads."""
+    with open(path, "wb") as fh:
+        fh.write(b"RCNN1\x00" + struct.pack("<I", len(store.entries)))
+        for name, p in store.entries.items():
+            raw, arr = name.encode("utf-8"), p.value
+            fh.write(struct.pack(f"<I{len(raw)}sBI{arr.ndim}I",
+                                 len(raw), raw, 1, arr.ndim, *arr.shape))
+            fh.write(arr.astype("<f4").tobytes())
 
 
 @pytest.fixture(scope="session")

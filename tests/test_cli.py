@@ -8,7 +8,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from conftest import write_wav_at
+from conftest import write_float32_checkpoint, write_wav_at
 from rcasr import cli
 from rcasr import corpus as corpus_mod
 from rcasr import ctc as ctc_mod
@@ -161,7 +161,7 @@ class TestTrain:
         # the one line, with no numpy overflow warnings before it
         assert proc.stderr.splitlines() == [
             f"numeric abort: numeric failure at epoch 1, validation, utterance '{val_id}': "
-            "non-finite pre-activations passed to CTC"]
+            "non-finite logits"]
 
     def test_non_numeric_feature_dump_data_error(self, tmp_path, tiny_corpus, capsys):
         data = tmp_path / "data"
@@ -417,6 +417,16 @@ class TestDecode:
             assert f"{bad}: truncated checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "x.txt").exists()
 
+    def test_float32_checkpoint_data_error(self, tmp_path, trained_tiny, tiny_corpus_dir,
+                                           capsys):
+        bad = trained_tiny["dir"] / "RC2-toy_97.ckpt"
+        write_float32_checkpoint(load_checkpoint(trained_tiny["ckpt"]), bad)
+        rc = cli.main(["decode", "--ckpt", str(bad), "--data", str(tiny_corpus_dir),
+                       "--beam", "1", "--out", str(tmp_path / "x.txt")])
+        assert rc == 2
+        assert f"data error: {bad}: parameter " in capsys.readouterr().err
+        assert not (tmp_path / "x.txt").exists()
+
     def test_hypothesis_line(self):
         assert cli.hypothesis_line("utt1", -1.5, ("p0", "p2")) == "utt1 -1.500000 p0 p2"
         # an empty hypothesis leaves no trailing space
@@ -435,7 +445,7 @@ class TestDecode:
         first = corpus_mod.load_corpus(tiny_corpus_dir).ids()[0]
         assert proc.stderr.splitlines() == [
             f"numeric abort: numeric failure at decoding, utterance '{first}': "
-            "non-finite pre-activations passed to CTC"]
+            "non-finite logits"]
         assert not out.exists()
 
     def test_invalid_beam_usage_error(self, tmp_path, trained_tiny, tiny_corpus_dir):

@@ -3,8 +3,9 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from rcasr.numerics import (NonFiniteValue, ParameterStore, adam_step, glorot_init,
-                            load_checkpoint, make_rng, save_checkpoint)
+from conftest import write_float32_checkpoint
+from rcasr.numerics import (ParameterStore, adam_step, glorot_init, load_checkpoint, make_rng,
+                            save_checkpoint)
 
 
 class TestGlorot:
@@ -74,7 +75,7 @@ class TestAdam:
         store = ParameterStore()
         store.add("w_bad", np.ones(2))
         store["w_bad"].grad[...] = [1.0, np.inf]
-        with pytest.raises(NonFiniteValue, match="w_bad"):
+        with pytest.raises(FloatingPointError, match="w_bad"):
             adam_step(store, lr=0.1)
 
     def test_duplicate_name_rejected(self):
@@ -89,7 +90,7 @@ class TestCheckpoint:
         store = ParameterStore()
         rng = make_rng(13)
         store.add("layer/W", rng.normal(size=(3, 4)))
-        store.add("layer/b", rng.normal(size=4).astype(np.float32))
+        store.add("layer/b", rng.normal(size=4))
         path = tmp_path / "model.ckpt"
         save_checkpoint(store, path)
         loaded = load_checkpoint(path)
@@ -107,6 +108,19 @@ class TestCheckpoint:
         save_checkpoint(store, p1)
         save_checkpoint(load_checkpoint(p1), p2)
         assert p1.read_bytes() == p2.read_bytes()
+
+    def test_float32_entry_is_a_data_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "f32.ckpt"
+        write_float32_checkpoint(small_store(), path)
+        with pytest.raises(ValueError, match="parameter 'a/W' has dtype code 1") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_save_refuses_a_float32_value_naming_the_parameter(self, tmp_path):
+        store = small_store()
+        store.add("a/half", np.ones(3, dtype=np.float32))
+        with pytest.raises(ValueError, match="parameter 'a/half' is float32"):
+            save_checkpoint(store, tmp_path / "x.ckpt")
 
     def test_bad_magic_rejected(self, tmp_path):
         path = tmp_path / "junk.ckpt"
@@ -149,7 +163,7 @@ def small_store():
     store = ParameterStore()
     rng = make_rng(15)
     store.add("a/W", rng.normal(size=(3, 2)))
-    store.add("a/b", rng.normal(size=2).astype(np.float32))
+    store.add("a/b", rng.normal(size=2))
     store.add("s", np.float64(1.5))
     return store
 
