@@ -8,6 +8,7 @@ training, or non-finite logits in decoding).
 
 import argparse
 import ctypes
+import math
 import os
 import sys
 
@@ -294,6 +295,8 @@ def cmd_decode(args):
     _require_path(args.data, "data directory")
     if args.beam < 1:
         raise UsageError(f"beam width must be >= 1, got {args.beam}")
+    if not 0.0 <= args.lam < math.inf:     # written so that nan fails
+        raise UsageError(f"--lambda must be finite and >= 0, got {args.lam}")
     net_config = _resolve_decode_config(args)
     ids = read_ids(args.ids, corpus_mod.load_transcripts(args.data)) if args.ids else None
     corp = corpus_mod.load_corpus(args.data, ids)

@@ -14,8 +14,11 @@ recurrent or dense stage is flattened per time step to T x (C*F).
 A forward runs one utterance or a chunk of them with their frames stacked
 along T (see _Chunk): per-frame steps run once over the stack, the recurrent
 steps keep one state per utterance and conv2d one zero border per utterance.
-Every step's forward(x, training, chunk) is given the forward's chunk, which
-also carries the dropout generator, so a step keeps nothing between forwards.
+An inference forward runs each conv stage depth first over blocks of one
+utterance's frames instead (see _stream).  Every step's forward(x, training,
+chunk) is given the forward's chunk, which also carries the dropout
+generator, or a streamed stage's _Stream, so a step keeps nothing between
+forwards.
 """
 
 import math
@@ -156,6 +159,56 @@ class _Chunk:
         self.sizes = sizes.tolist()
         self.first = self.sizes[0] if self.sizes else 0
         self.prev = np.arange(self.first, frames) - np.repeat(sizes[:-1], sizes[1:])
+        # each utterance's conv window (see _tiles): its own frames in and out
+        self.windows = [(s, e, s, e) for s, e in self.spans]
+
+    def conv_input(self, step, x):
+        """(x, windows) of a conv over the whole chunk (see _tiles)."""
+        return x, self.windows
+
+    def shortcut(self, step, x, frames):
+        """The shortcut inputs of a residual branch's output: all of x."""
+        return x
+
+
+class _Stream:
+    """What the steps of a streamed conv stage (see _stream) hold between the
+    blocks of one utterance: `carry` maps a step to the frames it has taken
+    in but not yet used up, copied so that they do not keep their block
+    alive, and `last` tells whether the block ends its utterance, whose
+    frames every step then passes on in full."""
+
+    def __init__(self):
+        self.carry = {}
+        self.last = False
+
+    def _joined(self, step, x):
+        """(step's held frames followed by x, the held frames or None)."""
+        held = self.carry.pop(step, None)
+        return (x, None) if held is None else (np.concatenate((held, x), axis=1), held)
+
+    def conv_input(self, step, x):
+        """A conv's input for this block, its held frames then x, and its one
+        window (see _tiles).  Output frame t reads input frames t-1..t+1, so
+        the output waits one frame for the right neighbour unless the
+        utterance ends here; the conv keeps the two input frames its next
+        output reads, or one while it has output nothing (frame -1 is the
+        utterance's zero border)."""
+        x, held = self._joined(step, x)
+        w = x.shape[1]
+        lo = 0 if held is None else held.shape[1] - 1
+        hi = w if self.last else max(w - 1, 0)
+        if hi < w:
+            self.carry[step] = x[:, max(hi - 1, 0):].copy()
+        return x, [(0, w, lo, hi)]
+
+    def shortcut(self, step, x, frames):
+        """The shortcut inputs that line up with a residual branch's `frames`
+        outputs, which lag its inputs; the rest wait for the branch."""
+        x, _ = self._joined(step, x)
+        if frames < x.shape[1]:
+            self.carry[step] = x[:, frames:].copy()
+        return x[:, :frames]
 
 
 # Byte budget of one chunk's training contexts, as Network.frame_bytes
@@ -327,9 +380,10 @@ class _Recurrent:
         return da_x @ self.w_xh.value.T
 
 
-# Byte budget of one tile's window matrix.  A whole-utterance window matrix
-# is 3x its input (44 MB at RC1's 48-map layers for 3 s of audio); tiles keep
-# conv memory bounded in T and each GEMM operand near cache size.  RC1's conv
+# Byte budget of one tile's window matrix, and so of the blocks a streamed
+# inference stage runs in (see _stream).  A whole-utterance window matrix is
+# 3x its input (44 MB at RC1's 48-map layers for 3 s of audio); tiles keep
+# it bounded in T and each GEMM operand near cache size.  RC1's conv
 # forward at T=300 (one BLAS thread, a 2-core host, medians of 5) took the
 # same time within 2% at 0.5 to 4 MiB, 5% more at 0.25 MiB and 20% more at
 # 8 MiB.  2.5 MiB exceeds the largest toy window matrix (RC-small, 24 x
@@ -346,35 +400,43 @@ def _kernel_rows(k):
     return k.transpose(2, 0, 3, 1).reshape(KERNEL, o, KERNEL * c)
 
 
-def _tile_frames(x, chunk):
-    """(output frames per tile, frames in the chunk's largest tile) for a
-    chunk's C x frames x F maps."""
-    c, _, f = x.shape
-    rows = max(1, _TILE_BYTES // (KERNEL * c * f * x.itemsize))
-    return rows, min(rows, max(e - s for s, e in chunk.spans))
+def _tile_rows(c, f, itemsize):
+    """Output frames per tile of a conv over c maps of width f."""
+    return max(1, _TILE_BYTES // (KERNEL * c * f * itemsize))
 
 
-def _tiles(x, chunk):
-    """Split the frames of a chunk's C x frames x F maps into time tiles of
-    one utterance each: at most as many output frames as _TILE_BYTES holds
-    3C x F blocks of window matrix, and at least one.  Yields (t0, t1, low):
-    low is the 3C x (t1-t0+2)*F window matrix of output frames t0:t1, whose
-    row dj*C + c holds map c over frames t0-1 ... t1 shifted by dj-1 along F.
-    Frames outside the utterance and the columns shifted in from beyond F are
-    zeros: the utterance's own zero border.  Every tile is written into one
-    buffer, so low is valid only until the next tile is drawn."""
+def _tile_frames(x, windows):
+    """(output frames per tile, frames in the largest tile) of a conv over
+    C x frames x F maps x in these windows."""
     c, _, f = x.shape
-    rows, widest = _tile_frames(x, chunk)
+    rows = _tile_rows(c, f, x.itemsize)
+    return rows, min(rows, max(e - s for _, _, s, e in windows))
+
+
+def _tiles(x, windows):
+    """Split output frames of C x frames x F maps into time tiles.  Each
+    window (a, b, s, e) asks for output frames s:e of the frames a:b that x
+    holds of one utterance, a <= s <= e <= b: the whole utterance in a
+    chunk, or a block of it in a streamed stage (see _Stream).  A tile has
+    at most as many output frames as _TILE_BYTES holds 3C x F blocks of
+    window matrix, and at least one.  Yields (t0, t1, low): low is the 3C x
+    (t1-t0+2)*F window matrix of output frames t0:t1, whose row dj*C + c
+    holds map c over frames t0-1 ... t1 shifted by dj-1 along F.  Frames
+    outside a:b and the columns shifted in from beyond F are zeros: where a
+    or b is the utterance's end, its zero border.  Every tile is written
+    into one buffer, so low is valid only until the next tile is drawn."""
+    c, _, f = x.shape
+    rows, widest = _tile_frames(x, windows)
     buf = np.empty(KERNEL * c * (widest + 2) * f, dtype=x.dtype)
-    for s, e in chunk.spans:
+    for a, b, s, e in windows:
         for t0 in range(s, e, rows):
             t1 = min(e, t0 + rows)
             low = buf[:KERNEL * c * (t1 - t0 + 2) * f].reshape(KERNEL, c, t1 - t0 + 2, f)
-            a, b = max(s, t0 - 1), min(e, t1 + 1)     # the frames the utterance has
-            ra, rb = a - t0 + 1, b - t0 + 1           # ... at these rows of low
+            ia, ib = max(a, t0 - 1), min(b, t1 + 1)   # the frames x has
+            ra, rb = ia - t0 + 1, ib - t0 + 1         # ... at these rows of low
             low[:, :, :ra] = 0.0
             low[:, :, rb:] = 0.0
-            src = x[:, a:b]
+            src = x[:, ia:ib]
             low[0, :, ra:rb, 0] = 0.0
             low[0, :, ra:rb, 1:] = src[:, :, :-1]
             low[1, :, ra:rb] = src
@@ -383,25 +445,29 @@ def _tiles(x, chunk):
             yield t0, t1, low.reshape(KERNEL * c, -1)
 
 
-def _correlate(kr, x, chunk, bias=None):
+def _correlate(kr, x, windows, bias=None):
     """The kernel rows kr (3 x O x 3C, see _kernel_rows) against the 3x3
-    window of every frame of a chunk's C x frames x F maps, plus bias: an O x
-    (frames*F) matrix.  A tile's output columns are the sum over di of kr[di]
-    times the window matrix's columns di*F onward: three GEMMs on slices of
-    one matrix.  The first writes in place; the other two go through one
-    buffer, sized for the largest tile, and are added."""
+    window of every output frame of C x frames x F maps x in these windows
+    (see _tiles), plus bias: an O x (output frames*F) matrix, the windows'
+    output frames in order.  A tile's output columns are the sum over di of
+    kr[di] times the window matrix's columns di*F onward: three GEMMs on
+    slices of one matrix.  The first writes in place; the other two go
+    through one buffer, sized for the largest tile, and are added."""
     f = x.shape[2]
-    out = np.empty((kr.shape[1], chunk.frames * f), dtype=np.result_type(kr, x))
-    part = np.empty((kr.shape[1], _tile_frames(x, chunk)[1] * f), dtype=out.dtype)
-    for t0, t1, low in _tiles(x, chunk):
+    frames = sum(e - s for _, _, s, e in windows)
+    out = np.empty((kr.shape[1], frames * f), dtype=np.result_type(kr, x))
+    part = np.empty((kr.shape[1], _tile_frames(x, windows)[1] * f), dtype=out.dtype)
+    col = 0
+    for t0, t1, low in _tiles(x, windows):
         n = (t1 - t0) * f
-        y = out[:, t0 * f:t1 * f]
+        y = out[:, col:col + n]
         np.matmul(kr[0], low[:, :n], out=y)
         for di in range(1, KERNEL):
             np.matmul(kr[di], low[:, di * f:di * f + n], out=part[:, :n])
             y += part[:, :n]
         if bias is not None:
             y += bias[:, None]
+        col += n
     return out
 
 
@@ -417,20 +483,21 @@ class _Conv2d:
         self.b = store.add(f"{name}/b", np.zeros(out_maps))
 
     def forward(self, x, training, chunk):
-        c, t, f = x.shape
+        c, _, f = x.shape
         if c != self.in_maps:
             raise ValueError(f"conv2d expected {self.in_maps} input maps, got {c}")
-        y = _correlate(_kernel_rows(self.k.value), x, chunk, self.b.value)
-        return y.reshape(self.out_maps, t, f), (x, (c, t, f), chunk)
+        src, windows = chunk.conv_input(self, x)
+        y = _correlate(_kernel_rows(self.k.value), src, windows, self.b.value)
+        return y.reshape(self.out_maps, -1, f), (x, x.shape, chunk)
 
     def backward(self, ctx, g):
         x, (c, t, f), chunk = ctx
         # dX is the correlation of g with the flipped, in/out-swapped kernel
         flipped = self.k.value[:, :, ::-1, ::-1].transpose(1, 0, 2, 3)
-        dx = _correlate(_kernel_rows(flipped), g, chunk).reshape(c, t, f)
+        dx = _correlate(_kernel_rows(flipped), g, chunk.windows).reshape(c, t, f)
         gm = g.reshape(self.out_maps, t * f)
         dk = np.zeros((KERNEL, self.out_maps, KERNEL * c))
-        for t0, t1, low in _tiles(x, chunk):
+        for t0, t1, low in _tiles(x, chunk.windows):
             n = (t1 - t0) * f
             for di in range(KERNEL):
                 dk[di] += gm[:, t0 * f:t1 * f] @ low[:, di * f:di * f + n].T
@@ -508,6 +575,7 @@ class _ResidualBlock:
 
     def forward(self, x, training, chunk):
         h, inner_ctx = _run_forward(self.inner, x, training, chunk)
+        x = chunk.shortcut(self, x, h.shape[1])
         if h.shape != x.shape:
             raise ValueError(
                 f"residual branch changed shape {x.shape} -> {h.shape}; identity shortcut impossible"
@@ -521,6 +589,43 @@ class _ResidualBlock:
         return da + _run_backward(self.inner, inner_ctx, da)
 
 
+def _conv_stages(steps):
+    """(a, b, widest, maps) of each conv stage steps[a:b], the steps between a
+    _SeqToMaps and the _MapsToSeq after it: the most input maps of its convs,
+    residual branches included, and the maps it outputs."""
+    stages = []
+    for a, step in enumerate(steps):
+        if isinstance(step, _SeqToMaps):
+            b = next(i for i in range(a + 1, len(steps)) if isinstance(steps[i], _MapsToSeq))
+            convs = [s for run in steps[a + 1:b]
+                     for s in (run.inner if isinstance(run, _ResidualBlock) else [run])
+                     if isinstance(s, _Conv2d)]
+            stages.append((a + 1, b, max(s.in_maps for s in convs), convs[-1].out_maps))
+    return stages
+
+
+def _stream(steps, x, chunk, widest, maps):
+    """The `maps` output maps of a conv stage's steps on a chunk's C x frames
+    x F maps, run depth first: each utterance's frames enter in blocks of
+    one tile of the stage's widest conv (`widest` input maps), and a block
+    passes every step before the next one enters, so each step holds about
+    one block.  A conv's output for a frame waits for the frame after it
+    (see _Stream), so a block's output lags its input, and the utterance's
+    last block flushes what is held."""
+    f = x.shape[2]
+    rows = _tile_rows(widest, f, x.itemsize)
+    out = np.empty((maps, chunk.frames, f))
+    stream = _Stream()
+    done = 0
+    for s, e in chunk.spans:
+        for t0 in range(s, e, rows):
+            stream.last = t0 + rows >= e
+            y, _ = _run_forward(steps, x[:, t0:min(e, t0 + rows)], False, stream)
+            out[:, done:done + y.shape[1]] = y
+            done += y.shape[1]
+    return out
+
+
 class Network:
     """A built, runnable stack bound to its ParameterStore."""
 
@@ -530,6 +635,8 @@ class Network:
         self.steps = steps
         self.input_dim = input_dim
         self.output_units = output_units
+        # found now: a tracer may wrap the steps once the network is built
+        self.conv_stages = _conv_stages(steps)
         # the bytes per frame a training forward's contexts keep, measured on
         # two frames: at one, _MapsToSeq's reshape of one frame is a view
         # and not the copy it is at every longer input
@@ -539,13 +646,22 @@ class Network:
     def forward(self, x, training=False, rng=None):
         """(logits, contexts) of one utterance, a T x D matrix, or of a chunk,
         a list of them, whose logits come stacked in order; the contexts are
-        None unless training."""
+        None unless training.  An inference forward streams each conv stage
+        (see _stream), so its memory does not grow with T there."""
         xs = [np.asarray(u) for u in x] if isinstance(x, list) else [np.asarray(x)]
         for u in xs:
             if u.ndim != 2 or u.shape[1] != self.input_dim:
                 raise ValueError(f"expected T x {self.input_dim} input, got {u.shape}")
         chunk = _Chunk([len(u) for u in xs], rng)
-        return _run_forward(self.steps, np.concatenate(xs), training, chunk)
+        h = np.concatenate(xs)
+        if training:
+            return _run_forward(self.steps, h, True, chunk)
+        a = 0
+        for s, e, widest, maps in self.conv_stages:
+            h, _ = _run_forward(self.steps[a:s], h, False, chunk)
+            h = _stream(self.steps[s:e], h, chunk, widest, maps)
+            a = e
+        return _run_forward(self.steps[a:], h, False, chunk)
 
     def backward(self, ctxs, g):
         if ctxs is None:

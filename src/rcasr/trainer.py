@@ -265,7 +265,6 @@ def compare_architectures(names, config, corpus, partition, out_dir):
         try:
             train(replace(config, network=name, out_dir=out_dir), corpus, partition)
         except (ArithmeticError, KeyError) as exc:
-            log.warning("compare: model %s failed: %s", name, exc)
             errors[name] = exc
             continue
         results[name] = run_path(out_dir, _resolve_config(name).name, "curve")

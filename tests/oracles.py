@@ -1,6 +1,7 @@
 """Independent reference implementations the test suite checks against.
 
-Everything here but run_alone, which calls one network step on its own, is
+Everything here but run_alone, which calls one network step on its own, and
+forward_breadth_first, which calls each step of a network in turn, is
 deliberately naive (loops, enumeration, recursion) and shares no code with
 the library paths it verifies.
 """
@@ -176,6 +177,18 @@ def run_alone(step, x, training, rng=None):
     rows of a sequence or the second axis of C x T x F maps."""
     frames = x.shape[1] if x.ndim == 3 else len(x)
     return step.forward(x, training, _Chunk([frames], rng))
+
+
+def forward_breadth_first(net, xs):
+    """The logits of a chunk of utterances xs (T x D each), stacked, with
+    each step's inference forward run over the whole chunk before the next
+    step's: the order every inference forward ran in before conv stages
+    streamed in blocks."""
+    chunk = _Chunk([len(x) for x in xs])
+    h = np.concatenate(xs)
+    for step in net.steps:
+        h, _ = step.forward(h, False, chunk)
+    return h
 
 
 def _step_forward_one(step, x):

@@ -6,7 +6,7 @@ same seeded protocol twice and takes a few minutes of CPU.
 """
 
 import itertools
-import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -394,9 +394,10 @@ def test_criterion_11_comparison_harness(tmp_path, tiny_corpus, tiny_partition):
         assert [r.epoch for r in curve.rows] == [1, 2, 3]
         minutes = [r.wall_clock_minutes for r in curve.rows]
         assert minutes == sorted(minutes)                 # usable as a time axis
-        header = open(results[name]).readline().strip()
+        with open(results[name]) as fh:
+            header = fh.readline().strip()
         assert header == "epoch,wall_clock_minutes,train_cost,val_cost,val_per"
-        text = open(os.path.join(str(tmp_path), f"{name}_batches.log")).read()
+        text = Path(tmp_path, f"{name}_batches.log").read_text()
         logs[name] = [ln for ln in text.splitlines() if " ids " in ln]
     assert all(logs[n] == logs[names[0]] for n in names)  # identical batch streams
     _pass(11, "compare harness emitted cost-vs-wall-clock CSVs for the four toy "
@@ -417,11 +418,8 @@ def test_criterion_12_protocol_determinism(protocol_run, tmp_path_factory):
         assert ra.val_per == rb.val_per
 
     ckpt = f"RC-small_{PROTOCOL_EPOCHS}.ckpt"
-    bytes_a = open(os.path.join(str(out_a), ckpt), "rb").read()
-    bytes_b = open(os.path.join(str(out_b), ckpt), "rb").read()
-    assert bytes_a == bytes_b
-    log_a = open(os.path.join(str(out_a), "RC-small_batches.log")).read()
-    log_b = open(os.path.join(str(out_b), "RC-small_batches.log")).read()
-    assert log_a == log_b
+    assert Path(out_a, ckpt).read_bytes() == Path(out_b, ckpt).read_bytes()
+    log = "RC-small_batches.log"
+    assert Path(out_a, log).read_text() == Path(out_b, log).read_text()
     _pass(12, "repeated protocol run is bit-identical (cost curve, batch stream, "
               "checkpoint bytes)")

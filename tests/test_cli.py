@@ -32,7 +32,8 @@ def tree_bytes(root):
     for dirpath, _, files in os.walk(root):
         for name in sorted(files):
             path = os.path.join(dirpath, name)
-            out[os.path.relpath(path, root)] = open(path, "rb").read()
+            with open(path, "rb") as fh:
+                out[os.path.relpath(path, root)] = fh.read()
     return out
 
 
@@ -354,6 +355,19 @@ class TestDecode:
             want.append(f"{utt_id} {combined:.6f} {' '.join(seq)}".rstrip())
         assert out.read_text().splitlines() == want
 
+    @pytest.mark.parametrize("lam", ["nan", "inf", "-0.5"])
+    def test_lambda_must_be_finite_and_nonnegative(self, tmp_path, trained_tiny,
+                                                   tiny_corpus_dir, capsys, lam):
+        lm_path, out = tmp_path / "m.lm", tmp_path / "hyp.txt"
+        assert cli.main(["lm-train", "--data", str(tiny_corpus_dir), "--out", str(lm_path)]) == 0
+        capsys.readouterr()
+        assert cli.main(["decode", "--ckpt", str(trained_tiny["ckpt"]),
+                         "--data", str(tiny_corpus_dir), "--lm", str(lm_path),
+                         "--lambda", lam, "--out", str(out)]) == 1
+        assert f"error: --lambda must be finite and >= 0, got {float(lam)}" \
+            in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("line, replace, message", [
         (2, None, "2: expected `k` and 1 number(s)"),
         (3, "weights 0.5 0.5", "3: expected `weights` and 3 number(s)"),
@@ -574,6 +588,19 @@ class TestCompareCmd:
                        "--out", str(tmp_path / "cmp"), "--epochs", "1"])
         assert rc == 2
         assert "13" in capsys.readouterr().err
+
+    def test_each_numeric_abort_reported_once(self, tmp_path):
+        data, part = tmp_path / "c", tmp_path / "p"
+        assert run_rcasr("synth", "--n", 6, "--seed", 1, "--out", data).returncode == 0
+        assert run_rcasr("partition", "--data", data, "--out", part,
+                         "--sizes", "4,1,1").returncode == 0
+        proc = run_rcasr("compare", "--models", "baseline,RC2-toy", "--data", data,
+                         "--partition", part, "--out", tmp_path / "cmp", "--lr", "1e300",
+                         "--epochs", 2, "--batch-size", 8)
+        assert proc.returncode == 3
+        lines = proc.stderr.splitlines()
+        assert [ln.split(":")[0] for ln in lines] == ["baseline", "RC2-toy"]
+        assert all("FAILED (numeric failure at epoch 1" in ln for ln in lines)
 
     def test_unknown_model_usage_error(self, tmp_path, tiny_corpus_dir, capsys):
         rc = cli.main(["compare", "--models", "no-such-net",

@@ -6,8 +6,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (_elu, _elu_grad, _elu_slope, _step_forward_one, conv2d_by_im2col,
-                     conv2d_grads_by_loops, fd_gradient, max_relative_error, naive_matmul,
-                     recurrent_backward_by_steps, run_alone, sliding_conv2d)
+                     conv2d_grads_by_loops, fd_gradient, forward_breadth_first,
+                     max_relative_error, naive_matmul, recurrent_backward_by_steps, run_alone,
+                     sliding_conv2d)
 from rcasr import ctc as ctc_mod
 from rcasr import network as N
 from rcasr.numerics import ParameterStore, make_rng
@@ -301,7 +302,7 @@ class TestConv2d:
         x = rng.normal(size=(c_in, t, f))
         g = rng.normal(size=(c_out, t, f))
         one = N._Chunk([t])
-        assert len(list(N._tiles(x, one))) == -(-t // rows)
+        assert len(list(N._tiles(x, one.windows))) == -(-t // rows)
         y, ctx = run_alone(layer, x, True)
         assert np.max(np.abs(y - sliding_conv2d(x, layer.k.value, layer.b.value))) <= 1e-12
         dx = layer.backward(ctx, g)
@@ -319,7 +320,7 @@ class TestConv2d:
         layer.b.value[...] = rng.normal(size=c_out)
         x = rng.normal(size=(c_in, t, f))
         g = rng.normal(size=(c_out, t, f))
-        assert len(list(N._tiles(x, N._Chunk([t])))) == 9
+        assert len(list(N._tiles(x, N._Chunk([t]).windows))) == 9
         y, ctx = run_alone(layer, x, True)
         dx = layer.backward(ctx, g)
         want = conv2d_by_im2col(x, layer.k.value, layer.b.value, g)
@@ -684,21 +685,22 @@ class TestNetworkForward:
         with pytest.raises(ValueError, match="training-mode forward"):
             net.backward(ctxs, np.ones_like(y))
 
-    @pytest.mark.parametrize("name, bound_mib", [("RC1", 96), ("Res-RC2", 40)])
-    def test_inference_memory_bounded(self, name, bound_mib):
-        # 3 s of audio.  RC1: whole-utterance window matrices plus every
-        # step's kept context traced 236 MiB; time tiles and no inference
-        # contexts leave about 45 MiB, and the 3x window matrix 32.  Res-RC2 traced 67 MiB while its
-        # blocks kept their inner steps' contexts, and 24 MiB without them
+    @pytest.mark.parametrize("name, bound_3s, bound_30s", [("RC1", 16, 40), ("Res-RC2", 16, 32)])
+    def test_inference_memory_bounded_in_t(self, name, bound_3s, bound_30s):
+        # MiB traced at 3 s and 30 s of audio.  While each conv ran over the
+        # whole utterance, RC1 traced 31.9 and 285, Res-RC2 18.9 and 188;
+        # streamed conv stages leave 7.9 and 29.4, and 8.1 and 23.6, most of
+        # it the recurrent stack's and the logits' O(T) arrays
         net = N.build_network(N.catalog()[name], output_units=62, rng=make_rng(73))
-        x = make_rng(74).normal(size=(300, 39))
-        tracemalloc.start()
-        try:
-            net.forward(x)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= bound_mib * 2**20
+        for frames, bound_mib in ((300, bound_3s), (3000, bound_30s)):
+            x = make_rng(74).normal(size=(frames, 39))
+            tracemalloc.start()
+            try:
+                net.forward(x)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak <= bound_mib * 2**20, frames
 
     def test_residual_vs_plain_same_params(self):
         plain = N.build_network(N.catalog()["RC2-toy"], rng=make_rng(66))
@@ -706,6 +708,61 @@ class TestNetworkForward:
         assert plain.store.names() == res.store.names()
         for name in plain.store.names():
             assert np.array_equal(plain.store[name].value, res.store[name].value)
+
+
+def stage_block(net):
+    """Frames per block of net's first conv stage: one tile of its widest conv."""
+    a, _, widest, _ = net.conv_stages[0]
+    widths = [s.hidden for s in net.steps[:a] if isinstance(s, N._Recurrent)]
+    return N._tile_rows(widest, widths[-1] if widths else net.input_dim, 8)
+
+
+STREAMED = [name for name, cfg in N.catalog().items()
+            if any(spec.kind == "conv2d" for spec in cfg.layers)]
+
+
+class TestStreamedInference:
+    """Inference runs conv stages depth first in blocks; the logits must be
+    those of each step run over the whole chunk in turn."""
+
+    @pytest.mark.parametrize("name", STREAMED)
+    def test_logits_match_breadth_first(self, name):
+        net = N.build_network(N.catalog()[name], output_units=62, rng=make_rng(80))
+        block = stage_block(net)
+        rng = make_rng(81)
+        cases = [[t] for t in (1, 2, block - 1, block, block + 1, 300)]
+        cases.append([block + 1, 1, 2 * block + 3, 2])
+        # after a recurrent stack the blocks' GEMMs give the whole chunk's
+        # bits; on the 39-wide input features of a CR network they round
+        # differently (5.3e-15 at most here)
+        exact = net.conv_stages[0][0] > 1
+        for lengths in cases:
+            xs = [rng.normal(size=(t, 39)) for t in lengths]
+            got, want = net.forward(xs)[0], forward_breadth_first(net, xs)
+            assert got.shape == want.shape
+            if exact:
+                assert np.array_equal(got, want), lengths
+            else:
+                assert np.max(np.abs(got - want)) <= 1e-12, lengths
+
+    @pytest.mark.parametrize("rows", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["RC2-toy", "Res-RC2-toy", "Res-CR2-toy"])
+    def test_blocks_shorter_than_the_stage(self, monkeypatch, name, rows):
+        # blocks of fewer frames than the stage has convs: a deep conv gets
+        # no frame from some blocks, and a residual branch lags its shortcut
+        # by more than a block
+        net = N.build_network(N.catalog()[name], output_units=5, rng=make_rng(82))
+        monkeypatch.setattr(N, "_TILE_BYTES", rows * N._TILE_BYTES // stage_block(net))
+        assert stage_block(net) == rows
+        xs = [make_rng(83 + i).normal(size=(t, 39)) for i, t in enumerate((1, 2, 7, 3, 20))]
+        assert np.array_equal(net.forward(xs)[0], forward_breadth_first(net, xs))
+
+    def test_no_frames(self):
+        net = N.build_network(N.catalog()["Res-RC2-toy"], output_units=5, rng=make_rng(84))
+        xs = [np.zeros((0, 39)), make_rng(85).normal(size=(4, 39))]
+        y, _ = net.forward(xs)
+        assert np.array_equal(y, forward_breadth_first(net, xs))
+        assert net.forward(np.zeros((0, 39)))[0].shape == (0, 5)
 
 
 def test_full_tiny_network_gradient():
