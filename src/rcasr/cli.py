@@ -20,7 +20,7 @@ from . import evaluate, trainer
 from .corpus import read_ids
 from .network import build_network, catalog, dump_config, get_config, load_config
 from .numerics import load_checkpoint, make_rng
-from .textio import open_text
+from .textio import LineError, reading
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -100,8 +100,9 @@ def build_parser():
     p.add_argument("--data", required=True, help="corpus root with wav/ and phn/")
     p.add_argument("--out", required=True, help="output corpus root (feat/ dumps)")
     p.add_argument("--stats-out", help="write normalization stats here")
-    p.add_argument("--stats-in", help="apply existing stats instead of fitting")
-    p.add_argument("--train-ids", help="fit stats on these ids only (one per line)")
+    fit = p.add_mutually_exclusive_group()
+    fit.add_argument("--stats-in", help="apply existing stats instead of fitting")
+    fit.add_argument("--train-ids", help="fit stats on these ids only (one per line)")
 
     p = sub.add_parser("partition", help="write train/val/test id files")
     p.add_argument("--data", required=True)
@@ -280,13 +281,12 @@ def cmd_lm_train(args):
     return EXIT_OK
 
 
-def _resolve_decode_config(args):
+def _decode_config_path(args):
     if args.config:
-        _require_path(args.config, "network config")
-        return load_config(args.config)
+        return _require_path(args.config, "network config")
     sibling = trainer.config_beside(args.ckpt)
     if os.path.exists(sibling):
-        return load_config(sibling)
+        return sibling
     raise UsageError(f"no network config: pass --config or keep {sibling}")
 
 
@@ -297,11 +297,12 @@ def cmd_decode(args):
         raise UsageError(f"beam width must be >= 1, got {args.beam}")
     if not 0.0 <= args.lam < math.inf:     # written so that nan fails
         raise UsageError(f"--lambda must be finite and >= 0, got {args.lam}")
-    net_config = _resolve_decode_config(args)
+    config_path = _decode_config_path(args)
+    net_config = load_config(config_path)
     ids = read_ids(args.ids, corpus_mod.load_transcripts(args.data)) if args.ids else None
     corp = corpus_mod.load_corpus(args.data, ids)
     net = build_network(net_config, output_units=corp.alphabet.size)
-    _adopt_values(net.store, load_checkpoint(args.ckpt))
+    _adopt_values(net.store, load_checkpoint(args.ckpt), args.ckpt, config_path)
     model = None
     if args.lm:
         _require_path(args.lm, "language model")
@@ -320,16 +321,18 @@ def cmd_decode(args):
     return EXIT_OK
 
 
-def _adopt_values(store, loaded):
+def _adopt_values(store, loaded, ckpt="checkpoint", config="network config"):
+    """Copy a loaded checkpoint's values into the network's store; another
+    parameter set or shape is a ValueError naming the two files."""
     ours = set(store.entries)
     theirs = set(loaded.entries)
     if ours != theirs:
-        raise ValueError(
-            f"checkpoint/config mismatch; missing {sorted(ours - theirs)}, "
-            f"unexpected {sorted(theirs - ours)}")
+        raise ValueError(f"{ckpt} does not fit {config}: missing {sorted(ours - theirs)}, "
+                         f"unexpected {sorted(theirs - ours)}")
     for name, p in loaded.entries.items():
         if store[name].value.shape != p.value.shape:
-            raise ValueError(f"checkpoint shape mismatch for '{name}'")
+            raise ValueError(f"{ckpt} does not fit {config}: '{name}' is "
+                             f"{p.value.shape}, not {store[name].value.shape}")
         store[name].value[...] = p.value
 
 
@@ -342,20 +345,20 @@ def read_hypotheses(path):
     """utt_id -> symbols of a hypothesis file; a malformed line, or a second
     line for one id, is a ValueError naming path:line."""
     hyps = {}
-    with open_text(path) as fh:
+    with reading(path) as fh:
         for ln, line in enumerate(fh, start=1):
             parts = line.split()
             if not parts:
                 continue
             if len(parts) < 2:
-                raise ValueError(f"{path}:{ln}: expected `utt_id score ph...`")
+                raise LineError(ln, "expected `utt_id score ph...`")
             try:
                 float(parts[1])
             except ValueError:
-                raise ValueError(f"{path}:{ln}: score {parts[1]!r} is not a number "
-                                 "(expected `utt_id score ph...`)") from None
+                raise LineError(ln, f"score {parts[1]!r} is not a number "
+                                "(expected `utt_id score ph...`)") from None
             if parts[0] in hyps:
-                raise ValueError(f"{path}:{ln}: repeated utterance id {parts[0]!r}")
+                raise LineError(ln, f"repeated utterance id {parts[0]!r}")
             hyps[parts[0]] = tuple(parts[2:])
     return hyps
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from . import features as feats
 from .ctc import Alphabet, min_frames, synthetic_alphabet, timit_alphabet
-from .textio import open_text
+from .textio import LineError, reading
 from .trainer import TrainConfig, train
 
 log = logging.getLogger(__name__)
@@ -242,7 +242,7 @@ def _scan(root):
     phn_dir = os.path.join(root, "phn")
     alpha_path = os.path.join(root, "alphabet.txt")
     if os.path.exists(alpha_path):
-        with open_text(alpha_path) as fh:
+        with reading(alpha_path) as fh:
             alphabet = Alphabet(non_blank=tuple(fh.read().split()))
     else:
         alphabet = timit_alphabet()
@@ -259,24 +259,23 @@ def _scan(root):
         return alphabet, []
 
     entries = []
+    symbols = set(alphabet.non_blank)
     for utt_id, path, kind in files:
         phn_path = os.path.join(phn_dir, f"{utt_id}.txt")
         if not os.path.exists(phn_path):
             raise FileNotFoundError(f"missing transcript for utterance '{utt_id}'")
-        with open_text(phn_path) as fh:
-            entries.append((utt_id, path, kind, tuple(fh.read().split())))
+        with reading(phn_path) as fh:
+            labels = tuple(fh.read().split())
+            if not labels:
+                raise ValueError(f"utterance '{utt_id}' has an empty transcript")
+            for sym in labels:
+                if sym not in symbols:
+                    raise ValueError(f"utterance '{utt_id}': symbol {sym!r} not in alphabet")
+        entries.append((utt_id, path, kind, labels))
     known = {utt_id for utt_id, _, _ in files}
     for f in sorted(os.listdir(phn_dir)) if os.path.isdir(phn_dir) else []:
         if f.endswith(".txt") and f[:-4] not in known:
             raise FileNotFoundError(f"transcript '{f[:-4]}' has no feature or wav file")
-
-    symbols = set(alphabet.non_blank)
-    for utt_id, _, _, labels in entries:
-        if not labels:
-            raise ValueError(f"utterance '{utt_id}' has an empty transcript")
-        for sym in labels:
-            if sym not in symbols:
-                raise ValueError(f"utterance '{utt_id}': symbol {sym!r} not in alphabet")
     return alphabet, entries
 
 
@@ -338,14 +337,14 @@ def read_ids(path, known=None):
     """The utterance ids listed in `path`, one per line.  A repeated id, or
     with `known` an id not in it, is a ValueError naming the file and id."""
     ids = {}
-    with open_text(path) as fh:
+    with reading(path) as fh:
         for ln, line in enumerate(fh, start=1):
             utt_id = line.strip()
             if not utt_id:
                 continue
             if utt_id in ids:
-                raise ValueError(f"{path}:{ln}: repeated utterance id {utt_id!r}")
+                raise LineError(ln, f"repeated utterance id {utt_id!r}")
             if known is not None and utt_id not in known:
-                raise ValueError(f"{path}: no utterance {utt_id!r} in the corpus")
+                raise ValueError(f"no utterance {utt_id!r} in the corpus")
             ids[utt_id] = None
     return list(ids)

@@ -11,11 +11,12 @@ coefficients"; it is applied uniformly and recorded here on purpose.
 """
 
 import logging
+import wave
 from dataclasses import dataclass
 
 import numpy as np
 
-from .textio import open_text
+from .textio import LineError, reading
 
 log = logging.getLogger(__name__)
 
@@ -198,17 +199,17 @@ def read_wav(path):
     The frame, hop and filterbank constants are fixed for SAMPLE_RATE, so a
     file at any other rate is refused rather than framed wrongly.
     """
-    import wave
-
-    with wave.open(str(path), "rb") as wf:
+    with reading(path, "rb") as fh, wave.open(fh) as wf:
         if wf.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono audio, got {wf.getnchannels()} channels")
+            raise ValueError(f"expected mono audio, got {wf.getnchannels()} channels")
         if wf.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
+            raise ValueError(f"expected 16-bit PCM, got {8 * wf.getsampwidth()}-bit")
         rate = wf.getframerate()
         if rate != SAMPLE_RATE:
-            raise ValueError(f"{path}: expected {SAMPLE_RATE} Hz audio, got {rate} Hz")
+            raise ValueError(f"expected {SAMPLE_RATE} Hz audio, got {rate} Hz")
         raw = wf.readframes(wf.getnframes())
+        if len(raw) != 2 * wf.getnframes():
+            raise ValueError(f"data chunk holds {len(raw)} of its {2 * wf.getnframes()} bytes")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
@@ -224,10 +225,10 @@ def save_feature_dump(path, mat):
 def load_feature_dump(path):
     """A T x D matrix of finite values; a malformed file is a ValueError
     naming path and line."""
-    with open_text(path) as fh:
+    with reading(path) as fh:
         header = fh.readline().split()
         if len(header) != 2 or not all(v.isdecimal() for v in header):
-            raise ValueError(f"{path}:1: malformed feature dump header")
+            raise LineError(1, "malformed feature dump header")
         t, d = int(header[0]), int(header[1])
         rows, lines = [], []
         for i, line in enumerate(fh, start=2):
@@ -235,18 +236,18 @@ def load_feature_dump(path):
             if not vals:
                 continue
             if len(vals) != d:
-                raise ValueError(f"{path}:{i}: expected {d} values, got {len(vals)}")
+                raise LineError(i, f"expected {d} values, got {len(vals)}")
             try:
                 rows.append([float(v) for v in vals])
             except ValueError as exc:
-                raise ValueError(f"{path}:{i}: {exc}") from None
+                raise LineError(i, exc) from None
             lines.append(i)
-    if len(rows) != t:
-        raise ValueError(f"{path}: header claims {t} rows, found {len(rows)}")
-    mat = np.asarray(rows, dtype=np.float64).reshape(t, d)
-    if not np.isfinite(mat).all():
-        first = int(np.argmin(np.isfinite(mat).all(axis=1)))
-        raise ValueError(f"{path}:{lines[first]}: non-finite feature value")
+        if len(rows) != t:
+            raise ValueError(f"header claims {t} rows, found {len(rows)}")
+        mat = np.asarray(rows, dtype=np.float64).reshape(t, d)
+        if not np.isfinite(mat).all():
+            first = int(np.argmin(np.isfinite(mat).all(axis=1)))
+            raise LineError(lines[first], "non-finite feature value")
     return mat
 
 
@@ -260,17 +261,14 @@ def save_stats(path, stats):
 def load_stats(path):
     """A save_stats file; a malformed one is a ValueError naming the path
     (and the line of a non-finite value or of a std not all > 0)."""
-    try:
-        with open(path) as fh:
-            mean = np.asarray([float(v) for v in fh.readline().split()])
-            std = np.asarray([float(v) for v in fh.readline().split()])
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-    if mean.size != std.size or mean.size == 0:
-        raise ValueError(f"{path}: malformed stats file")
-    for ln, row in enumerate((mean, std), start=1):
-        if not np.isfinite(row).all():
-            raise ValueError(f"{path}:{ln}: non-finite stats value")
-    if not (std > 0).all():
-        raise ValueError(f"{path}:2: std values must be > 0")
+    with reading(path) as fh:
+        mean = np.asarray([float(v) for v in fh.readline().split()])
+        std = np.asarray([float(v) for v in fh.readline().split()])
+        if mean.size != std.size or mean.size == 0:
+            raise ValueError("malformed stats file")
+        for ln, row in enumerate((mean, std), start=1):
+            if not np.isfinite(row).all():
+                raise LineError(ln, "non-finite stats value")
+        if not (std > 0).all():
+            raise LineError(2, "std values must be > 0")
     return FeatureStats(mean=mean, std=std)

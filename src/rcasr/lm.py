@@ -12,7 +12,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 
-from .textio import open_text
+from .textio import LineError, reading
 
 log = logging.getLogger(__name__)
 
@@ -182,30 +182,24 @@ def save_lm(path, model):
 def load_lm(path):
     """Read a save_lm file; a malformed line is a ValueError naming the path
     and line."""
-    def bad(ln, msg):
-        return ValueError(f"{path}:{ln}: {msg}")
-
-    with open_text(path) as fh:
+    with reading(path) as fh:
         if fh.readline().strip() != "NGRAM-LM v1":
-            raise ValueError(f"{path}: not an n-gram model file")
+            raise ValueError("not an n-gram model file")
         head = []
         for ln, (key, count) in enumerate((("k", 1), ("weights", len(ORDERS)), ("mu", 1)), start=2):
             parts = fh.readline().split()
             if parts[:1] != [key] or len(parts) != count + 1:
-                raise bad(ln, f"expected `{key}` and {count} number(s)")
+                raise LineError(ln, f"expected `{key}` and {count} number(s)")
             try:
                 head.append([float(v) for v in parts[1:]])
             except ValueError as exc:
-                raise bad(ln, exc) from None
+                raise LineError(ln, exc) from None
         (k,), weights, (mu,) = head
         vocab = fh.readline().split()
         if vocab[:1] != ["vocab"]:
-            raise bad(5, "expected `vocab` and the symbols")
-        try:
-            model = NgramModel(vocab=tuple(vocab[1:]), smoothing_k=k,
-                               interp_weights=dict(zip(ORDERS, weights)), mu=mu)
-        except ValueError as exc:
-            raise ValueError(f"{path}: {exc}") from None
+            raise LineError(5, "expected `vocab` and the symbols")
+        model = NgramModel(vocab=tuple(vocab[1:]), smoothing_k=k,
+                           interp_weights=dict(zip(ORDERS, weights)), mu=mu)
         # (order, direction) as written -> (counts, totals, context length)
         tables = {(str(n), d): (model.counts[(n, d)], model.totals[(n, d)], n - 1)
                   for n in ORDERS for d in "FB"}
@@ -214,20 +208,21 @@ def load_lm(path):
             if not parts:
                 continue
             if len(parts) < 4:
-                raise bad(ln, "malformed count line")
+                raise LineError(ln, "malformed count line")
             n, d, ctx, sym, c = parts[0], parts[1], tuple(parts[2:-2]), parts[-2], parts[-1]
             table = tables.get((n, d))
             if table is None:
-                raise bad(ln, f"direction {d!r} is not F or B" if (n, "F") in tables
-                          else f"order {n!r} is not one of {ORDERS}")
+                raise LineError(ln, f"direction {d!r} is not F or B" if (n, "F") in tables
+                                else f"order {n!r} is not one of {ORDERS}")
             counts, totals, width = table
             if len(ctx) != width:
-                raise bad(ln, f"order {n} takes {width} context symbols, got {len(ctx)}")
+                raise LineError(ln, f"order {n} takes {width} context symbols, got {len(ctx)}")
             if not c.isdecimal():
-                raise bad(ln, f"count {c!r} is not a non-negative integer")
+                raise LineError(ln, f"count {c!r} is not a non-negative integer")
             row = counts.setdefault(ctx, {})
             if sym in row:
-                raise bad(ln, f"repeats the order-{n} {d} count of {sym!r} after {' '.join(ctx)!r}")
+                raise LineError(ln, f"repeats the order-{n} {d} count of {sym!r} "
+                                f"after {' '.join(ctx)!r}")
             row[sym] = c = int(c)
             totals[ctx] = totals.get(ctx, 0) + c
     return model

@@ -28,6 +28,7 @@ import numpy as np
 
 from .features import N_FEATURES
 from .numerics import ParameterStore, glorot_init, make_rng
+from .textio import reading
 
 KERNEL = 3
 
@@ -829,11 +830,8 @@ def save_config(config, path):
 
 def load_config(path):
     """parse_config of a file; every ValueError names the path."""
-    try:
-        with open(path) as fh:
-            return parse_config(fh.read())
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+    with reading(path) as fh:
+        return parse_config(fh.read())
 
 
 # -- catalog --------------------------------------------------------------------

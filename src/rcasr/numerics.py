@@ -13,6 +13,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .textio import reading
+
 CHECKPOINT_MAGIC = b"RCNN1\x00"
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -145,15 +147,8 @@ def load_checkpoint(path):
 
     A malformed file raises ValueError naming `path`.
     """
-    try:
-        return _read_checkpoint(path)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
-
-
-def _read_checkpoint(path):
     store = ParameterStore()
-    with open(path, "rb") as fh:
+    with reading(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
 
         def read(n):

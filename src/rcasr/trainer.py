@@ -79,18 +79,6 @@ class CostCurve:
                 fh.write(f"{r.epoch},{r.wall_clock_minutes:.6f},{r.train_cost:.17g},"
                          f"{r.val_cost:.17g},{r.val_per:.17g}\n")
 
-    @classmethod
-    def from_csv(cls, path):
-        rows = []
-        with open(path) as fh:
-            header = fh.readline().strip()
-            if header != cls.CSV_HEADER:
-                raise ValueError(f"{path}: unexpected curve header {header!r}")
-            for line in fh:
-                e, w, tc, vc, vp = line.split(",")
-                rows.append(CurveRow(int(e), float(w), float(tc), float(vc), float(vp)))
-        return cls(rows=rows)
-
 
 def run_path(out_dir, name, what):
     """The file train writes into out_dir for the network `name`: `what` is

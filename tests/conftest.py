@@ -6,6 +6,7 @@ import pytest
 
 from rcasr import corpus as corpus_mod
 from rcasr.numerics import make_rng
+from rcasr.trainer import CostCurve, CurveRow
 
 
 def write_wav_at(path, samples, rate):
@@ -16,6 +17,18 @@ def write_wav_at(path, samples, rate):
         wf.setsampwidth(2)
         wf.setframerate(rate)
         wf.writeframes(pcm.tobytes())
+
+
+def read_curve(path):
+    """The CostCurve of a cost-curve CSV that train wrote."""
+    rows = []
+    with open(path) as fh:
+        header = fh.readline().strip()
+        assert header == CostCurve.CSV_HEADER, header
+        for line in fh:
+            e, w, tc, vc, vp = line.split(",")
+            rows.append(CurveRow(int(e), float(w), float(tc), float(vc), float(vp)))
+    return CostCurve(rows=rows)
 
 
 def write_float32_checkpoint(store, path):

@@ -11,6 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_curve
 from oracles import (best_labelling_by_enumeration, ctc_posterior_check,
                      ctc_prob_by_enumeration, fd_gradient, lm_order_probability,
                      max_relative_error, osa_distance_by_search, run_alone)
@@ -389,7 +390,7 @@ def test_criterion_11_comparison_harness(tmp_path, tiny_corpus, tiny_partition):
     assert not errors
     logs = {}
     for name in names:
-        curve = trainer.CostCurve.from_csv(results[name])
+        curve = read_curve(results[name])
         assert len(curve.rows) == 3                       # one marker per epoch
         assert [r.epoch for r in curve.rows] == [1, 2, 3]
         minutes = [r.wall_clock_minutes for r in curve.rows]

@@ -14,7 +14,7 @@ from rcasr import corpus as corpus_mod
 from rcasr import ctc as ctc_mod
 from rcasr import features as F
 from rcasr import lm as lm_mod
-from rcasr.network import build_network, catalog, load_config
+from rcasr.network import build_network, catalog, dump_config, load_config
 from rcasr.numerics import load_checkpoint, make_rng, save_checkpoint
 
 
@@ -283,6 +283,20 @@ class TestFeaturesCmd:
         assert f"{stats}: 2-wide stats, but utterance " in err and "has 39-wide features" in err
         assert not out.exists()
 
+    def test_stats_in_with_train_ids_usage_error(self, tmp_path, tiny_corpus_dir, capsys):
+        # --train-ids picks the utterances stats are fitted on; --stats-in fits none
+        stats, ids = tmp_path / "stats.txt", tmp_path / "train.txt"
+        assert cli.main(["features", "--data", str(tiny_corpus_dir), "--out",
+                         str(tmp_path / "first"), "--stats-out", str(stats)]) == 0
+        ids.write_text(corpus_mod.load_transcripts(tiny_corpus_dir).popitem()[0] + "\n")
+        capsys.readouterr()
+        out = tmp_path / "out"
+        rc = cli.main(["features", "--data", str(tiny_corpus_dir), "--out", str(out),
+                       "--stats-in", str(stats), "--train-ids", str(ids)])
+        assert rc == 1
+        assert "--train-ids: not allowed with argument --stats-in" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_train_id_names_the_id_file(self, tmp_path, tiny_corpus_dir, capsys):
         ids = tmp_path / "train.txt"
         ids.write_text("nosuch\n")
@@ -430,6 +444,26 @@ class TestDecode:
             assert rc == 2, cut
             assert f"{bad}: truncated checkpoint" in capsys.readouterr().err
         assert not (tmp_path / "x.txt").exists()
+
+    @pytest.mark.parametrize("config", ["other-network", "other-shape"])
+    def test_checkpoint_config_mismatch_names_both_files(self, tmp_path, trained_tiny,
+                                                         tiny_corpus_dir, capsys, config):
+        cfg = tmp_path / "other.netcfg"
+        if config == "other-network":
+            cfg.write_text(dump_config(catalog()["baseline"]))
+            want = "missing ['"
+        else:
+            cfg.write_text(trained_tiny["netcfg"].read_text().replace(
+                "hidden_units=48", "hidden_units=32"))
+            want = "'L00_recurrent/W_xh' is (39, 48), not (39, 32)"
+        out = tmp_path / "hyp.txt"
+        rc = cli.main(["decode", "--ckpt", str(trained_tiny["ckpt"]), "--config", str(cfg),
+                       "--data", str(tiny_corpus_dir), "--beam", "1", "--out", str(out)])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"data error: {trained_tiny['ckpt']} does not fit {cfg}: " in err
+        assert want in err
+        assert not out.exists()
 
     def test_float32_checkpoint_data_error(self, tmp_path, trained_tiny, tiny_corpus_dir,
                                            capsys):
@@ -889,6 +923,77 @@ class TestNonFiniteNumbers:
         assert rc == 2
         assert message in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
+
+
+class TestMalformedInputContract:
+    """One malformed file per reader, run in a process of its own so that a
+    traceback would show: exit 2 and one stderr line, `data error: <path>`."""
+
+    @staticmethod
+    def wav_corpus(root, clip):
+        """A one-clip wav corpus whose clip is `clip(valid_wav_bytes)`."""
+        (root / "wav").mkdir(parents=True)
+        (root / "phn").mkdir()
+        wav = root / "wav" / "u0.wav"
+        write_wav_at(wav, make_rng(444).normal(scale=0.1, size=8000), 16000)
+        wav.write_bytes(clip(wav.read_bytes()))
+        (root / "phn" / "u0.txt").write_text("aa b\n")
+        return wav
+
+    @pytest.mark.parametrize("case", [
+        "wav-not-riff", "wav-no-data-chunk", "wav-4-bytes", "wav-truncated-data",
+        "alphabet-repeated", "transcript-undecodable", "feature-dump", "stats", "ids",
+        "hypotheses", "lm", "config", "checkpoint"])
+    def test_exit_2_naming_the_file(self, tmp_path, tiny_corpus_dir, trained_tiny, case):
+        data = tmp_path / "data"
+        shutil.copytree(tiny_corpus_dir, data)
+        first = sorted(os.listdir(data / "feat"))[0]
+        decode = ["decode", "--ckpt", trained_tiny["ckpt"], "--config", trained_tiny["netcfg"],
+                  "--data", data, "--beam", "1"]
+        bad = tmp_path / f"bad-{case}"
+        wavs = tmp_path / "wavs"
+        if case.startswith("wav-"):
+            clip = {"wav-not-riff": lambda raw: b"RIFX" + raw[4:],
+                    "wav-no-data-chunk": lambda raw: raw[:36],
+                    "wav-4-bytes": lambda raw: raw[:4],
+                    "wav-truncated-data": lambda raw: raw[:-100]}[case]
+            bad = self.wav_corpus(wavs, clip)
+            argv = ["features", "--data", wavs]
+        elif case == "alphabet-repeated":
+            bad = data / "alphabet.txt"
+            bad.write_text("p0 p1 p2 p1\n")
+            argv = ["partition", "--data", data]
+        elif case == "transcript-undecodable":
+            bad = data / "phn" / first
+            bad.write_bytes(b"p0 \xff p1\n")
+            argv = ["lm-train", "--data", data]
+        elif case == "feature-dump":
+            bad = data / "feat" / first
+            bad.write_text("2 39\n1 2 3\n")
+            argv = decode
+        elif case == "stats":
+            bad.write_text("0 0\n1\n")
+            argv = ["features", "--data", data, "--stats-in", bad]
+        elif case == "ids":
+            bad.write_text(first[:-4] + "\n" + first[:-4] + "\n")
+            argv = ["lm-train", "--data", data, "--ids", bad]
+        elif case == "hypotheses":
+            bad.write_text(first[:-4] + " x p0\n")
+            argv = ["score", "--refs", data, "--hyps", bad]
+        elif case == "lm":
+            bad.write_text(LM_TEXT.replace("mu 0.5", "mu 2"))
+            argv = decode + ["--lm", bad]
+        elif case == "config":
+            bad.write_text("network bad\nconv2d feature_maps=0\nlinear_output units=4\n")
+            argv = ["train", "--config", bad, "--data", data]
+        else:
+            bad.write_bytes(trained_tiny["ckpt"].read_bytes()[:-8])
+            argv = decode[:1] + ["--ckpt", bad] + decode[3:]
+        proc = run_rcasr(*argv, "--out", tmp_path / "out")
+        assert "Traceback" not in proc.stderr
+        assert proc.returncode == 2, proc.stderr
+        (line,) = proc.stderr.splitlines()
+        assert line.startswith(f"data error: {bad}"), line
 
 
 class TestTopLevel:

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import read_curve
 from oracles import train_step_per_utterance
 from rcasr import cli  # noqa: F401  (the benchmark tracer wraps every rcasr module)
 from rcasr import corpus as corpus_mod
@@ -409,7 +410,7 @@ class TestCompare:
         cfg = T.TrainConfig(lr=0.005, epochs=1, batch_size=4, seed=12, dropout=0.0)
         results, errors = T.compare_architectures(["baseline"], cfg, corp, part, str(tmp_path))
         assert list(results) == ["baseline"]
-        curve = T.CostCurve.from_csv(results["baseline"])
+        curve = read_curve(results["baseline"])
         direct_cfg = T.TrainConfig(network="baseline", lr=0.005, epochs=1,
                                    batch_size=4, seed=12, dropout=0.0)
         _, direct = T.train(direct_cfg, corp, part)
@@ -434,7 +435,7 @@ class TestCurveCsv:
         curve.to_csv(path)
         header = path.read_text().splitlines()[0]
         assert header == "epoch,wall_clock_minutes,train_cost,val_cost,val_per"
-        back = T.CostCurve.from_csv(path)
+        back = read_curve(path)
         assert back.rows == curve.rows
 
     def test_checkpoint_cadence(self, tmp_path):
