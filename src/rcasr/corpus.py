@@ -263,7 +263,7 @@ def _scan(root):
     for utt_id, path, kind in files:
         phn_path = os.path.join(phn_dir, f"{utt_id}.txt")
         if not os.path.exists(phn_path):
-            raise FileNotFoundError(f"missing transcript for utterance '{utt_id}'")
+            raise FileNotFoundError(f"{path}: missing transcript {phn_path}")
         with reading(phn_path) as fh:
             labels = tuple(fh.read().split())
             if not labels:
@@ -275,7 +275,8 @@ def _scan(root):
     known = {utt_id for utt_id, _, _ in files}
     for f in sorted(os.listdir(phn_dir)) if os.path.isdir(phn_dir) else []:
         if f.endswith(".txt") and f[:-4] not in known:
-            raise FileNotFoundError(f"transcript '{f[:-4]}' has no feature or wav file")
+            raise FileNotFoundError(f"{os.path.join(phn_dir, f)}: transcript '{f[:-4]}' "
+                                    "has no feature or wav file")
     return alphabet, entries
 
 

@@ -14,11 +14,11 @@ recurrent or dense stage is flattened per time step to T x (C*F).
 A forward runs one utterance or a chunk of them with their frames stacked
 along T (see _Chunk): per-frame steps run once over the stack, the recurrent
 steps keep one state per utterance and conv2d one zero border per utterance.
-An inference forward runs each conv stage depth first over blocks of one
-utterance's frames instead (see _stream).  Every step's forward(x, training,
-chunk) is given the forward's chunk, which also carries the dropout
-generator, or a streamed stage's _Stream, so a step keeps nothing between
-forwards.
+An inference forward of more frames than a chunk may hold runs each
+utterance through every step depth first, in blocks of frames, instead (see
+Network.forward).  Every step's forward(x, training, chunk) is given the
+forward's chunk, which also carries the dropout generator, or the _Stream
+of a streamed utterance, so a step keeps nothing between forwards.
 """
 
 import math
@@ -149,8 +149,6 @@ class _Chunk:
         self.rng = rng
         lengths = np.asarray(lengths, dtype=np.intp)
         starts = np.cumsum(lengths) - lengths
-        frames = int(lengths.sum())
-        self.frames = frames
         self.spans = list(zip(starts.tolist(), (starts + lengths).tolist()))
         order = np.argsort(-lengths, kind="stable")
         steps = np.arange(lengths.max(initial=0))[:, None]
@@ -159,9 +157,17 @@ class _Chunk:
         self.packed = (starts[order] + steps)[active]
         self.sizes = sizes.tolist()
         self.first = self.sizes[0] if self.sizes else 0
-        self.prev = np.arange(self.first, frames) - np.repeat(sizes[:-1], sizes[1:])
+        self.prev = np.arange(self.first, len(self.packed)) - np.repeat(sizes[:-1], sizes[1:])
         # each utterance's conv window (see _tiles): its own frames in and out
         self.windows = [(s, e, s, e) for s, e in self.spans]
+
+    def recurrence(self, step, frames):
+        """(packed, sizes, state before step 0) of a recurrent step over the
+        whole chunk: every utterance starts from h_0 = 0 (None)."""
+        return self.packed, self.sizes, None
+
+    def hold(self, step, h):
+        """A chunk runs each utterance whole, so no state outlives the step."""
 
     def conv_input(self, step, x):
         """(x, windows) of a conv over the whole chunk (see _tiles)."""
@@ -173,15 +179,27 @@ class _Chunk:
 
 
 class _Stream:
-    """What the steps of a streamed conv stage (see _stream) hold between the
-    blocks of one utterance: `carry` maps a step to the frames it has taken
-    in but not yet used up, copied so that they do not keep their block
-    alive, and `last` tells whether the block ends its utterance, whose
-    frames every step then passes on in full."""
+    """What the steps of one utterance streamed in blocks (see
+    Network.forward) hold between its blocks: `carry` maps a step to the
+    frames it has taken in but not yet used up, or a recurrent step to its
+    last state, copied so that they do not keep their block alive, and
+    `last` tells whether the block ends its utterance, whose frames every
+    step then passes on in full."""
 
     def __init__(self):
         self.carry = {}
         self.last = False
+
+    def recurrence(self, step, frames):
+        """(packed, sizes, state before step 0) of a recurrent step over this
+        block's frames of one utterance: one row per time step, starting
+        from the state the previous block ended in (None at the start)."""
+        return np.arange(frames), [1] * frames, self.carry.get(step)
+
+    def hold(self, step, h):
+        """Keep step's last state h (None before any frame) for the next
+        block."""
+        self.carry[step] = h if h is None else h.copy()
 
     def _joined(self, step, x):
         """(step's held frames followed by x, the held frames or None)."""
@@ -212,14 +230,15 @@ class _Stream:
         return x[:, :frames]
 
 
-# Byte budget of one chunk's training contexts, as Network.frame_bytes
-# counts them (each kept array once): the trainer runs each mini-batch as the
-# longest runs of consecutive utterances that fit.  Bigger chunks share more
-# per-step Python work and hold more memory.  On RC-small toy training
-# (32-utterance batches, mean T 30, 15416 B/frame), through the CLI so that
-# freed heap pages are kept, 2 / 3 / 4 / 6 MiB ran 1.46 / 1.62 / 1.59 /
-# 1.70x as fast as one utterance at a time (medians of 12 alternating sweeps
-# on a 2-core Xeon whose speed drifted by half: quartiles 1.29-1.59 /
+# Byte budget of one chunk's training contexts, as Network.frame_bytes counts
+# them (each kept array once): the trainer runs each mini-batch as the longest
+# runs of consecutive utterances that fit, and an inference forward of more
+# frames than fit streams in blocks of that many (Network.forward).  Bigger
+# chunks share more per-step Python work and hold more memory.  On RC-small
+# toy training (32-utterance batches, mean T 30, 15416 B/frame), through the
+# CLI so that freed heap pages are kept, 2 / 3 / 4 / 6 MiB ran 1.46 / 1.62 /
+# 1.59 / 1.70x as fast as one utterance at a time (medians of 12 alternating
+# sweeps on a 2-core Xeon whose speed drifted by half: quartiles 1.29-1.59 /
 # 1.36-2.07 / 1.38-1.93 / 1.49-1.97), with peak RSS up 3.0-3.5 / 5.8-6.3 /
 # 8.5-9.1 / 15.8-16.3%.  One RC1 utterance of 3 s keeps 74.8 MiB, so
 # paper-size training stays one utterance per chunk.
@@ -347,17 +366,21 @@ class _Recurrent:
 
     def forward(self, x, training, chunk):
         # pre and h are time-major: step t's rows follow step t-1's, and the
-        # first sizes[t] rows of step t-1 are the same utterances' previous step
-        pre = (x @ self.w_xh.value + self.b.value)[chunk.packed]
+        # first sizes[t] rows of step t-1 are the same utterances' previous
+        # step; prev is the previous step's state (None: h_0 = 0)
+        packed, sizes, prev = chunk.recurrence(self, len(x))
+        pre = (x @ self.w_xh.value + self.b.value)[packed]
         h = np.empty_like(pre)
-        a = 0   # step t's first packed row; the previous step's is a - last
-        for t, n in enumerate(chunk.sizes):
-            if t:
-                pre[a:a + n] += h[a - last:a - last + n] @ self.w_hh.value
-            _elu_fwd(pre[a:a + n], self.alpha, out=h[a:a + n])
-            a, last = a + n, n
+        a = 0   # step t's first packed row
+        for n in sizes:
+            if prev is not None:
+                pre[a:a + n] += prev[:n] @ self.w_hh.value
+            prev = h[a:a + n]
+            _elu_fwd(pre[a:a + n], self.alpha, out=prev)
+            a += n
+        chunk.hold(self, prev)
         out = np.empty_like(h)
-        out[chunk.packed] = h
+        out[packed] = h
         return out, (x, h, chunk)
 
     def backward(self, ctx, g):
@@ -381,15 +404,15 @@ class _Recurrent:
         return da_x @ self.w_xh.value.T
 
 
-# Byte budget of one tile's window matrix, and so of the blocks a streamed
-# inference stage runs in (see _stream).  A whole-utterance window matrix is
-# 3x its input (44 MB at RC1's 48-map layers for 3 s of audio); tiles keep
-# it bounded in T and each GEMM operand near cache size.  RC1's conv
+# Byte budget of one tile's window matrix.  A whole-utterance window matrix
+# is 3x its input (44 MB at RC1's 48-map layers for 3 s of audio); tiles
+# keep it bounded in T and each GEMM operand near cache size.  RC1's conv
 # forward at T=300 (one BLAS thread, a 2-core host, medians of 5) took the
 # same time within 2% at 0.5 to 4 MiB, 5% more at 0.25 MiB and 20% more at
 # 8 MiB.  2.5 MiB exceeds the largest toy window matrix (RC-small, 24 x
 # 59*64 doubles, 0.7 MB), so toy training runs each utterance's conv as one
-# tile.
+# tile, and so does every block of a streamed inference forward (12 frames
+# for RC1; see Network.forward).
 _TILE_BYTES = 5 << 19
 
 
@@ -401,16 +424,11 @@ def _kernel_rows(k):
     return k.transpose(2, 0, 3, 1).reshape(KERNEL, o, KERNEL * c)
 
 
-def _tile_rows(c, f, itemsize):
-    """Output frames per tile of a conv over c maps of width f."""
-    return max(1, _TILE_BYTES // (KERNEL * c * f * itemsize))
-
-
 def _tile_frames(x, windows):
     """(output frames per tile, frames in the largest tile) of a conv over
     C x frames x F maps x in these windows."""
     c, _, f = x.shape
-    rows = _tile_rows(c, f, x.itemsize)
+    rows = max(1, _TILE_BYTES // (KERNEL * c * f * x.itemsize))
     return rows, min(rows, max(e - s for _, _, s, e in windows))
 
 
@@ -418,7 +436,7 @@ def _tiles(x, windows):
     """Split output frames of C x frames x F maps into time tiles.  Each
     window (a, b, s, e) asks for output frames s:e of the frames a:b that x
     holds of one utterance, a <= s <= e <= b: the whole utterance in a
-    chunk, or a block of it in a streamed stage (see _Stream).  A tile has
+    chunk, or a block of it in a streamed forward (see _Stream).  A tile has
     at most as many output frames as _TILE_BYTES holds 3C x F blocks of
     window matrix, and at least one.  Yields (t0, t1, low): low is the 3C x
     (t1-t0+2)*F window matrix of output frames t0:t1, whose row dj*C + c
@@ -590,43 +608,6 @@ class _ResidualBlock:
         return da + _run_backward(self.inner, inner_ctx, da)
 
 
-def _conv_stages(steps):
-    """(a, b, widest, maps) of each conv stage steps[a:b], the steps between a
-    _SeqToMaps and the _MapsToSeq after it: the most input maps of its convs,
-    residual branches included, and the maps it outputs."""
-    stages = []
-    for a, step in enumerate(steps):
-        if isinstance(step, _SeqToMaps):
-            b = next(i for i in range(a + 1, len(steps)) if isinstance(steps[i], _MapsToSeq))
-            convs = [s for run in steps[a + 1:b]
-                     for s in (run.inner if isinstance(run, _ResidualBlock) else [run])
-                     if isinstance(s, _Conv2d)]
-            stages.append((a + 1, b, max(s.in_maps for s in convs), convs[-1].out_maps))
-    return stages
-
-
-def _stream(steps, x, chunk, widest, maps):
-    """The `maps` output maps of a conv stage's steps on a chunk's C x frames
-    x F maps, run depth first: each utterance's frames enter in blocks of
-    one tile of the stage's widest conv (`widest` input maps), and a block
-    passes every step before the next one enters, so each step holds about
-    one block.  A conv's output for a frame waits for the frame after it
-    (see _Stream), so a block's output lags its input, and the utterance's
-    last block flushes what is held."""
-    f = x.shape[2]
-    rows = _tile_rows(widest, f, x.itemsize)
-    out = np.empty((maps, chunk.frames, f))
-    stream = _Stream()
-    done = 0
-    for s, e in chunk.spans:
-        for t0 in range(s, e, rows):
-            stream.last = t0 + rows >= e
-            y, _ = _run_forward(steps, x[:, t0:min(e, t0 + rows)], False, stream)
-            out[:, done:done + y.shape[1]] = y
-            done += y.shape[1]
-    return out
-
-
 class Network:
     """A built, runnable stack bound to its ParameterStore."""
 
@@ -636,8 +617,6 @@ class Network:
         self.steps = steps
         self.input_dim = input_dim
         self.output_units = output_units
-        # found now: a tracer may wrap the steps once the network is built
-        self.conv_stages = _conv_stages(steps)
         # the bytes per frame a training forward's contexts keep, measured on
         # two frames: at one, _MapsToSeq's reshape of one frame is a view
         # and not the copy it is at every longer input
@@ -647,22 +626,33 @@ class Network:
     def forward(self, x, training=False, rng=None):
         """(logits, contexts) of one utterance, a T x D matrix, or of a chunk,
         a list of them, whose logits come stacked in order; the contexts are
-        None unless training.  An inference forward streams each conv stage
-        (see _stream), so its memory does not grow with T there."""
+        None unless training.  A training forward, or one of at most as many
+        frames as _CHUNK_BYTES holds training contexts of, runs each step
+        over the whole chunk in turn.  A longer inference forward runs each
+        utterance depth first in blocks of that many frames: a block passes
+        every step before the next one enters, with a _Stream carrying what
+        the steps hold between blocks, so its memory does not grow with T.
+        A conv's output for a frame waits for the frame after it (see
+        _Stream), so a block's output lags its input, and the utterance's
+        last block flushes what is held."""
         xs = [np.asarray(u) for u in x] if isinstance(x, list) else [np.asarray(x)]
         for u in xs:
             if u.ndim != 2 or u.shape[1] != self.input_dim:
                 raise ValueError(f"expected T x {self.input_dim} input, got {u.shape}")
-        chunk = _Chunk([len(u) for u in xs], rng)
-        h = np.concatenate(xs)
-        if training:
-            return _run_forward(self.steps, h, True, chunk)
-        a = 0
-        for s, e, widest, maps in self.conv_stages:
-            h, _ = _run_forward(self.steps[a:s], h, False, chunk)
-            h = _stream(self.steps[s:e], h, chunk, widest, maps)
-            a = e
-        return _run_forward(self.steps[a:], h, False, chunk)
+        lengths = [len(u) for u in xs]
+        frames, rows = sum(lengths), max(1, _CHUNK_BYTES // self.frame_bytes)
+        if training or frames <= rows:
+            return _run_forward(self.steps, np.concatenate(xs), training, _Chunk(lengths, rng))
+        out = np.empty((frames, self.output_units))
+        done = 0
+        for u in xs:
+            stream = _Stream()
+            for t0 in range(0, len(u), rows):
+                stream.last = t0 + rows >= len(u)
+                y, _ = _run_forward(self.steps, u[t0:t0 + rows], False, stream)
+                out[done:done + len(y)] = y
+                done += len(y)
+        return out, None
 
     def backward(self, ctxs, g):
         if ctxs is None:

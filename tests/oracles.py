@@ -182,8 +182,9 @@ def run_alone(step, x, training, rng=None):
 def forward_breadth_first(net, xs):
     """The logits of a chunk of utterances xs (T x D each), stacked, with
     each step's inference forward run over the whole chunk before the next
-    step's: the order every inference forward ran in before conv stages
-    streamed in blocks."""
+    step's: the order every inference forward ran in before a forward longer
+    than the chunk budget streamed each utterance through every step in
+    blocks."""
     chunk = _Chunk([len(x) for x in xs])
     h = np.concatenate(xs)
     for step in net.steps:

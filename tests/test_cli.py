@@ -14,6 +14,7 @@ from rcasr import corpus as corpus_mod
 from rcasr import ctc as ctc_mod
 from rcasr import features as F
 from rcasr import lm as lm_mod
+from rcasr import network as N
 from rcasr.network import build_network, catalog, dump_config, load_config
 from rcasr.numerics import load_checkpoint, make_rng, save_checkpoint
 
@@ -353,6 +354,24 @@ class TestDecode:
         decoded = cli.read_hypotheses(out)
         for utt_id, y in trained_posteriors(trained_tiny, tiny_corpus).items():
             assert decoded[utt_id] == tiny_corpus.alphabet.decode(ctc_mod.greedy_decode(y)), utt_id
+
+    def test_hypotheses_do_not_depend_on_the_chunk_budget(self, tmp_path, monkeypatch,
+                                                           trained_tiny, tiny_corpus_dir,
+                                                           tiny_corpus):
+        # at the default budget every utterance runs whole; at two frames'
+        # worth each one streams through every step in blocks of 1-2 frames
+        def decode(out):
+            assert cli.main(["decode", "--ckpt", str(trained_tiny["ckpt"]),
+                             "--data", str(tiny_corpus_dir), "--beam", "4",
+                             "--out", str(out)]) == 0
+            return out.read_bytes()
+
+        whole = decode(tmp_path / "whole.txt")
+        net = build_network(load_config(trained_tiny["netcfg"]),
+                            output_units=tiny_corpus.alphabet.size)
+        monkeypatch.setattr(N, "_CHUNK_BYTES", 2 * net.frame_bytes)
+        assert min(u.n_frames for u in tiny_corpus.utterances.values()) > 2
+        assert decode(tmp_path / "streamed.txt") == whole
 
     def test_lm_rectifies_beam_hypotheses(self, tmp_path, trained_tiny, tiny_corpus_dir,
                                           tiny_corpus):
@@ -942,8 +961,9 @@ class TestMalformedInputContract:
 
     @pytest.mark.parametrize("case", [
         "wav-not-riff", "wav-no-data-chunk", "wav-4-bytes", "wav-truncated-data",
-        "alphabet-repeated", "transcript-undecodable", "feature-dump", "stats", "ids",
-        "hypotheses", "lm", "config", "checkpoint"])
+        "alphabet-repeated", "transcript-undecodable", "transcript-missing",
+        "transcript-orphaned", "feature-dump", "stats", "ids", "hypotheses", "lm", "config",
+        "checkpoint"])
     def test_exit_2_naming_the_file(self, tmp_path, tiny_corpus_dir, trained_tiny, case):
         data = tmp_path / "data"
         shutil.copytree(tiny_corpus_dir, data)
@@ -967,6 +987,14 @@ class TestMalformedInputContract:
             bad = data / "phn" / first
             bad.write_bytes(b"p0 \xff p1\n")
             argv = ["lm-train", "--data", data]
+        elif case == "transcript-missing":
+            bad = data / "feat" / first
+            (data / "phn" / first).unlink()
+            argv = ["partition", "--data", data]
+        elif case == "transcript-orphaned":
+            bad = data / "phn" / first
+            (data / "feat" / first).unlink()
+            argv = ["partition", "--data", data]
         elif case == "feature-dump":
             bad = data / "feat" / first
             bad.write_text("2 39\n1 2 3\n")

@@ -306,14 +306,15 @@ def test_benchmark_tracer_sees_chunked_training(name, tiny_corpus, tiny_partitio
                                                                  + frames["val"])
 
 
-@pytest.mark.parametrize("name, kinds", [("RC1", ("conv2d", "elu")),
+@pytest.mark.parametrize("name, kinds", [("RC1", ("recurrent", "conv2d", "elu", "affine")),
                                          ("Res-RC2", ("conv2d", "elu", "residual"))],
                          ids=["RC1", "Res-RC2"])
 def test_benchmark_tracer_sees_streamed_inference(name, kinds):
-    """Inference streams each conv stage in blocks; the benchmark's tracer
-    must still time every step kind through the wrappers it puts on the
-    built network, and count each conv's flops from the frames it is given,
-    so that a frame a conv carries into the next block counts once."""
+    """Inference streams each utterance through every step in blocks; the
+    benchmark's tracer must still time every step kind through the wrappers
+    it puts on the built network, and count each conv's flops from the
+    frames it is given, so that a frame a conv carries into the next block
+    counts once."""
     tracing = _load_tracer()
     plain = list(_all_steps(build_network(catalog()[name]).steps))
     frames = 300
@@ -321,9 +322,12 @@ def test_benchmark_tracer_sees_streamed_inference(name, kinds):
         net = N.build_network(catalog()[name], rng=make_rng(10))
         net.forward(make_rng(11).normal(size=(frames, 39)))
     convs = [s for s in plain if isinstance(s, N._Conv2d)]
+    recurrents = [s for s in plain if isinstance(s, N._Recurrent)]
     for kind in kinds:
         assert tracer.durations[f"network.{kind}.forward"], kind
-    assert len(tracer.durations["network.conv2d.forward"]) > len(convs)     # several blocks
+    # several blocks: each conv and recurrent step runs once per block
+    assert len(tracer.durations["network.conv2d.forward"]) > len(convs)
+    assert len(tracer.durations["network.recurrent.forward"]) > len(recurrents)
     # every conv runs over the 128-wide output frames of the recurrent stack
     per_frame = sum(2 * s.out_maps * 9 * s.in_maps * 128 for s in convs)
     assert tracer.counts["network.conv2d.flops"] == per_frame * frames
