@@ -713,10 +713,11 @@ def beam_decode_by_dicts(y, width=16):
 
 def lm_order_probability(model, order, direction, window, symbol):
     """One order's smoothed P(symbol | window), window being exactly order-1
-    symbols, read straight from the model's count tables."""
-    c = model.counts[(order, direction)].get(window, {}).get(symbol, 0)
-    total = model.totals[(order, direction)].get(window, 0)
-    return (c + model.smoothing_k) / (total + model.smoothing_k * model.event_count)
+    symbols, read from the model's {context: {symbol: count}} table; the
+    context's total is the sum of its row."""
+    row = model.table(order, direction).get(window, {})
+    return ((row.get(symbol, 0) + model.smoothing_k)
+            / (sum(row.values()) + model.smoothing_k * model.event_count))
 
 
 def lm_order_conditional(model, symbol, context, order, direction="F"):
@@ -750,7 +751,7 @@ def lm_directional_score_full_history(model, seq, direction):
 
 def lm_directional_score_unmemoised(model, seq, direction):
     """One direction's log score with a fresh model.conditional per symbol,
-    as lm._directional_score was before rectify shared a memo."""
+    as lm scored a sequence before it computed each distinct window once."""
     vocab = frozenset(model.vocab)
     total = 0.0
     history = ()

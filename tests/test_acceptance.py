@@ -277,10 +277,11 @@ def test_criterion_09_lm_properties():
 
     events = list(model.vocab) + [lm_mod.EOS]
     worst = 0.0
-    for (n, d), table in model.counts.items():
-        for ctx in table:
-            total = sum(lm_order_probability(model, n, d, ctx, e) for e in events)
-            worst = max(worst, abs(total - 1.0))
+    for n in lm_mod.ORDERS:
+        for d in "FB":
+            for ctx in model.table(n, d):
+                total = sum(lm_order_probability(model, n, d, ctx, e) for e in events)
+                worst = max(worst, abs(total - 1.0))
     for _ in range(20):   # unseen contexts too
         ctx = tuple(rng.choice(vocab, size=2))
         total = sum(lm_order_probability(model, 3, "F", ctx, e) for e in events)
@@ -289,8 +290,7 @@ def test_criterion_09_lm_properties():
 
     reversed_model = lm_mod.train_lm([tuple(reversed(s)) for s in corpus])
     for n in lm_mod.ORDERS:
-        assert model.counts[(n, "B")] == reversed_model.counts[(n, "F")]
-        assert model.totals[(n, "B")] == reversed_model.totals[(n, "F")]
+        assert model.table(n, "B") == reversed_model.table(n, "F")
 
     for _ in range(20):
         hyps = [(tuple(rng.choice(vocab, size=int(rng.integers(0, 5)))),

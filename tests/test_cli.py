@@ -410,8 +410,12 @@ class TestDecode:
         (6, "2 F <s> p0 x", "6: count 'x' is not a non-negative integer"),
         (6, "2 F <s> p0 -1", "6: count '-1' is not a non-negative integer"),
         (7, "2 F <s> p0 1", "7: repeats the order-2 F count of 'p0' after '<s>'"),
+        (6, "2 F <s> x 3", "6: symbol 'x' is not in the vocab"),
+        (6, "3 B p2 q p0 3", "6: symbol 'q' is not in the vocab"),
+        (6, "2 F <s> p0 9223372036854775808", "6: count '9223372036854775808' is past 2**63 - 1"),
     ], ids=["header-only", "two-weights", "order-5", "direction", "short-context",
-            "non-integer-count", "negative-count", "repeated-count"])
+            "non-integer-count", "negative-count", "repeated-count", "symbol-not-in-vocab",
+            "context-symbol-not-in-vocab", "count-past-int64"])
     def test_malformed_lm_data_error(self, tmp_path, trained_tiny, tiny_corpus_dir, capsys,
                                      line, replace, message):
         lines = LM_TEXT.splitlines()

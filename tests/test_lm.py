@@ -1,5 +1,8 @@
 import logging
 import math
+import os
+import re
+import tracemalloc
 
 import pytest
 
@@ -8,7 +11,10 @@ from oracles import (lm_conditional_full_history, lm_directional_score_full_hist
                      lm_rectify_unmemoised)
 from rcasr import ctc as ctc_mod
 from rcasr import lm as L
+from rcasr.ctc import TIMIT_PHONES
 from rcasr.numerics import make_rng
+
+GOLDEN_LM = os.path.join(os.path.dirname(__file__), "golden", "lm_small.lm")
 
 
 def small_corpus():
@@ -29,16 +35,15 @@ class TestTraining:
         model = L.train_lm(corpus)
         rev = L.train_lm([tuple(reversed(s)) for s in corpus])
         for n in L.ORDERS:
-            assert model.counts[(n, "B")] == rev.counts[(n, "F")]
-            assert model.totals[(n, "B")] == rev.totals[(n, "F")]
+            assert model.table(n, "B") == rev.table(n, "F")
 
     def test_palindrome_gives_symmetric_trigrams(self):
         model = L.train_lm([("a", "b", "a")])
-        assert model.counts[(3, "F")] == model.counts[(3, "B")]
+        assert model.table(3, "F") == model.table(3, "B")
 
     def test_empty_sentence_skipped(self):
         model = L.train_lm([("a",), ()])
-        assert model.totals[(2, "F")].get(("a",), 0) == 1
+        assert sum(model.table(2, "F").get(("a",), {}).values()) == 1
 
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError):
@@ -53,10 +58,11 @@ class TestDistributions:
     def test_conditionals_sum_to_one_per_context(self):
         model = L.train_lm(small_corpus())
         events = list(model.vocab) + [L.EOS]
-        for (n, d), table in model.counts.items():
-            for ctx in table:
-                total = sum(lm_order_probability(model, n, d, ctx, e) for e in events)
-                assert abs(total - 1.0) <= 1e-12, (n, d, ctx)
+        for n in L.ORDERS:
+            for d in "FB":
+                for ctx in model.table(n, d):
+                    total = sum(lm_order_probability(model, n, d, ctx, e) for e in events)
+                    assert abs(total - 1.0) <= 1e-12, (n, d, ctx)
 
     def test_unseen_context_sums_to_one(self):
         model = L.train_lm(small_corpus())
@@ -104,7 +110,7 @@ class TestHistoryBound:
     def test_score_on_long_sequence_exact(self):
         model, seq, _ = self.model_and_context()
         for d in "FB":
-            assert L._directional_score(model, seq, d, {}) == lm_directional_score_full_history(model, seq, d)
+            assert L._directional_scores(model, [seq], d) == [lm_directional_score_full_history(model, seq, d)]
         assert L.score(model, seq) == (
             model.mu * lm_directional_score_full_history(model, seq, "F")
             + (1.0 - model.mu) * lm_directional_score_full_history(model, tuple(reversed(seq)), "B"))
@@ -120,13 +126,13 @@ class TestScore:
         model = L.train_lm(small_corpus(), mu=1.0)
         seq = ("a", "b")
         assert L.score(model, seq) == pytest.approx(
-            L._directional_score(model, seq, "F", {}), abs=1e-15)
+            L._directional_scores(model, [seq], "F")[0], abs=1e-15)
 
     def test_mu_zero_is_pure_backward(self):
         model = L.train_lm(small_corpus(), mu=0.0)
         seq = ("a", "b")
         assert L.score(model, seq) == pytest.approx(
-            L._directional_score(model, tuple(reversed(seq)), "B", {}), abs=1e-15)
+            L._directional_scores(model, [tuple(reversed(seq))], "B")[0], abs=1e-15)
 
     def test_training_sentence_beats_permutation(self):
         # single-sentence corpus is enough to rank the real ordering first
@@ -193,7 +199,7 @@ class TestRectify:
 
 
 class TestMemoisedRescoring:
-    """rectify's shared memo against the scoring it replaced, exactly."""
+    """rectify's batched windows against scoring each symbol on its own, exactly."""
 
     def model(self):
         rng = make_rng(93)
@@ -202,11 +208,10 @@ class TestMemoisedRescoring:
 
     def assert_exact(self, model, hyps, lam):
         assert L.rectify(model, hyps, lam) == lm_rectify_unmemoised(model, hyps, lam)
-        memo = {}
-        for seq, _ in hyps:
-            for d, s in (("F", seq), ("B", tuple(reversed(seq)))):
-                assert L._directional_score(model, s, d, memo) == \
-                    lm_directional_score_unmemoised(model, s, d)
+        for d, seqs in (("F", [seq for seq, _ in hyps]),
+                        ("B", [tuple(reversed(seq)) for seq, _ in hyps])):
+            assert L._directional_scores(model, seqs, d) == \
+                [lm_directional_score_unmemoised(model, s, d) for s in seqs]
 
     @pytest.mark.parametrize("lam", [0.0, 0.3, 2.0])
     def test_beam_output(self, lam):
@@ -235,8 +240,9 @@ class TestSaveLoad:
         assert back.vocab == model.vocab
         assert back.smoothing_k == model.smoothing_k
         assert back.mu == model.mu
-        assert back.counts == model.counts
-        assert back.totals == model.totals
+        for n in L.ORDERS:
+            for d in "FB":
+                assert back.table(n, d) == model.table(n, d)
         for seq in [("a",), ("a", "b", "b"), ()]:
             assert L.score(back, seq) == L.score(model, seq)
 
@@ -251,3 +257,97 @@ class TestSaveLoad:
         path.write_text("NOT A MODEL\n")
         with pytest.raises(ValueError):
             L.load_lm(path)
+
+    HEADER = "NGRAM-LM v1\nk 1\nweights 0.4 0.35 0.25\nmu 0.5\nvocab p0 p1\n"
+
+    def test_first_repeat_reported_before_later_faults(self, tmp_path):
+        # the B repeat on line 9 comes before the F repeat on line 10 and
+        # the bad count on line 11, as a line-by-line reader meets them
+        lines = ["2 B <s> p1 1", "2 F <s> p0 1", "2 F <s> p1 1", "2 B <s> p1 4",
+                 "2 F <s> p0 2", "2 F <s> p0 x"]
+        for n in (5, 6):
+            path = tmp_path / f"m{n}.lm"
+            path.write_text(self.HEADER + "\n".join(lines[:n]) + "\n")
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:9: repeats the "
+                                                 "order-2 B count of 'p1' after '<s>'$"):
+                L.load_lm(path)
+
+    def test_counts_summing_past_int64_rejected(self, tmp_path):
+        path = tmp_path / "m.lm"
+        path.write_text(self.HEADER + f"2 F <s> p0 {2 ** 62}\n2 F <s> p1 {2 ** 62}\n")
+        with pytest.raises(ValueError, match=r"the F counts sum past 2\*\*63 - 1$"):
+            L.load_lm(path)
+
+    def test_header_only_model_scores(self, tmp_path):
+        path = tmp_path / "m.lm"
+        path.write_text(self.HEADER)
+        model = L.load_lm(path)
+        assert model.table(2, "F") == {}
+        # every count 0: each order gives k / (k * 3)
+        assert model.conditional("p0", ()) == pytest.approx(1.0 / 3.0, abs=1e-15)
+
+    def test_vocab_whose_keys_overflow_int64_rejected(self):
+        # B + B^2 + B^3 + B^4 keys fit in int64 up to B = 55108, |vocab| = 55105
+        L.NgramModel(vocab=tuple(map(str, range(55105))))
+        with pytest.raises(ValueError, match="55106 symbols is too large"):
+            L.NgramModel(vocab=tuple(map(str, range(55106))))
+
+
+def golden_corpus():
+    """The 300 seeded sentences of 2-8 TIMIT phones that golden/lm_small.lm
+    was trained on.  Phone i is drawn with weight 1 / (1 + rank(i)), so
+    n-grams repeat as in real transcripts."""
+    rng = make_rng(27)
+    p = 1.0 / (1.0 + rng.permutation(len(TIMIT_PHONES)))
+    p /= p.sum()
+    return [tuple(TIMIT_PHONES[i] for i in rng.choice(len(TIMIT_PHONES), size=int(rng.integers(2, 9)), p=p))
+            for _ in range(300)]
+
+
+# an empty sequence, a training sentence, a long one, out-of-vocabulary
+# symbols and literal markers
+GOLDEN_SEQUENCES = (
+    (),
+    ("h#", "sh", "iy"),
+    TIMIT_PHONES[::2] + TIMIT_PHONES[1::3],
+    ("aa", "zz", "b", L.BOS, L.EOS, L.UNK, "iy"),
+    TIMIT_PHONES[40:] * 3,
+)
+
+
+class TestGolden:
+    """The text format and every score, pinned before the count tables
+    became integer-coded arrays."""
+
+    # float.hex of score(model, seq) for GOLDEN_SEQUENCES, from the dict tables
+    SCORES = ("-0x1.7910b2e25d669p+2", "-0x1.021d477f5e242p+4", "-0x1.b129bc7c9cde4p+7",
+              "-0x1.077fae2f90e17p+5", "-0x1.0d1ad3dd007f2p+8")
+
+    def golden_bytes(self):
+        with open(GOLDEN_LM, "rb") as fh:
+            return fh.read()
+
+    def test_train_and_save_reproduce_the_file(self, tmp_path):
+        path = tmp_path / "m.lm"
+        L.save_lm(path, L.train_lm(golden_corpus()))
+        assert path.read_bytes() == self.golden_bytes()
+
+    def test_load_and_save_reproduce_the_file(self, tmp_path):
+        path = tmp_path / "m.lm"
+        L.save_lm(path, L.load_lm(GOLDEN_LM))
+        assert path.read_bytes() == self.golden_bytes()
+
+    def test_scores_pinned(self):
+        for model in (L.load_lm(GOLDEN_LM), L.train_lm(golden_corpus())):
+            assert tuple(L.score(model, seq).hex() for seq in GOLDEN_SEQUENCES) == self.SCORES
+
+    def test_held_bytes_per_count_line(self):
+        with open(GOLDEN_LM) as fh:
+            lines = sum(1 for _ in fh) - 5
+        tracemalloc.start()
+        try:
+            model = L.load_lm(GOLDEN_LM)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert model.vocab and held / lines <= 48, held / lines

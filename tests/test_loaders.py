@@ -77,6 +77,8 @@ def _mutate(raw, edits):
 # an LM with smoothing k 0 (or a nan weight) loaded, then failed or scored nan
 @example(kind="lm", part="train", edits=[("delete", 14, 1), ("insert", 14, b"0")])
 @example(kind="lm", part="train", edits=[("delete", 24, 19), ("insert", 24, b"nan")])
+# an LM count line naming a symbol outside the vocab was loaded into the totals
+@example(kind="lm", part="train", edits=[("insert", 88, b"2 F a x 5\n")])
 def test_mutated_inputs_raise_only_value_or_os_errors(tmp_path_factory, kind, part, edits):
     root = str(tmp_path_factory.mktemp("loaders"))
     path = _valid_files(root)[kind]
