@@ -87,15 +87,17 @@ class NgramModel:
             self._ids.setdefault(s, i)
         self._names = names
         self._known = {s: self._ids[s] for s in self.vocab}
+        self._events = len(set(self._known.values()) | {self._ids[EOS]})
         self._bos, self._eos, self._unk = (self._ids[s] for s in (BOS, EOS, UNK))
         self._start = self._bos * (base ** HISTORY - 1) // (base - 1)   # HISTORY start markers
         empty = _table(np.zeros(0, np.int64), np.zeros(0, np.int64))
         self._tables = {d: (empty, empty) for d in "FB"}   # dir -> (n-grams, contexts)
 
-    # event space: every vocab symbol plus the end-of-sentence marker
+    # event space: every distinct vocab symbol plus the end-of-sentence
+    # marker, which a vocab that lists it does not add twice
     @property
     def event_count(self):
-        return len(self.vocab) + 1
+        return self._events
 
     def _set_counts(self, direction, keys, counts):
         """Hold one direction's n-gram counts: int64 keys, unique, in any
@@ -310,6 +312,11 @@ def load_lm(path):
         vocab = fh.readline().split()
         if vocab[:1] != ["vocab"]:
             raise LineError(5, "expected `vocab` and the symbols")
+        seen = set()
+        for s in vocab[1:]:
+            if s in seen:
+                raise LineError(5, f"vocab repeats symbol {s!r}")
+            seen.add(s)
         model = NgramModel(vocab=tuple(vocab[1:]), smoothing_k=k,
                            interp_weights=dict(zip(ORDERS, weights)), mu=mu)
         ids, base = model._ids, model._base

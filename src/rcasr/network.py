@@ -256,37 +256,55 @@ _ELU_BLOCK = 1 << 14
 
 def _blocks(x, y):
     """(x, y) block pairs for the ELU loops, y C-contiguous of x's shape: the
-    arrays themselves when they fit one block (a recurrent step's rows), else
-    consecutive flat blocks of both."""
+    arrays themselves when they fit one block, else consecutive flat blocks
+    of both."""
     if x.size <= _ELU_BLOCK:
         return [(x, y)]
     xf, yf = np.ravel(x), y.reshape(-1)
     return [(xf[a:a + _ELU_BLOCK], yf[a:a + _ELU_BLOCK]) for a in range(0, xf.size, _ELU_BLOCK)]
 
 
-def _elu_fwd(x, alpha, out=None):
-    """max(x, 0) + alpha * (exp(min(x, 0)) - 1), into `out` (C-contiguous)
-    or a new array.  Each term is exactly 0 where the other applies, so this
-    is np.where(x > 0, x, alpha * (exp(min(x, 0)) - 1)) without a mask."""
-    y = np.empty(x.shape, dtype=x.dtype) if out is None else out
+def _elu_block(x, y, pos, alpha):
+    """y = max(x, 0) + alpha * (exp(min(x, 0)) - 1), with pos, of x's shape,
+    as scratch; pos may be x itself when x is not needed afterwards.  Each
+    term is exactly 0 where the other applies, so this is np.where(x > 0, x,
+    alpha * (exp(min(x, 0)) - 1)) without a mask.  Five passes at alpha 1,
+    where times alpha is an exact no-op; the four-pass max(exp(min(x, 0)) -
+    1, x) would differ for some x in (-1.2e-8, 0), where the rounded
+    exp(x) - 1 falls below x."""
+    np.minimum(x, 0.0, out=y)
+    np.exp(y, out=y)
+    y -= 1.0
+    if alpha != 1.0:
+        y *= alpha
+    np.maximum(x, 0.0, out=pos)
+    y += pos
+
+
+def _elu_fwd(x, alpha):
+    """The ELU of x (see _elu_block) as a new C-contiguous array, in blocks
+    of _ELU_BLOCK elements."""
+    y = np.empty(x.shape, dtype=x.dtype)
     blocks = _blocks(x, y)
     scratch = np.empty_like(blocks[0][1])    # one buffer for every block
     for xb, yb in blocks:
-        pos = scratch[:len(xb)]
-        np.minimum(xb, 0.0, out=yb)
-        np.exp(yb, out=yb)
-        yb -= 1.0
-        yb *= alpha
-        np.maximum(xb, 0.0, out=pos)
-        yb += pos
+        _elu_block(xb, yb, scratch[:len(xb)], alpha)
     return y
 
 
 def _elu_slope_from_output(y, alpha):
     """The ELU slope from the ELU's output y: 1 where y > 0 and y + alpha
-    (alpha * exp(x)) elsewhere.  d = min(y, 0) + alpha, then with h the 0/1
-    floats of y > 0, d -= d * h and d += h; d = y + alpha would be inf, and
-    d - d * h nan, at y = +inf."""
+    (alpha * exp(x)) elsewhere.  At alpha 1 that is min(y, 0) + 1, two
+    whole-array passes: 0 + 1 where y > 0 (+inf included), the one rounding
+    of y + 1 elsewhere, and nan at nan.  Any other alpha needs a fix-up where
+    y > 0, in blocks: d = min(y, 0) + alpha, then with h the 0/1 floats of
+    y > 0, d -= d * h and d += h; d = y + alpha would be inf, and d - d * h
+    nan, at y = +inf.  The two forms differ only at y = -inf, which no ELU
+    outputs (min(y, 0) + 1 is -inf, the fix-up's nan)."""
+    if alpha == 1.0:
+        d = np.minimum(y, 0.0)
+        d += 1.0
+        return d
     d = np.empty(y.shape, dtype=y.dtype)
     blocks = _blocks(y, d)
     h, dh = np.empty((2,) + blocks[0][1].shape, dtype=d.dtype)
@@ -354,8 +372,10 @@ class _Affine:
 class _Recurrent:
     """h_t = elu(W_xh x_t + W_hh h_{t-1} + b) with alpha 1, h_0 = 0, in each
     utterance of the chunk; backward is full BPTT.  Each time step is one
-    GEMM over the utterances still running (see _Chunk).  The context keeps
-    h, whose ELU slope backward derives, and not the pre-activations."""
+    GEMM over the utterances still running (see _Chunk), and allocates
+    nothing: forward writes each step's W_hh product into one buffer and
+    its ELU into h's rows, backward its carry into one buffer.  The context
+    keeps h, whose ELU slope backward derives, and not the pre-activations."""
 
     def __init__(self, store, name, in_dim, hidden, rng):
         self.alpha = 1.0
@@ -371,12 +391,15 @@ class _Recurrent:
         packed, sizes, prev = chunk.recurrence(self, len(x))
         pre = (x @ self.w_xh.value + self.b.value)[packed]
         h = np.empty_like(pre)
+        tmp = np.empty_like(pre[:max(sizes, default=0)])   # every step's W_hh GEMM
         a = 0   # step t's first packed row
         for n in sizes:
+            p = pre[a:a + n]
             if prev is not None:
-                pre[a:a + n] += prev[:n] @ self.w_hh.value
+                np.matmul(prev[:n], self.w_hh.value, out=tmp[:n])
+                p += tmp[:n]
             prev = h[a:a + n]
-            _elu_fwd(pre[a:a + n], self.alpha, out=prev)
+            _elu_block(p, prev, p, self.alpha)   # nothing keeps pre: p is the scratch
             a += n
         chunk.hold(self, prev)
         out = np.empty_like(h)
@@ -392,9 +415,11 @@ class _Recurrent:
         carry = np.zeros((chunk.first, self.hidden), dtype=h.dtype)
         b = len(h)      # one past step t's last packed row
         for t, n in reversed(list(enumerate(chunk.sizes))):
-            da[b - n:b] = (g[b - n:b] + carry[:n]) * slope[b - n:b]
+            d = da[b - n:b]
+            np.add(g[b - n:b], carry[:n], out=d)
+            d *= slope[b - n:b]
             if t:
-                carry[:n] = da[b - n:b] @ self.w_hh.value.T
+                np.matmul(d, self.w_hh.value.T, out=carry[:n])
             b -= n
         self.w_hh.grad += h[chunk.prev].T @ da[chunk.first:]
         da_x = np.empty_like(da)

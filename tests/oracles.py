@@ -1,7 +1,8 @@
 """Independent reference implementations the test suite checks against.
 
-Everything here but run_alone, which calls one network step on its own, and
-forward_breadth_first, which calls each step of a network in turn, is
+Everything here but run_alone, which calls one network step on its own,
+forward_breadth_first, which calls each step of a network in turn, and the
+recurrent step loops, which read a _Chunk or _Stream's layout, is
 deliberately naive (loops, enumeration, recursion) and shares no code with
 the library paths it verifies.
 """
@@ -190,6 +191,68 @@ def forward_breadth_first(net, xs):
     for step in net.steps:
         h, _ = step.forward(h, False, chunk)
     return h
+
+
+# -- the recurrent time steps and ELU slope before they stopped allocating -----
+
+def elu_slope_from_output_blocked(y, alpha):
+    """The ELU slope from the ELU's output y in the six-pass blocked form
+    rcasr ran at every alpha: d = min(y, 0) + alpha, then with h the 0/1
+    floats of y > 0, d -= d * h and d += h, over flat blocks of 2**14
+    elements."""
+    block = 1 << 14
+    d = np.empty(y.shape, dtype=y.dtype)
+    yf, df = np.ravel(y), d.reshape(-1)
+    for a in range(0, max(yf.size, 1), block):
+        yb, db = yf[a:a + block], df[a:a + block]
+        h = (yb > 0).astype(d.dtype)
+        np.minimum(yb, 0.0, out=db)
+        db += alpha
+        db -= db * h
+        db += h
+    return d
+
+
+def recurrent_forward_allocating(layer, x, chunk):
+    """_Recurrent.forward with a fresh W_hh product per time step and the
+    np.where ELU: (output, context) of the layer over `chunk`."""
+    packed, sizes, prev = chunk.recurrence(layer, len(x))
+    pre = (x @ layer.w_xh.value + layer.b.value)[packed]
+    h = np.empty_like(pre)
+    a = 0
+    for n in sizes:
+        if prev is not None:
+            pre[a:a + n] += prev[:n] @ layer.w_hh.value
+        h[a:a + n] = _elu(pre[a:a + n], 1.0)
+        prev = h[a:a + n]
+        a += n
+    chunk.hold(layer, prev)
+    out = np.empty_like(h)
+    out[packed] = h
+    return out, (x, h, chunk)
+
+
+def recurrent_backward_allocating(layer, ctx, g):
+    """_Recurrent.backward with a fresh carry product and slope product per
+    time step and the blocked slope: adds the layer's gradients to its store
+    and returns the input gradient."""
+    x, h, chunk = ctx
+    slope = elu_slope_from_output_blocked(h, 1.0)
+    g = g[chunk.packed]
+    da = np.empty_like(h)
+    carry = np.zeros((chunk.first, layer.hidden), dtype=h.dtype)
+    b = len(h)
+    for t, n in reversed(list(enumerate(chunk.sizes))):
+        da[b - n:b] = (g[b - n:b] + carry[:n]) * slope[b - n:b]
+        if t:
+            carry[:n] = da[b - n:b] @ layer.w_hh.value.T
+        b -= n
+    layer.w_hh.grad += h[chunk.prev].T @ da[chunk.first:]
+    da_x = np.empty_like(da)
+    da_x[chunk.packed] = da
+    layer.w_xh.grad += x.T @ da_x
+    layer.b.grad += da_x.sum(axis=0)
+    return da_x @ layer.w_xh.value.T
 
 
 def _step_forward_one(step, x):

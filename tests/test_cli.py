@@ -413,9 +413,10 @@ class TestDecode:
         (6, "2 F <s> x 3", "6: symbol 'x' is not in the vocab"),
         (6, "3 B p2 q p0 3", "6: symbol 'q' is not in the vocab"),
         (6, "2 F <s> p0 9223372036854775808", "6: count '9223372036854775808' is past 2**63 - 1"),
+        (5, "vocab p0 p1 p2 p1", "5: vocab repeats symbol 'p1'"),
     ], ids=["header-only", "two-weights", "order-5", "direction", "short-context",
             "non-integer-count", "negative-count", "repeated-count", "symbol-not-in-vocab",
-            "context-symbol-not-in-vocab", "count-past-int64"])
+            "context-symbol-not-in-vocab", "count-past-int64", "vocab-repeats-symbol"])
     def test_malformed_lm_data_error(self, tmp_path, trained_tiny, tiny_corpus_dir, capsys,
                                      line, replace, message):
         lines = LM_TEXT.splitlines()

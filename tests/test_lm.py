@@ -286,6 +286,17 @@ class TestSaveLoad:
         # every count 0: each order gives k / (k * 3)
         assert model.conditional("p0", ()) == pytest.approx(1.0 / 3.0, abs=1e-15)
 
+    def test_vocab_listing_the_end_marker_sums_to_one(self, tmp_path):
+        # a marker the vocab lists is one event: a, b and </s>, not four
+        path = tmp_path / "m.lm"
+        path.write_text(self.HEADER.replace("p0 p1", "a b </s>")
+                        + "2 F a b 2\n2 F a </s> 1\n3 F <s> a b 1\n")
+        model = L.load_lm(path)
+        assert model.event_count == 3
+        for ctx in [("a",), ("b",), ()]:
+            total = sum(model.conditional(e, ctx) for e in ("a", "b", L.EOS))
+            assert abs(total - 1.0) <= 1e-12, ctx
+
     def test_vocab_whose_keys_overflow_int64_rejected(self):
         # B + B^2 + B^3 + B^4 keys fit in int64 up to B = 55108, |vocab| = 55105
         L.NgramModel(vocab=tuple(map(str, range(55105))))

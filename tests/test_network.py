@@ -6,9 +6,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from oracles import (_elu, _elu_grad, _elu_slope, _step_forward_one, conv2d_by_im2col,
-                     conv2d_grads_by_loops, fd_gradient, forward_breadth_first,
-                     max_relative_error, naive_matmul, recurrent_backward_by_steps, run_alone,
-                     sliding_conv2d)
+                     conv2d_grads_by_loops, elu_slope_from_output_blocked, fd_gradient,
+                     forward_breadth_first, max_relative_error, naive_matmul,
+                     recurrent_backward_allocating, recurrent_backward_by_steps,
+                     recurrent_forward_allocating, run_alone, sliding_conv2d)
 from rcasr import ctc as ctc_mod
 from rcasr import network as N
 from rcasr.numerics import ParameterStore, make_rng
@@ -98,11 +99,36 @@ class TestBlockedElu:
         assert d.tobytes() == slope_from_output(np.ascontiguousarray(x[:, ::-1]), alpha).tobytes()
 
     def test_out_writes_the_given_rows(self):
+        # as a recurrent step runs it: into h's rows, with its input as scratch
         x = elu_inputs(self.B + 3, 4).reshape(-1, 1)
+        want = _elu(x, 1.0)
         h = np.full((len(x) + 2, 1), 7.0)
-        N._elu_fwd(x, 1.0, out=h[1:-1])
-        assert h[1:-1].tobytes() == _elu(x, 1.0).tobytes()
+        N._elu_block(x, h[1:-1], x, 1.0)
+        assert h[1:-1].tobytes() == want.tobytes()
         assert h[0, 0] == h[-1, 0] == 7.0
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", SIZES)
+    def test_slope_bytes_equal_blocked_oracle(self, n, alpha):
+        y = N._elu_fwd(elu_inputs(n, n), alpha)
+        got = N._elu_slope_from_output(y, alpha)
+        assert got.tobytes() == elu_slope_from_output_blocked(y, alpha).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_slope_of_special_outputs_bytes_equal_blocked_oracle(self, alpha):
+        # every special but -inf, which no ELU outputs (see
+        # _elu_slope_from_output), taken as the output itself
+        y = ELU_SPECIAL[ELU_SPECIAL != -np.inf]
+        got = N._elu_slope_from_output(y, alpha)
+        assert got.tobytes() == elu_slope_from_output_blocked(y, alpha).tobytes()
+
+    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    def test_slope_of_non_contiguous_output_bytes_equal_blocked_oracle(self, alpha):
+        y = N._elu_fwd(elu_inputs(2 * (self.B + 5), 5), alpha).reshape(2, -1)[:, ::2]
+        assert not y.flags.c_contiguous
+        got = N._elu_slope_from_output(y, alpha)
+        assert got.shape == y.shape
+        assert got.tobytes() == elu_slope_from_output_blocked(y, alpha).tobytes()
 
     @pytest.mark.parametrize("n", SIZES)
     def test_alpha_zero_equal_values(self, n):
@@ -195,6 +221,39 @@ class TestRecurrent:
             assert np.max(np.abs(dx[s:e] - layer.backward(ctx1, g))) <= 1e-12, s
         for name, p in store.entries.items():
             assert np.max(np.abs(chunked[name] - p.grad)) <= 1e-12, name
+
+
+    @pytest.mark.parametrize("lengths", [[1, 23, 0, 9, 40, 17, 2], [13]],
+                             ids=["ragged-with-empty", "one-utterance"])
+    def test_chunk_bytes_equal_allocating_oracle(self, lengths):
+        d, hid = 5, 6
+        rng = make_rng(78)
+        layer, store = self.make(d, hid, seed=78)
+        ref, ref_store = self.make(d, hid, seed=78)
+        layer.b.value[...] = ref.b.value[...] = rng.normal(size=hid)
+        x = rng.normal(scale=2.0, size=(sum(lengths), d))
+        g = rng.normal(size=(sum(lengths), hid))
+        y, ctx = layer.forward(x, True, N._Chunk(lengths))
+        want, ref_ctx = recurrent_forward_allocating(ref, x, N._Chunk(lengths))
+        assert y.tobytes() == want.tobytes()
+        dx = layer.backward(ctx, g)
+        assert dx.tobytes() == recurrent_backward_allocating(ref, ref_ctx, g).tobytes()
+        for name, p in store.entries.items():
+            assert p.grad.tobytes() == ref_store[name].grad.tobytes(), name
+
+    def test_stream_bytes_equal_allocating_oracle(self):
+        layer, _ = self.make(4, 5, seed=79)
+        layer.b.value[...] = make_rng(80).normal(size=5)
+        x = make_rng(79).normal(scale=2.0, size=(17, 4))
+        stream, ref_stream = N._Stream(), N._Stream()
+        a = 0
+        for n in (1, 3, 2, 1, 3, 3, 2, 2):
+            y, _ = layer.forward(x[a:a + n], False, stream)
+            want, _ = recurrent_forward_allocating(layer, x[a:a + n], ref_stream)
+            assert y.tobytes() == want.tobytes(), a
+            assert stream.carry[layer].tobytes() == ref_stream.carry[layer].tobytes(), a
+            a += n
+        assert a == len(x)
 
 
 class TestConv2d:
