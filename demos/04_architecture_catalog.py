@@ -32,7 +32,7 @@ store = ParameterStore()
 inner = [_Conv2d(store, "f", 2, 2, make_rng(1))]
 for p in store.entries.values():
     p.value[...] = 0.0
-block = _ResidualBlock(inner, alpha=1.0)
+block = _ResidualBlock(inner)
 x = np.abs(make_rng(2).normal(size=(2, 3, 4)))
 out, _ = block.forward(x, False, _Chunk([3]))
 print("elu(x + 0) == x for x >= 0:", np.array_equal(out, x))

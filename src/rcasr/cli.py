@@ -147,9 +147,10 @@ def build_parser():
 
 
 def cmd_synth(args):
-    spec = corpus_mod.SyntheticSpec.default(
-        n_phonemes=args.n_phonemes, rng=make_rng(args.seed, 10), sigma=args.sigma)
-    corp = corpus_mod.generate_synthetic(spec, args.n, make_rng(args.seed, 11))
+    spec = _from_flags(corpus_mod.SyntheticSpec.default, n_phonemes=args.n_phonemes,
+                       rng=make_rng(args.seed, 10), sigma=args.sigma)
+    corp = _from_flags(corpus_mod.generate_synthetic, spec=spec, n_utterances=args.n,
+                       rng=make_rng(args.seed, 11))
     corpus_mod.save_corpus(corp, args.out)
     print(f"wrote {len(corp)} utterances to {args.out}")
     return EXIT_OK
@@ -220,10 +221,11 @@ def _load_training_inputs(args):
     return corp, part
 
 
-def _train_config(**flags):
-    """The TrainConfig of these flag values; a value it refuses is a usage error."""
+def _from_flags(make, **flags):
+    """make(**flags), which checks these flag values; a value it refuses is a
+    usage error."""
     try:
-        return trainer.TrainConfig(**flags)
+        return make(**flags)
     except ValueError as exc:
         raise UsageError(exc) from None
 
@@ -233,8 +235,8 @@ def cmd_train(args):
         net_config = get_config(args.config)
     except KeyError as exc:
         raise UsageError(exc.args[0]) from None
-    cfg = _train_config(
-        network=net_config, lr=args.lr, batch_size=args.batch_size,
+    cfg = _from_flags(
+        trainer.TrainConfig, network=net_config, lr=args.lr, batch_size=args.batch_size,
         epochs=args.epochs, seed=args.seed, dropout=args.dropout,
         out_dir=args.out, checkpoint_every=args.checkpoint_every,
     )
@@ -259,8 +261,8 @@ def cmd_compare(args):
             raise UsageError(f"--models names network {net_name!r} twice "
                              f"({given[net_name]!r} and {name!r})")
         given[net_name] = name
-    cfg = _train_config(network=names[0], lr=args.lr, batch_size=args.batch_size,
-                        epochs=args.epochs, seed=args.seed)
+    cfg = _from_flags(trainer.TrainConfig, network=names[0], lr=args.lr,
+                      batch_size=args.batch_size, epochs=args.epochs, seed=args.seed)
     corp, part = _load_training_inputs(args)
     results, errors = trainer.compare_architectures(names, cfg, corp, part, args.out)
     for name, path in results.items():
@@ -271,6 +273,7 @@ def cmd_compare(args):
 
 
 def cmd_lm_train(args):
+    _from_flags(lm_mod.NgramModel, vocab=(), smoothing_k=args.k, mu=args.mu)
     _require_path(args.data, "data directory")
     transcripts = corpus_mod.load_transcripts(args.data)
     ids = read_ids(args.ids, transcripts) if args.ids else list(transcripts)
@@ -302,7 +305,7 @@ def cmd_decode(args):
     ids = read_ids(args.ids, corpus_mod.load_transcripts(args.data)) if args.ids else None
     corp = corpus_mod.load_corpus(args.data, ids)
     net = build_network(net_config, output_units=corp.alphabet.size)
-    _adopt_values(net.store, load_checkpoint(args.ckpt), args.ckpt, config_path)
+    _adopt_values(net, load_checkpoint(args.ckpt), args.ckpt, config_path, args.data)
     model = None
     if args.lm:
         _require_path(args.lm, "language model")
@@ -321,19 +324,26 @@ def cmd_decode(args):
     return EXIT_OK
 
 
-def _adopt_values(store, loaded, ckpt="checkpoint", config="network config"):
+def _adopt_values(net, loaded, ckpt, config, data):
     """Copy a loaded checkpoint's values into the network's store; another
-    parameter set or shape is a ValueError naming the two files."""
-    ours = set(store.entries)
+    parameter set or shape is a ValueError naming the two files, and an
+    output layer of another width one naming the data directory, whose
+    alphabet sets that width."""
+    ours = set(net.store.entries)
     theirs = set(loaded.entries)
     if ours != theirs:
         raise ValueError(f"{ckpt} does not fit {config}: missing {sorted(ours - theirs)}, "
                          f"unexpected {sorted(theirs - ours)}")
-    for name, p in loaded.entries.items():
-        if store[name].value.shape != p.value.shape:
+    output = net.steps[-1]      # the linear_output layer
+    for name, p in net.store.entries.items():
+        shape = loaded[name].value.shape
+        if p.value.shape != shape:
+            if p is output.w or p is output.b:
+                raise ValueError(f"{ckpt} scores {shape[-1]} labels, but the alphabet of "
+                                 f"{data} has {net.output_units} (blank included)")
             raise ValueError(f"{ckpt} does not fit {config}: '{name}' is "
-                             f"{p.value.shape}, not {store[name].value.shape}")
-        store[name].value[...] = p.value
+                             f"{shape}, not {p.value.shape}")
+        p.value[...] = loaded[name].value
 
 
 def hypothesis_line(utt_id, score, symbols):

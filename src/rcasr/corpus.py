@@ -9,6 +9,7 @@ are loaded but flagged infeasible; training skips them with a warning.
 """
 
 import logging
+import math
 import os
 from dataclasses import dataclass
 
@@ -164,8 +165,8 @@ class SyntheticSpec:
         self.means = np.asarray(self.means, dtype=np.float64)
         self.transitions = np.asarray(self.transitions, dtype=np.float64)
         self.start_probs = np.asarray(self.start_probs, dtype=np.float64)
-        if self.sigma < 0:
-            raise ValueError("sigma must be >= 0")
+        if not 0 <= self.sigma < math.inf:     # written so that nan fails
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         n = self.means.shape[0]
         for i in range(n):
             for j in range(i + 1, n):
@@ -184,6 +185,8 @@ class SyntheticSpec:
 
     @classmethod
     def default(cls, n_phonemes=10, rng=None, sigma=0.25):
+        if n_phonemes < 1:
+            raise ValueError(f"n_phonemes must be >= 1, got {n_phonemes}")
         rng = rng if rng is not None else np.random.default_rng(0)
         means = rng.normal(0.0, 1.0, size=(n_phonemes, feats.N_FEATURES))
         transitions = rng.dirichlet(np.ones(n_phonemes) * 2.0, size=n_phonemes)
@@ -193,6 +196,8 @@ class SyntheticSpec:
 
 def generate_synthetic(spec, n_utterances, rng):
     """Draw a corpus of labelled feature matrices from the generator spec."""
+    if n_utterances < 0:
+        raise ValueError(f"n_utterances must be >= 0, got {n_utterances}")
     alphabet = synthetic_alphabet(spec.n_phonemes)
     lo_len, hi_len = spec.sentence_length_range
     lo_dur, hi_dur = spec.duration_range

@@ -87,7 +87,7 @@ class NgramModel:
             self._ids.setdefault(s, i)
         self._names = names
         self._known = {s: self._ids[s] for s in self.vocab}
-        self._events = len(set(self._known.values()) | {self._ids[EOS]})
+        self._event_ids = sorted(set(self._known.values()) | {self._ids[EOS]})
         self._bos, self._eos, self._unk = (self._ids[s] for s in (BOS, EOS, UNK))
         self._start = self._bos * (base ** HISTORY - 1) // (base - 1)   # HISTORY start markers
         empty = _table(np.zeros(0, np.int64), np.zeros(0, np.int64))
@@ -97,7 +97,7 @@ class NgramModel:
     # marker, which a vocab that lists it does not add twice
     @property
     def event_count(self):
-        return self._events
+        return len(self._event_ids)
 
     def _set_counts(self, direction, keys, counts):
         """Hold one direction's n-gram counts: int64 keys, unique, in any
@@ -273,24 +273,33 @@ def save_lm(path, model):
                 fh.writelines(line + "\n" for line in lines)
 
 
-def _first_repeat(model, found):
+def _first_fault(model, found):
     """The LineError of the first count line that repeats an earlier line's
-    n-gram, or None.  `found` maps a direction to its keys and their line
-    numbers, in file order."""
-    first = None
+    n-gram or counts a symbol outside the event space (<s> or <unk> after
+    its context), or None.  `found` maps a direction to its keys and their
+    line numbers, in file order."""
+    faults = []   # (line, direction, key, repeat)
     for d, (keys, _, lines) in found.items():
         keys = np.frombuffer(keys, dtype=np.int64)
         order = np.argsort(keys, kind="stable")
         # of equal keys the stable sort puts the earlier line first
         later = order[1:][keys[order[1:]] == keys[order[:-1]]]
-        if len(later) and (first is None or lines[later.min()] < first[0]):
-            first = (lines[later.min()], d, int(keys[later.min()]))
-    if first is None:
+        if len(later):
+            faults.append((lines[later.min()], d, int(keys[later.min()]), True))
+        # every off(n) is a multiple of B, so a key's last base-B digit is
+        # its counted symbol's id
+        outside = np.flatnonzero(~np.isin(keys % model._base, model._event_ids))
+        if len(outside):
+            faults.append((lines[outside[0]], d, int(keys[outside[0]]), False))
+    if not faults:
         return None
-    ln, d, key = first
+    ln, d, key, repeat = min(faults)
     n = max(m for m in ORDERS if key >= model._offsets[m])
     *ctx, sym = (model._names[i] for i in model._ids_of(key - model._offsets[n], n))
-    return LineError(ln, f"repeats the order-{n} {d} count of {sym!r} after {' '.join(ctx)!r}")
+    if repeat:
+        return LineError(ln, f"repeats the order-{n} {d} count of {sym!r} after {' '.join(ctx)!r}")
+    return LineError(ln, f"counts {sym!r} after {' '.join(ctx)!r}, which is neither a vocab "
+                     f"symbol nor {EOS!r}")
 
 
 def load_lm(path):
@@ -354,11 +363,11 @@ def load_lm(path):
                 keys.append(offset + code)
                 lines.append(ln)
         except LineError as exc:
-            # a repeat on an earlier line is the first fault
-            raise _first_repeat(model, found) or exc from None
-        repeat = _first_repeat(model, found)
-        if repeat:
-            raise repeat
+            # a fault on an earlier line comes first
+            raise _first_fault(model, found) or exc from None
+        fault = _first_fault(model, found)
+        if fault:
+            raise fault
         for d, (keys, counts, _) in found.items():
             if sum(counts) > _SENTINEL:
                 raise ValueError(f"the {d} counts sum past 2**63 - 1")

@@ -21,7 +21,6 @@ forward's chunk, which also carries the dropout generator, or the _Stream
 of a streamed utterance, so a step keeps nothing between forwards.
 """
 
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -33,18 +32,19 @@ from .textio import reading
 KERNEL = 3
 
 # Each layer kind takes exactly one parameter: (config key, type, value used
-# when a config omits it or None when it is required, valid range).
+# when a config omits it or None when it is required, valid range).  The ELU
+# runs at alpha 1 only; its key stays so that written configs read back.
 LAYER_PARAMS = {
     "recurrent": ("hidden_units", int, 128, ">= 1"),
     "conv2d": ("feature_maps", int, None, ">= 1"),
     "dense": ("units", int, None, ">= 1"),
-    "elu": ("alpha", float, 1.0, "finite and >= 0"),
+    "elu": ("alpha", float, 1.0, "1"),
     "dropout": ("rate", float, 0.1, "in [0, 1)"),
     "linear_output": ("units", int, 62, ">= 1"),
 }
 _IN_RANGE = {
     ">= 1": lambda v: v >= 1,
-    "finite and >= 0": lambda v: math.isfinite(v) and v >= 0,
+    "1": lambda v: v == 1,
     "in [0, 1)": lambda v: 0 <= v < 1,
 }
 
@@ -84,8 +84,8 @@ def dense(units):
     return LayerSpec("dense", units)
 
 
-def elu(alpha=1.0):
-    return LayerSpec("elu", alpha)
+def elu():
+    return LayerSpec("elu", 1.0)
 
 
 def dropout(rate=0.1):
@@ -245,77 +245,47 @@ class _Stream:
 _CHUNK_BYTES = 3 << 20
 
 
-# Elements per block of the ELU loops below: each block's passes run on
-# operands that stay in cache.  On RC1's 48 x 298 x 128 map stack (a Xeon
+# Elements per block of the ELU forward loop below: each block's passes run
+# on operands that stay in cache.  On RC1's 48 x 298 x 128 map stack (a Xeon
 # with 4 MiB of L2, medians of 25 interleaved runs) 4k / 8k / 16k / 32k /
 # 64k / 256k elements ran the forward in 12.7 / 10.2 / 8.9 / 9.0 / 9.3 /
-# 11.4 ms and the slope in 15.8 / 11.6 / 11.7 / 12.2 / 13.1 / 17.7 ms; the
-# masked whole-array forms took 29.7 and 26.0 ms.
+# 11.4 ms; the masked whole-array form took 29.7 ms.
 _ELU_BLOCK = 1 << 14
 
 
-def _blocks(x, y):
-    """(x, y) block pairs for the ELU loops, y C-contiguous of x's shape: the
-    arrays themselves when they fit one block, else consecutive flat blocks
-    of both."""
-    if x.size <= _ELU_BLOCK:
-        return [(x, y)]
-    xf, yf = np.ravel(x), y.reshape(-1)
-    return [(xf[a:a + _ELU_BLOCK], yf[a:a + _ELU_BLOCK]) for a in range(0, xf.size, _ELU_BLOCK)]
-
-
-def _elu_block(x, y, pos, alpha):
-    """y = max(x, 0) + alpha * (exp(min(x, 0)) - 1), with pos, of x's shape,
-    as scratch; pos may be x itself when x is not needed afterwards.  Each
-    term is exactly 0 where the other applies, so this is np.where(x > 0, x,
-    alpha * (exp(min(x, 0)) - 1)) without a mask.  Five passes at alpha 1,
-    where times alpha is an exact no-op; the four-pass max(exp(min(x, 0)) -
-    1, x) would differ for some x in (-1.2e-8, 0), where the rounded
-    exp(x) - 1 falls below x."""
+def _elu_block(x, y, pos):
+    """y = max(x, 0) + (exp(min(x, 0)) - 1), the ELU at alpha 1, with pos, of
+    x's shape, as scratch; pos may be x itself when x is not needed
+    afterwards.  Each term is exactly 0 where the other applies, so this is
+    np.where(x > 0, x, exp(min(x, 0)) - 1) without a mask.  The four-pass
+    max(exp(min(x, 0)) - 1, x) would differ for some x in (-1.2e-8, 0),
+    where the rounded exp(x) - 1 falls below x."""
     np.minimum(x, 0.0, out=y)
     np.exp(y, out=y)
     y -= 1.0
-    if alpha != 1.0:
-        y *= alpha
     np.maximum(x, 0.0, out=pos)
     y += pos
 
 
-def _elu_fwd(x, alpha):
-    """The ELU of x (see _elu_block) as a new C-contiguous array, in blocks
-    of _ELU_BLOCK elements."""
+def _elu_fwd(x):
+    """The ELU of x (see _elu_block) as a new C-contiguous array, in
+    consecutive flat blocks of _ELU_BLOCK elements."""
     y = np.empty(x.shape, dtype=x.dtype)
-    blocks = _blocks(x, y)
-    scratch = np.empty_like(blocks[0][1])    # one buffer for every block
-    for xb, yb in blocks:
-        _elu_block(xb, yb, scratch[:len(xb)], alpha)
+    xf, yf = np.ravel(x), y.reshape(-1)
+    scratch = np.empty(min(xf.size, _ELU_BLOCK), dtype=y.dtype)   # one buffer for every block
+    for a in range(0, xf.size, _ELU_BLOCK):
+        xb = xf[a:a + _ELU_BLOCK]
+        _elu_block(xb, yf[a:a + _ELU_BLOCK], scratch[:len(xb)])
     return y
 
 
-def _elu_slope_from_output(y, alpha):
-    """The ELU slope from the ELU's output y: 1 where y > 0 and y + alpha
-    (alpha * exp(x)) elsewhere.  At alpha 1 that is min(y, 0) + 1, two
-    whole-array passes: 0 + 1 where y > 0 (+inf included), the one rounding
-    of y + 1 elsewhere, and nan at nan.  Any other alpha needs a fix-up where
-    y > 0, in blocks: d = min(y, 0) + alpha, then with h the 0/1 floats of
-    y > 0, d -= d * h and d += h; d = y + alpha would be inf, and d - d * h
-    nan, at y = +inf.  The two forms differ only at y = -inf, which no ELU
-    outputs (min(y, 0) + 1 is -inf, the fix-up's nan)."""
-    if alpha == 1.0:
-        d = np.minimum(y, 0.0)
-        d += 1.0
-        return d
-    d = np.empty(y.shape, dtype=y.dtype)
-    blocks = _blocks(y, d)
-    h, dh = np.empty((2,) + blocks[0][1].shape, dtype=d.dtype)
-    for yb, db in blocks:
-        hb, dhb = h[:len(yb)], dh[:len(yb)]
-        np.minimum(yb, 0.0, out=db)
-        db += alpha
-        np.greater(yb, 0.0, out=hb)
-        np.multiply(db, hb, out=dhb)
-        db -= dhb
-        db += hb
+def _elu_slope_from_output(y):
+    """The ELU slope from the ELU's output y: 1 where y > 0 and y + 1
+    (exp(x)) elsewhere, that is min(y, 0) + 1 in two whole-array passes:
+    0 + 1 where y > 0 (+inf included), the one rounding of y + 1 elsewhere,
+    and nan at nan."""
+    d = np.minimum(y, 0.0)
+    d += 1.0
     return d
 
 
@@ -324,15 +294,12 @@ class _Elu:
     context is then the same array, and the output of the step before is
     freed once the ELU has run."""
 
-    def __init__(self, alpha):
-        self.alpha = alpha
-
     def forward(self, x, training, chunk):
-        y = _elu_fwd(x, self.alpha)
+        y = _elu_fwd(x)
         return y, y
 
     def backward(self, ctx, g):
-        d = _elu_slope_from_output(ctx, self.alpha)
+        d = _elu_slope_from_output(ctx)
         d *= g
         return d
 
@@ -370,7 +337,7 @@ class _Affine:
 
 
 class _Recurrent:
-    """h_t = elu(W_xh x_t + W_hh h_{t-1} + b) with alpha 1, h_0 = 0, in each
+    """h_t = elu(W_xh x_t + W_hh h_{t-1} + b), h_0 = 0, in each
     utterance of the chunk; backward is full BPTT.  Each time step is one
     GEMM over the utterances still running (see _Chunk), and allocates
     nothing: forward writes each step's W_hh product into one buffer and
@@ -378,7 +345,6 @@ class _Recurrent:
     keeps h, whose ELU slope backward derives, and not the pre-activations."""
 
     def __init__(self, store, name, in_dim, hidden, rng):
-        self.alpha = 1.0
         self.hidden = hidden
         self.w_xh = store.add(f"{name}/W_xh", glorot_init((in_dim, hidden), rng))
         self.w_hh = store.add(f"{name}/W_hh", glorot_init((hidden, hidden), rng))
@@ -399,7 +365,7 @@ class _Recurrent:
                 np.matmul(prev[:n], self.w_hh.value, out=tmp[:n])
                 p += tmp[:n]
             prev = h[a:a + n]
-            _elu_block(p, prev, p, self.alpha)   # nothing keeps pre: p is the scratch
+            _elu_block(p, prev, p)   # nothing keeps pre: p is the scratch
             a += n
         chunk.hold(self, prev)
         out = np.empty_like(h)
@@ -409,7 +375,7 @@ class _Recurrent:
     def backward(self, ctx, g):
         # only the carry is sequential; every gradient is one GEMM over all steps
         x, h, chunk = ctx
-        slope = _elu_slope_from_output(h, self.alpha)
+        slope = _elu_slope_from_output(h)
         g = g[chunk.packed]
         da = np.empty_like(h)
         carry = np.zeros((chunk.first, self.hidden), dtype=h.dtype)
@@ -613,9 +579,8 @@ class _ResidualBlock:
     """elu(x + F(x)) with an identity shortcut; F is a conv/elu run.  Like
     _Elu, the block keeps its output for the closing ELU's slope."""
 
-    def __init__(self, inner, alpha):
+    def __init__(self, inner):
         self.inner = inner
-        self.alpha = alpha
 
     def forward(self, x, training, chunk):
         h, inner_ctx = _run_forward(self.inner, x, training, chunk)
@@ -624,12 +589,12 @@ class _ResidualBlock:
             raise ValueError(
                 f"residual branch changed shape {x.shape} -> {h.shape}; identity shortcut impossible"
             )
-        y = _elu_fwd(x + h, self.alpha)
+        y = _elu_fwd(x + h)
         return y, (inner_ctx, y) if training else None
 
     def backward(self, ctx, g):
         inner_ctx, y = ctx
-        da = g * _elu_slope_from_output(y, self.alpha)
+        da = g * _elu_slope_from_output(y)
         return da + _run_backward(self.inner, inner_ctx, da)
 
 
@@ -724,7 +689,7 @@ def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,
         name = f"L{i:02d}_{spec.kind}"
         value = _layer_param(spec)
         if spec.kind == "elu":
-            step = _Elu(value)
+            step = _Elu()
         elif spec.kind == "dropout":
             step = _Dropout(value if dropout_override is None else dropout_override)
         elif spec.kind == "recurrent":
@@ -760,7 +725,7 @@ def build_network(config, input_dim=N_FEATURES, output_units=None, rng=None,
                         f"{config.layers[j].value} maps but the span carries {maps}"
                     )
             inner = [make_step(j, config.layers[j]) for j in range(a, b - 1)]
-            steps.append(_ResidualBlock(inner, _layer_param(config.layers[b - 1])))
+            steps.append(_ResidualBlock(inner))
             i = b
         else:
             steps.append(make_step(i, config.layers[i]))

@@ -104,7 +104,7 @@ def conv2d_grads_by_loops(x, kernels, g):
     return dk, db, dxp[:, 1:-1, 1:-1]
 
 
-def recurrent_backward_by_steps(x, pre, h, g, w_xh, w_hh, alpha=1.0):
+def recurrent_backward_by_steps(x, pre, h, g, w_xh, w_hh):
     """BPTT for h_t = elu(x_t W_xh + h_{t-1} W_hh + b), one time step at a
     time; returns (dW_xh, dW_hh, db, dX)."""
     t_len, hidden = pre.shape
@@ -114,7 +114,7 @@ def recurrent_backward_by_steps(x, pre, h, g, w_xh, w_hh, alpha=1.0):
     dx = np.zeros(x.shape)
     carry = np.zeros(hidden)
     for t in range(t_len - 1, -1, -1):
-        slope = np.where(pre[t] > 0, 1.0, alpha * np.exp(np.minimum(pre[t], 0.0)))
+        slope = np.where(pre[t] > 0, 1.0, np.exp(np.minimum(pre[t], 0.0)))
         da = (g[t] + carry) * slope
         h_prev = h[t - 1] if t > 0 else np.zeros(hidden)
         dw_xh += np.outer(x[t], da)
@@ -127,20 +127,20 @@ def recurrent_backward_by_steps(x, pre, h, g, w_xh, w_hh, alpha=1.0):
 
 # -- the per-utterance training step, frozen -----------------------------------
 
-def _elu(x, alpha):
-    return np.where(x > 0, x, alpha * (np.exp(np.minimum(x, 0.0)) - 1.0))
+def _elu(x):
+    return np.where(x > 0, x, np.exp(np.minimum(x, 0.0)) - 1.0)
 
 
-def _elu_slope(x, alpha):
-    return np.where(x > 0, 1.0, alpha * np.exp(np.minimum(x, 0.0)))
+def _elu_slope(x):
+    return np.where(x > 0, 1.0, np.exp(np.minimum(x, 0.0)))
 
 
-def _elu_grad(x, alpha):
+def _elu_grad(x):
     """The ELU slope from the input x, in the mask-free form rcasr used
-    before its steps kept the ELU's output: d = alpha * exp(min(x, 0)), then
-    with h the 0/1 floats of x > 0, d -= d * h and d += h.  Whole-array; the
+    before its steps kept the ELU's output: d = exp(min(x, 0)), then with h
+    the 0/1 floats of x > 0, d -= d * h and d += h.  Whole-array; the
     blocked form gave the same bytes."""
-    d = alpha * np.exp(np.minimum(x, 0.0))
+    d = np.exp(np.minimum(x, 0.0))
     h = (x > 0).astype(d.dtype)
     d -= d * h
     d += h
@@ -195,11 +195,11 @@ def forward_breadth_first(net, xs):
 
 # -- the recurrent time steps and ELU slope before they stopped allocating -----
 
-def elu_slope_from_output_blocked(y, alpha):
+def elu_slope_from_output_blocked(y):
     """The ELU slope from the ELU's output y in the six-pass blocked form
-    rcasr ran at every alpha: d = min(y, 0) + alpha, then with h the 0/1
-    floats of y > 0, d -= d * h and d += h, over flat blocks of 2**14
-    elements."""
+    rcasr ran before the two-pass min(y, 0) + 1: d = min(y, 0) + 1, then
+    with h the 0/1 floats of y > 0, d -= d * h and d += h, over flat blocks
+    of 2**14 elements."""
     block = 1 << 14
     d = np.empty(y.shape, dtype=y.dtype)
     yf, df = np.ravel(y), d.reshape(-1)
@@ -207,7 +207,7 @@ def elu_slope_from_output_blocked(y, alpha):
         yb, db = yf[a:a + block], df[a:a + block]
         h = (yb > 0).astype(d.dtype)
         np.minimum(yb, 0.0, out=db)
-        db += alpha
+        db += 1.0
         db -= db * h
         db += h
     return d
@@ -223,7 +223,7 @@ def recurrent_forward_allocating(layer, x, chunk):
     for n in sizes:
         if prev is not None:
             pre[a:a + n] += prev[:n] @ layer.w_hh.value
-        h[a:a + n] = _elu(pre[a:a + n], 1.0)
+        h[a:a + n] = _elu(pre[a:a + n])
         prev = h[a:a + n]
         a += n
     chunk.hold(layer, prev)
@@ -237,7 +237,7 @@ def recurrent_backward_allocating(layer, ctx, g):
     time step and the blocked slope: adds the layer's gradients to its store
     and returns the input gradient."""
     x, h, chunk = ctx
-    slope = elu_slope_from_output_blocked(h, 1.0)
+    slope = elu_slope_from_output_blocked(h)
     g = g[chunk.packed]
     da = np.empty_like(h)
     carry = np.zeros((chunk.first, layer.hidden), dtype=h.dtype)
@@ -265,7 +265,7 @@ def _step_forward_one(step, x):
         prev = np.zeros(step.hidden)
         for t in range(len(pre)):
             pre[t] += prev @ step.w_hh.value
-            prev = h[t] = _elu(pre[t], step.alpha)
+            prev = h[t] = _elu(pre[t])
         return h, (x, pre, h)
     if kind == "_Conv2d":
         _, t, f = x.shape
@@ -277,9 +277,9 @@ def _step_forward_one(step, x):
         for inner in step.inner:
             h, ctx = _step_forward_one(inner, h)
             ctxs.append(ctx)
-        return _elu(x + h, step.alpha), (ctxs, x + h)
+        return _elu(x + h), (ctxs, x + h)
     if kind == "_Elu":
-        return _elu(x, step.alpha), x
+        return _elu(x), x
     if kind == "_Affine":
         return x @ step.w.value + step.b.value, x
     if kind == "_Dropout":
@@ -298,8 +298,7 @@ def _step_backward_one(step, ctx, g):
     kind = type(step).__name__
     if kind == "_Recurrent":
         x, pre, h = ctx
-        grads = recurrent_backward_by_steps(x, pre, h, g, step.w_xh.value, step.w_hh.value,
-                                            step.alpha)
+        grads = recurrent_backward_by_steps(x, pre, h, g, step.w_xh.value, step.w_hh.value)
         for p, d in zip((step.w_xh, step.w_hh, step.b), grads):
             p.grad += d
         return grads[3]
@@ -313,13 +312,13 @@ def _step_backward_one(step, ctx, g):
         return (flipped @ _im2col(_pad1(g))).reshape(c, t, f)
     if kind == "_ResidualBlock":
         ctxs, pre = ctx
-        da = g * _elu_slope(pre, step.alpha)
+        da = g * _elu_slope(pre)
         d = da
         for inner, inner_ctx in zip(reversed(step.inner), reversed(ctxs)):
             d = _step_backward_one(inner, inner_ctx, d)
         return da + d
     if kind == "_Elu":
-        return g * _elu_slope(ctx, step.alpha)
+        return g * _elu_slope(ctx)
     if kind == "_Affine":
         step.w.grad += ctx.T @ g
         step.b.grad += g.sum(axis=0)

@@ -79,7 +79,7 @@ def _layer_instances(kind, rng):
     """One random small instance: returns (loss_fn, [(analytic, value_array)])."""
     if kind == "elu":
         x = rng.normal(size=(int(rng.integers(1, 5)), int(rng.integers(1, 6))))
-        layer = N._Elu(1.0)
+        layer = N._Elu()
         target = rng.normal(size=x.shape)
 
         def loss():
@@ -107,9 +107,9 @@ def _layer_instances(kind, rng):
         target = rng.normal(size=(co,) + x.shape[1:])
     elif kind == "residual":
         ci = int(rng.integers(1, 4))
-        inner = [N._Conv2d(store, "p", ci, ci, rng), N._Elu(1.0),
+        inner = [N._Conv2d(store, "p", ci, ci, rng), N._Elu(),
                  N._Conv2d(store, "q", ci, ci, rng)]
-        layer = N._ResidualBlock(inner, 1.0)
+        layer = N._ResidualBlock(inner)
         x = rng.normal(size=(ci, int(rng.integers(1, 5)), int(rng.integers(1, 5))))
         target = rng.normal(size=x.shape)
     else:
@@ -210,11 +210,11 @@ def test_criterion_04_posterior_reconstruction_constant():
 def test_criterion_05_residual_identity():
     rng = make_rng(1005)
     store = ParameterStore()
-    inner = [N._Conv2d(store, "f1", 2, 2, rng), N._Elu(1.0),
+    inner = [N._Conv2d(store, "f1", 2, 2, rng), N._Elu(),
              N._Conv2d(store, "f2", 2, 2, rng)]
     for p in store.entries.values():
         p.value[...] = 0.0
-    block = N._ResidualBlock(inner, 1.0)
+    block = N._ResidualBlock(inner)
     for _ in range(10):
         x = np.abs(rng.normal(size=(2, 4, 5)))
         y, ctx = run_alone(block, x, True)

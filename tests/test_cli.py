@@ -70,6 +70,26 @@ class TestSynth:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lm-train", "--k", "0"], "smoothing k must be positive and finite, got 0.0"),
+    (["lm-train", "--k", "nan"], "smoothing k must be positive and finite, got nan"),
+    (["lm-train", "--mu", "2"], "mu must lie in [0, 1], got 2.0"),
+    (["synth", "--n", "3", "--sigma", "-1"], "sigma must be finite and >= 0, got -1.0"),
+    (["synth", "--n", "3", "--n-phonemes", "0"], "n_phonemes must be >= 1, got 0"),
+    (["synth", "--n", "-2"], "n_utterances must be >= 0, got -2"),
+], ids=["k-zero", "k-nan", "mu-above-one", "negative-sigma", "no-phonemes", "negative-n"])
+def test_refused_flag_value_usage_error(tmp_path, tiny_corpus_dir, capsys, argv, message,
+                                        monkeypatch):
+    # refused before any input is read or output written
+    monkeypatch.setattr(corpus_mod, "load_transcripts",
+                        lambda *a: pytest.fail("read input before checking the flags"))
+    out = tmp_path / "out"
+    data = ["--data", str(tiny_corpus_dir)] if argv[0] == "lm-train" else []
+    assert cli.main(argv + data + ["--out", str(out)]) == 1
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestTrain:
     def test_missing_config_usage_error(self, tmp_path, capsys):
         rc = cli.main(["train", "--config", str(tmp_path / "nope.netcfg"),
@@ -118,11 +138,13 @@ class TestTrain:
         ("conv2d feature_maps=0", "line 2: conv2d feature_maps= must be >= 1, got 0"),
         ("recurrent hidden_units=-3", "line 2: recurrent hidden_units= must be >= 1, got -3"),
         ("dense units=0", "line 2: dense units= must be >= 1, got 0"),
-        ("elu alpha=nan", "line 2: elu alpha= must be finite and >= 0, got nan"),
+        ("elu alpha=nan", "line 2: elu alpha= must be 1, got nan"),
+        ("elu alpha=0.5", "line 2: elu alpha= must be 1, got 0.5"),
         ("dropout rate=1.5", "line 2: dropout rate= must be in [0, 1), got 1.5"),
         ("conv2d feature_maps=2 feature_maps=3", "line 2: conv2d sets feature_maps= twice"),
     ], ids=["conv2d-rate", "recurrent-units", "conv2d-no-maps", "non-numeric", "zero-maps",
-            "negative-hidden", "zero-units", "nan-alpha", "rate-above-one", "repeated-key"])
+            "negative-hidden", "zero-units", "nan-alpha", "half-alpha", "rate-above-one",
+            "repeated-key"])
     def test_malformed_config_data_error(self, tmp_path, tiny_corpus_dir, capsys, layer, message):
         cfg = tmp_path / "bad.netcfg"
         cfg.write_text(f"network bad\n{layer}\nelu\nlinear_output units=4\n")
@@ -413,10 +435,13 @@ class TestDecode:
         (6, "2 F <s> x 3", "6: symbol 'x' is not in the vocab"),
         (6, "3 B p2 q p0 3", "6: symbol 'q' is not in the vocab"),
         (6, "2 F <s> p0 9223372036854775808", "6: count '9223372036854775808' is past 2**63 - 1"),
+        (6, "2 F p0 <unk> 3",
+         "6: counts '<unk>' after 'p0', which is neither a vocab symbol nor '</s>'"),
         (5, "vocab p0 p1 p2 p1", "5: vocab repeats symbol 'p1'"),
     ], ids=["header-only", "two-weights", "order-5", "direction", "short-context",
             "non-integer-count", "negative-count", "repeated-count", "symbol-not-in-vocab",
-            "context-symbol-not-in-vocab", "count-past-int64", "vocab-repeats-symbol"])
+            "context-symbol-not-in-vocab", "count-past-int64", "non-event-symbol",
+            "vocab-repeats-symbol"])
     def test_malformed_lm_data_error(self, tmp_path, trained_tiny, tiny_corpus_dir, capsys,
                                      line, replace, message):
         lines = LM_TEXT.splitlines()
@@ -489,6 +514,30 @@ class TestDecode:
         assert want in err
         assert not out.exists()
 
+    def test_config_spelling_out_elu_alpha_decodes(self, tmp_path, trained_tiny,
+                                                   tiny_corpus_dir):
+        # train writes the ELU's one legal value into every config
+        assert "\nelu alpha=1\n" in trained_tiny["netcfg"].read_text()
+        out = tmp_path / "hyp.txt"
+        assert cli.main(["decode", "--ckpt", str(trained_tiny["ckpt"]),
+                         "--config", str(trained_tiny["netcfg"]), "--data", str(tiny_corpus_dir),
+                         "--beam", "1", "--out", str(out)]) == 0
+        assert len(cli.read_hypotheses(out)) == 30
+
+    def test_alphabet_mismatch_names_the_data(self, tmp_path, trained_tiny, capsys):
+        # the model scores 3 phonemes and the blank; this corpus has 5 and the blank
+        spec = corpus_mod.SyntheticSpec.default(n_phonemes=5, rng=make_rng(102, 1))
+        data = tmp_path / "five"
+        corpus_mod.save_corpus(corpus_mod.generate_synthetic(spec, 2, make_rng(102, 2)), data)
+        out = tmp_path / "hyp.txt"
+        rc = cli.main(["decode", "--ckpt", str(trained_tiny["ckpt"]), "--data", str(data),
+                       "--beam", "1", "--out", str(out)])
+        assert rc == 2
+        assert capsys.readouterr().err.startswith(
+            f"data error: {trained_tiny['ckpt']} scores 4 labels, but the alphabet of {data} "
+            "has 6 (blank included)")
+        assert not out.exists()
+
     def test_float32_checkpoint_data_error(self, tmp_path, trained_tiny, tiny_corpus_dir,
                                            capsys):
         bad = trained_tiny["dir"] / "RC2-toy_97.ckpt"
@@ -535,7 +584,7 @@ class TestDecode:
         tracemalloc.start()
         try:
             net = build_network(catalog()["RC1"])
-            cli._adopt_values(net.store, load_checkpoint(ckpt))
+            cli._adopt_values(net, load_checkpoint(ckpt), ckpt, "RC1", "no data")
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -297,6 +297,28 @@ class TestSaveLoad:
             total = sum(model.conditional(e, ctx) for e in ("a", "b", L.EOS))
             assert abs(total - 1.0) <= 1e-12, ctx
 
+    @pytest.mark.parametrize("sym", ["b", L.EOS, L.BOS, L.UNK])
+    def test_conditionals_of_a_loaded_model_sum_to_one(self, tmp_path, sym):
+        # the events after a are a, b and </s>: a count of <s> or <unk>
+        # there would take 5 / 9 of their mass (at k 1), so it is refused
+        path = tmp_path / "m.lm"
+        path.write_text(self.HEADER.replace("p0 p1", "a b") + f"2 F a {sym} 5\n2 F a a 1\n")
+        if sym in (L.BOS, L.UNK):
+            with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:6: counts "
+                                                 f"'{sym}' after 'a', which is neither"):
+                L.load_lm(path)
+            return
+        model = L.load_lm(path)
+        total = sum(model.conditional(e, ("a",)) for e in ("a", "b", L.EOS))
+        assert abs(total - 1.0) <= 1e-12
+
+    def test_count_outside_the_events_reported_before_later_faults(self, tmp_path):
+        path = tmp_path / "m.lm"
+        path.write_text(self.HEADER + "2 F <s> p0 1\n2 B p0 <s> 1\n2 F <s> p0 2\n2 F <s> x 1\n")
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:7: counts '<s>' after "
+                                             "'p0', which is neither a vocab symbol nor '</s>'$"):
+            L.load_lm(path)
+
     def test_vocab_whose_keys_overflow_int64_rejected(self):
         # B + B^2 + B^3 + B^4 keys fit in int64 up to B = 55108, |vocab| = 55105
         L.NgramModel(vocab=tuple(map(str, range(55105))))

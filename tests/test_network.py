@@ -25,23 +25,18 @@ def single_layer_net(spec, input_dim, spans=(), seed=0):
 
 class TestElu:
     def test_values(self):
-        e = N._Elu(1.0)
+        e = N._Elu()
         y, _ = run_alone(e, np.array([0.0, 2.0, -1.0]), False)
         assert y[0] == 0.0
         assert y[1] == 2.0
         assert y[2] == pytest.approx(np.exp(-1) - 1, abs=1e-15)
 
     def test_derivative_continuous_at_zero(self):
-        e = N._Elu(1.0)
+        e = N._Elu()
         left = e.backward(run_alone(e, np.array([-1e-12]), True)[1], np.ones(1))[0]
         right = e.backward(run_alone(e, np.array([1e-12]), True)[1], np.ones(1))[0]
         assert left == pytest.approx(1.0, abs=1e-11)
         assert right == 1.0
-
-    def test_alpha_scales_negative_branch(self):
-        e = N._Elu(0.5)
-        y, _ = run_alone(e, np.array([-2.0]), False)
-        assert y[0] == pytest.approx(0.5 * (np.exp(-2) - 1), abs=1e-15)
 
 
 # signed zeros, subnormals, exp under/overflow, infinities and NaN
@@ -49,93 +44,97 @@ ELU_SPECIAL = np.array([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-17, 
                         800.0, -800.0, np.inf, -np.inf, np.nan])
 
 
-def elu_inputs(n, seed):
-    x = make_rng(seed).normal(scale=3.0, size=n)
-    k = min(n, ELU_SPECIAL.size)
-    x[:k] = ELU_SPECIAL[:k]
+def scaled(x, scale):
+    """x with its finite entries times scale (0 * inf would be nan)."""
+    x = x.copy()
+    x[np.isfinite(x)] *= scale
     return x
 
 
-def slope_from_output(x, alpha):
-    return N._elu_slope_from_output(N._elu_fwd(x, alpha), alpha)
+def elu_inputs(n, seed, scale=1.0):
+    x = make_rng(seed).normal(scale=3.0, size=n)
+    k = min(n, ELU_SPECIAL.size)
+    x[:k] = ELU_SPECIAL[:k]
+    return scaled(x, scale)
+
+
+def slope_from_output(x):
+    return N._elu_slope_from_output(N._elu_fwd(x))
 
 
 class TestBlockedElu:
     """The mask-free blocked forms against the np.where oracles, across the
-    block edges."""
+    block edges, on inputs whose finite entries are times `scale`: 1 keeps
+    the specials as they are, 0 turns every finite input into a signed
+    zero, and 0.5 and 2 halve and double the draws and the finite specials
+    (the least subnormals round to signed zeros, +-800 become +-400 and
+    +-1600)."""
 
     B = N._ELU_BLOCK
     SIZES = (1, B - 1, B, B + 1, 3 * B + 7)
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 2.0])
     @pytest.mark.parametrize("n", SIZES)
-    def test_bytes_equal_oracle(self, n, alpha):
-        x = elu_inputs(n, n)
-        assert N._elu_fwd(x, alpha).tobytes() == _elu(x, alpha).tobytes()
-        assert _elu_grad(x, alpha).tobytes() == _elu_slope(x, alpha).tobytes()
+    def test_bytes_equal_oracle(self, n, scale):
+        x = elu_inputs(n, n, scale)
+        assert N._elu_fwd(x).tobytes() == _elu(x).tobytes()
+        assert _elu_grad(x).tobytes() == _elu_slope(x).tobytes()
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", SIZES)
-    def test_slope_from_output_matches_input_form(self, n, alpha):
-        # y + alpha = alpha * (exp(x) - 1) + alpha rounds twice where alpha *
-        # exp(x) rounds once; both are exactly 1 where y > 0
-        x = elu_inputs(n, n)
-        got, want = slope_from_output(x, alpha), _elu_grad(x, alpha)
-        pos = N._elu_fwd(x, alpha) > 0
+    def test_slope_from_output_matches_input_form(self, n, scale):
+        # y + 1 = (exp(x) - 1) + 1 rounds twice where exp(x) rounds once;
+        # both are exactly 1 where y > 0
+        x = elu_inputs(n, n, scale)
+        got, want = slope_from_output(x), _elu_grad(x)
+        pos = N._elu_fwd(x) > 0
         assert got[pos].tobytes() == want[pos].tobytes()
         assert np.array_equal(np.isnan(got), np.isnan(want))
         rest = ~pos & ~np.isnan(want)
-        assert np.all(np.abs(got[rest] - want[rest]) <= alpha * 2.0 ** -52)
+        assert np.all(np.abs(got[rest] - want[rest]) <= 2.0 ** -52)
 
-    @pytest.mark.parametrize("alpha", [1.0, 0.5, 2.0])
-    def test_non_contiguous_input(self, alpha):
-        x = elu_inputs(2 * (self.B + 5), 3).reshape(2, -1)[:, ::2]
+    @pytest.mark.parametrize("scale", [1.0, 0.5, 2.0])
+    def test_non_contiguous_input(self, scale):
+        x = elu_inputs(2 * (self.B + 5), 3, scale).reshape(2, -1)[:, ::2]
         assert not x.flags.c_contiguous
-        y = N._elu_fwd(x, alpha)
+        y = N._elu_fwd(x)
         assert y.shape == x.shape
-        assert y.tobytes() == _elu(x, alpha).tobytes()
-        d = N._elu_slope_from_output(y[:, ::-1], alpha)
+        assert y.tobytes() == _elu(x).tobytes()
+        d = N._elu_slope_from_output(y[:, ::-1])
         assert d.shape == x.shape
-        assert d.tobytes() == slope_from_output(np.ascontiguousarray(x[:, ::-1]), alpha).tobytes()
+        assert d.tobytes() == slope_from_output(np.ascontiguousarray(x[:, ::-1])).tobytes()
 
     def test_out_writes_the_given_rows(self):
         # as a recurrent step runs it: into h's rows, with its input as scratch
         x = elu_inputs(self.B + 3, 4).reshape(-1, 1)
-        want = _elu(x, 1.0)
+        want = _elu(x)
         h = np.full((len(x) + 2, 1), 7.0)
-        N._elu_block(x, h[1:-1], x, 1.0)
+        N._elu_block(x, h[1:-1], x)
         assert h[1:-1].tobytes() == want.tobytes()
         assert h[0, 0] == h[-1, 0] == 7.0
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0])
     @pytest.mark.parametrize("n", SIZES)
-    def test_slope_bytes_equal_blocked_oracle(self, n, alpha):
-        y = N._elu_fwd(elu_inputs(n, n), alpha)
-        got = N._elu_slope_from_output(y, alpha)
-        assert got.tobytes() == elu_slope_from_output_blocked(y, alpha).tobytes()
+    def test_slope_bytes_equal_blocked_oracle(self, n, scale):
+        y = N._elu_fwd(elu_inputs(n, n, scale))
+        got = N._elu_slope_from_output(y)
+        assert got.tobytes() == elu_slope_from_output_blocked(y).tobytes()
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
-    def test_slope_of_special_outputs_bytes_equal_blocked_oracle(self, alpha):
-        # every special but -inf, which no ELU outputs (see
-        # _elu_slope_from_output), taken as the output itself
-        y = ELU_SPECIAL[ELU_SPECIAL != -np.inf]
-        got = N._elu_slope_from_output(y, alpha)
-        assert got.tobytes() == elu_slope_from_output_blocked(y, alpha).tobytes()
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0])
+    def test_slope_of_special_outputs_bytes_equal_blocked_oracle(self, scale):
+        # every special but -inf, which no ELU outputs (min(y, 0) + 1 is -inf
+        # there, the blocked form's nan), taken as the output itself
+        y = scaled(ELU_SPECIAL[ELU_SPECIAL != -np.inf], scale)
+        got = N._elu_slope_from_output(y)
+        assert got.tobytes() == elu_slope_from_output_blocked(y).tobytes()
 
-    @pytest.mark.parametrize("alpha", [0.0, 0.5, 1.0, 2.0])
-    def test_slope_of_non_contiguous_output_bytes_equal_blocked_oracle(self, alpha):
-        y = N._elu_fwd(elu_inputs(2 * (self.B + 5), 5), alpha).reshape(2, -1)[:, ::2]
+    @pytest.mark.parametrize("scale", [0.0, 0.5, 1.0, 2.0])
+    def test_slope_of_non_contiguous_output_bytes_equal_blocked_oracle(self, scale):
+        y = N._elu_fwd(elu_inputs(2 * (self.B + 5), 5, scale)).reshape(2, -1)[:, ::2]
         assert not y.flags.c_contiguous
-        got = N._elu_slope_from_output(y, alpha)
+        got = N._elu_slope_from_output(y)
         assert got.shape == y.shape
-        assert got.tobytes() == elu_slope_from_output_blocked(y, alpha).tobytes()
-
-    @pytest.mark.parametrize("n", SIZES)
-    def test_alpha_zero_equal_values(self, n):
-        # 0 * (exp(x) - 1) is -0.0 in the oracle where the blocked form adds +0.0
-        x = elu_inputs(n, n)
-        assert np.array_equal(N._elu_fwd(x, 0.0), _elu(x, 0.0), equal_nan=True)
-        assert np.array_equal(slope_from_output(x, 0.0), _elu_slope(x, 0.0), equal_nan=True)
+        assert got.tobytes() == elu_slope_from_output_blocked(y).tobytes()
 
 
 class TestRecurrent:
@@ -154,7 +153,7 @@ class TestRecurrent:
         layer, store = self.make(2, 3)
         x = RNG.normal(size=(1, 2))
         y, _ = run_alone(layer, x, False)
-        expected = N._elu_fwd(x[0] @ layer.w_xh.value + layer.b.value, 1.0)
+        expected = N._elu_fwd(x[0] @ layer.w_xh.value + layer.b.value)
         assert np.allclose(y[0], expected, atol=1e-15)
 
     def test_two_step_scalar_hand_unrolled(self):
@@ -498,7 +497,7 @@ class TestResidual:
         y, _ = run_alone(block, x, False)
         k = net.store["L00_conv2d/K"].value
         b = net.store["L00_conv2d/b"].value
-        expected = N._elu_fwd(x + sliding_conv2d(x, k, b), 1.0)
+        expected = N._elu_fwd(x + sliding_conv2d(x, k, b))
         assert np.max(np.abs(y - expected)) <= 1e-12
 
     def test_backward_matches_finite_differences(self):
@@ -638,7 +637,8 @@ class TestCatalog:
         cfg = N.parse_config("recurrent\ndropout\ndense units=5\nelu\nlinear_output\n")
         net = N.build_network(cfg, input_dim=4, rng=make_rng(0))
         assert net.store["L00_recurrent/W_hh"].value.shape == (128, 128)
-        assert (net.steps[1].rate, net.steps[3].alpha, net.output_units) == (0.1, 1.0, 62)
+        assert (net.steps[1].rate, cfg.layers[3].value, net.output_units) == (0.1, None, 62)
+        assert isinstance(net.steps[3], N._Elu)
 
     def test_config_text_round_trip(self):
         for name in ("RC2", "Res-RC2", "CR2-toy"):
@@ -686,7 +686,7 @@ def test_parse_config_raises_only_value_errors(data):
 # a layer of each kind with its value omitted or drawn from its valid range
 _LAYER_VALUES = {
     "recurrent": st.integers(1, 256), "conv2d": st.integers(1, 64), "dense": st.integers(1, 256),
-    "elu": st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    "elu": st.just(1.0),
     "dropout": st.floats(min_value=0.0, max_value=1.0, exclude_max=True),
     "linear_output": st.integers(1, 100),
 }
@@ -699,7 +699,7 @@ _LAYER = st.sampled_from(sorted(set(_LAYER_VALUES) - {"linear_output"})).flatmap
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(layers=st.lists(_LAYER, max_size=8),
        out=st.none() | _LAYER_VALUES["linear_output"])
-@example(layers=[N.elu(1.2345678), N.dropout(0.123456789)], out=None)
+@example(layers=[N.elu(), N.dropout(0.123456789)], out=None)
 def test_config_text_round_trips_every_value(layers, out):
     cfg = N.NetworkConfig(name="fuzz", layers=layers + [N.LayerSpec("linear_output", out)])
     back = N.parse_config(N.dump_config(cfg))
